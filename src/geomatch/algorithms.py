@@ -218,6 +218,13 @@ def halfplane_matching(
     inside = [i for i, s in sides.items() if s == keep]
     if not inside:
         return Matching(ps, [], check=False)
+    if len(inside) == 2:
+        # Two points have a single perfect matching, the one the extension
+        # below would assemble, and it is compatible with m: edges of m on
+        # the far side lie in the other open halfplane, and an edge leaving
+        # the side from one of the two points could only overlap it if the
+        # other point touched that edge, which a matching rules out.
+        return Matching(ps, [Segment(inside[0], inside[1])], check=False)
 
     a, b, c = (as_scalar(v) for v in line)
     if within is None:

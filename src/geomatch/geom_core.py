@@ -4,7 +4,11 @@ All coordinates are rational (`fractions.Fraction`); every predicate is
 decided by the sign of an integer determinant, so there is no tolerance
 anywhere.  A :class:`PointSet` caches its coordinates scaled to a common
 integer grid, which keeps the hot predicates in (arbitrary-precision)
-integer arithmetic instead of `Fraction` arithmetic.
+integer arithmetic instead of `Fraction` arithmetic.  Blockers with
+arbitrary rational endpoints (matching edges, extension rays) are converted
+once into that grid as homogeneous integer triples, so blocker visibility
+(:func:`crosses_any_blocker`) is integer arithmetic too;
+:func:`segments_cross_coords` stays the reference it must agree with.
 """
 
 from __future__ import annotations
@@ -93,6 +97,128 @@ def segments_cross_coords(p: Coord, q: Coord, r: Coord, s: Coord) -> bool:
         return not (z in ((px, py), (qx, qy)) and z in ((rx, ry), (sx, sy)))
     # Two or more touch points: a collinear overlap of positive length.
     return True
+
+
+# ---------------------------------------------------------------------------
+# blockers in a point set's integer frame
+#
+# A blocker is a segment with arbitrary rational endpoints (ray termini carry
+# large denominators).  Scaled by a point set's ``_scale``, each endpoint
+# becomes a homogeneous integer triple (X, Y, W) with W > 0 and
+# gcd(X, Y, W) == 1, so two endpoints are equal iff their triples are.  The
+# blocker's line is the cross product of its endpoint triples; the side of an
+# integer point (x, y) is the sign of a*x + b*y + c, and the side of a triple
+# relative to the integer line through a candidate edge is one more dot
+# product.  Every sign equals the matching ``orient`` sign of
+# :func:`segments_cross_coords`: scaling a row of the orientation
+# determinant by W > 0, or all points by ``_scale``, keeps its sign.
+
+
+def _frame_triple(x: Fraction, y: Fraction, scale: int) -> tuple[int, int, int]:
+    # (x, y) * scale as (X, Y, W) in lowest terms; integer arithmetic only,
+    # since this runs for every blocker endpoint of every problem
+    x, y = as_scalar(x), as_scalar(y)
+    xn, xd = x.numerator * scale, x.denominator
+    yn, yd = y.numerator * scale, y.denominator
+    g = math.gcd(xn, xd)
+    xn, xd = xn // g, xd // g
+    g = math.gcd(yn, yd)
+    yn, yd = yn // g, yd // g
+    w = xd * yd // math.gcd(xd, yd)
+    return (xn * (w // xd), yn * (w // yd), w)
+
+
+def blocker_table(ps: PointSet, blockers: Iterable[tuple[Coord, Coord]]) -> tuple[tuple, ...]:
+    """Convert coordinate-pair blockers once into the integer frame of ``ps``.
+
+    Each entry is ``(xlo, xhi, ylo, yhi, a, b, c, R, S)``: an integer box
+    around the blocker (floor / ceiling of its extent), its line
+    ``a*x + b*y + c = 0`` and its endpoint triples ``R`` and ``S``.
+    """
+    scale = ps._scale
+    table = []
+    for r, s in blockers:
+        R = _frame_triple(r[0], r[1], scale)
+        S = _frame_triple(s[0], s[1], scale)
+        (xr, yr, wr), (xs, ys, ws) = R, S
+        table.append((
+            min(xr // wr, xs // ws),
+            max(-(-xr // wr), -(-xs // ws)),
+            min(yr // wr, ys // ws),
+            max(-(-yr // wr), -(-ys // ws)),
+            yr * ws - wr * ys,
+            wr * xs - xr * ws,
+            xr * ys - yr * xs,
+            R,
+            S,
+        ))
+    return tuple(table)
+
+
+def _straddles(u: int, v: int) -> bool:
+    # whether 0 lies in the closed interval spanned by u and v
+    return not ((u > 0 and v > 0) or (u < 0 and v < 0))
+
+
+def _blocker_contact(px, py, qx, qy, v1, v2, v3, v4, R, S) -> bool:
+    # The touch rules of segments_cross_coords, in integers: an endpoint
+    # whose orientation value v is zero touches the other segment iff it
+    # lies in that segment's closed bounding box.
+    (xr, yr, wr), (xs, ys, ws) = R, S
+    P, Q = (px, py, 1), (qx, qy, 1)
+    touch = set()
+    for (x, y), v in (((px, py), v1), ((qx, qy), v2)):
+        if v == 0 and _straddles(xr - x * wr, xs - x * ws) and _straddles(
+            yr - y * wr, ys - y * ws
+        ):
+            touch.add((x, y, 1))
+    for (x, y, w), v in ((R, v3), (S, v4)):
+        if v == 0 and _straddles(x - px * w, x - qx * w) and _straddles(
+            y - py * w, y - qy * w
+        ):
+            touch.add((x, y, w))
+    if not touch:
+        return False
+    if len(touch) == 1:
+        z = touch.pop()
+        return not ((z == P or z == Q) and (z == R or z == S))
+    # Two or more touch points: a collinear overlap of positive length.
+    return True
+
+
+def crosses_any_blocker(p: tuple[int, int], q: tuple[int, int], table: Sequence[tuple]) -> bool:
+    """Whether segment pq crosses some blocker of a :func:`blocker_table`.
+
+    ``p`` and ``q`` are integer points of the frame the table was built in
+    (``ps.scaled(i)``).  Each answer equals :func:`segments_cross_coords` on
+    the unscaled coordinates: touching a blocker at a point that is an
+    endpoint of both is allowed, any other shared point is a crossing.
+    """
+    px, py = p
+    qx, qy = q
+    lox, hix = (px, qx) if px < qx else (qx, px)
+    loy, hiy = (py, qy) if py < qy else (qy, py)
+    ea, eb, ec = py - qy, qx - px, px * qy - py * qx  # line of pq
+    for xlo, xhi, ylo, yhi, a, b, c, R, S in table:
+        if hix < xlo or xhi < lox or hiy < ylo or yhi < loy:
+            continue
+        v1 = a * px + b * py + c
+        v2 = a * qx + b * qy + c
+        if (v1 > 0 and v2 > 0) or (v1 < 0 and v2 < 0):
+            continue  # pq strictly on one side of the blocker's line
+        v3 = ea * R[0] + eb * R[1] + ec * R[2]
+        v4 = ea * S[0] + eb * S[1] + ec * S[2]
+        if (v3 > 0 and v4 > 0) or (v3 < 0 and v4 < 0):
+            continue  # the blocker strictly on one side of pq's line
+        if v1 and v2 and v3 and v4:
+            return True  # proper interior crossing
+        if (not v1) != (not v2) and (not v3) != (not v4):
+            # one endpoint of each on the other's (distinct) line: both
+            # are the lines' single common point, a shared endpoint
+            continue
+        if _blocker_contact(px, py, qx, qy, v1, v2, v3, v4, R, S):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +386,19 @@ class PointSet:
         return out
 
     def first_crossing_within(self, edges: Iterable[Segment]):
-        """Return a crossing pair among ``edges`` or None (bbox-prefiltered)."""
-        boxes = self._edge_boxes(list(edges))
+        """Return a crossing pair among ``edges`` or None (bbox-prefiltered).
+
+        Boxes are swept in order of their left side, so each edge is only
+        compared with the edges whose boxes start inside its x-extent.
+        """
+        boxes = sorted(self._edge_boxes(list(edges)), key=_box_left)
         for i in range(len(boxes)):
             xa1, xb1, ya1, yb1, s1 = boxes[i]
             for j in range(i + 1, len(boxes)):
                 xa2, xb2, ya2, yb2, s2 = boxes[j]
-                if xb1 < xa2 or xb2 < xa1 or yb1 < ya2 or yb2 < ya1:
+                if xb1 < xa2:
+                    break
+                if yb1 < ya2 or yb2 < ya1:
                     continue
                 if self.segments_cross_ids(s1.a, s1.b, s2.a, s2.b):
                     return s1, s2
@@ -276,19 +408,26 @@ class PointSet:
         """Return a crossing pair (e1, e2) with e1 in edges1, e2 in edges2, or None.
 
         Identical segments are skipped (an edge shared by both sides occurs
-        once in the union and cannot cross itself).
+        once in the union and cannot cross itself).  The boxes of ``edges2``
+        are scanned in order of their left side, up to the right side of e1.
         """
         boxes1 = self._edge_boxes(list(edges1))
-        boxes2 = self._edge_boxes(list(edges2))
+        boxes2 = sorted(self._edge_boxes(list(edges2)), key=_box_left)
         for xa1, xb1, ya1, yb1, s1 in boxes1:
             for xa2, xb2, ya2, yb2, s2 in boxes2:
-                if s1 == s2:
+                if xb1 < xa2:
+                    break
+                if xb2 < xa1 or yb1 < ya2 or yb2 < ya1:
                     continue
-                if xb1 < xa2 or xb2 < xa1 or yb1 < ya2 or yb2 < ya1:
+                if s1 == s2:
                     continue
                 if self.segments_cross_ids(s1.a, s1.b, s2.a, s2.b):
                     return s1, s2
         return None
+
+
+def _box_left(box: tuple) -> int:
+    return box[0]
 
 
 def segments_cross(ps: PointSet, s: Segment, t: Segment) -> bool:
@@ -486,35 +625,60 @@ class ConvexPolygon:
         a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
         if keep not in (1, -1):
             raise GeomatchError("keep must be +1 or -1")
-        out: list[Coord] = []
+        # Work on integers: the vertices scaled by the lcm D of their
+        # denominators, the line by the lcm L of its own.  Every point is a
+        # homogeneous triple (X, Y, W), W > 0, and the line value
+        # A*X + B*Y - C*W is L*D*W times a*x + b*y - c, so its sign agrees.
         v = self.vertices
         m = len(v)
-        vals = [sign(a * x + b * y - c) * keep for x, y in v]
+        D = math.lcm(*(t.denominator for pt in v for t in pt))
+        L = math.lcm(a.denominator, b.denominator, c.denominator)
+        A, B, C = (t.numerator * (L // t.denominator) for t in (a, b, c))
+        tri = [
+            (x.numerator * (D // x.denominator), y.numerator * (D // y.denominator), D)
+            for x, y in v
+        ]
+        vals = [sign(A * X + B * Y - C * D) * keep for X, Y, _ in tri]
+        out: list[tuple[Coord, tuple[int, int, int]]] = []  # (coord, triple)
         for i in range(m):
-            (px, py), sp = v[i], vals[i]
-            (qx, qy), sq = v[(i + 1) % m], vals[(i + 1) % m]
+            sp, sq = vals[i], vals[(i + 1) % m]
             if sp >= 0:
-                out.append((px, py))
+                out.append((v[i], tri[i]))
             if sp * sq < 0:
-                # exact intersection of edge pq with the line
-                denom = a * (qx - px) + b * (qy - py)
-                t = (c - a * px - b * py) / denom
-                out.append((px + t * (qx - px), py + t * (qy - py)))
+                # exact intersection of edge pq with the line, at parameter
+                # t = tn / td along pq
+                PX, PY, _ = tri[i]
+                QX, QY, _ = tri[(i + 1) % m]
+                td = A * (QX - PX) + B * (QY - PY)
+                tn = C * D - A * PX - B * PY
+                if td < 0:
+                    tn, td = -tn, -td
+                X = PX * td + tn * (QX - PX)
+                Y = PY * td + tn * (QY - PY)
+                W = td * D
+                out.append(((Fraction(X, W), Fraction(Y, W)), (X, Y, W)))
         # drop repeated and collinear vertices
-        dedup: list[Coord] = []
-        for pt in out:
-            if not dedup or pt != dedup[-1]:
-                dedup.append(pt)
-        if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup: list[tuple[Coord, tuple[int, int, int]]] = []
+        for item in out:
+            if not dedup or item[0] != dedup[-1][0]:
+                dedup.append(item)
+        if len(dedup) > 1 and dedup[0][0] == dedup[-1][0]:
             dedup.pop()
         final: list[Coord] = []
         m2 = len(dedup)
         for i in range(m2):
-            ax_, ay_ = dedup[(i - 1) % m2]
-            bx_, by_ = dedup[i]
-            cx_, cy_ = dedup[(i + 1) % m2]
-            if orient(ax_, ay_, bx_, by_, cx_, cy_) != 0:
-                final.append((bx_, by_))
+            ax_, ay_, aw = dedup[(i - 1) % m2][1]
+            pt, (bx_, by_, bw) = dedup[i]
+            cx_, cy_, cw = dedup[(i + 1) % m2][1]
+            # the 3x3 determinant of three homogeneous points with positive
+            # weights has the sign of their orientation
+            det = (
+                ax_ * (by_ * cw - bw * cy_)
+                - ay_ * (bx_ * cw - bw * cx_)
+                + aw * (bx_ * cy_ - by_ * cx_)
+            )
+            if det != 0:
+                final.append(pt)
         if len(final) < 3:
             return None
         # clipping a strictly convex CCW polygon yields one, and the loop
@@ -600,7 +764,9 @@ def convex_hull(ps: PointSet, ids: Optional[Iterable[int]] = None) -> HullResult
         raise CollinearTriple(hull[0], hull[1], pts[-1])
     hull_set = set(hull)
     interior = tuple(i for i in idx if i not in hull_set)
-    poly = ConvexPolygon([ps.coord(i) for i in hull])
+    # the chain pops every non-left turn in exact integers, so the hull is
+    # already strictly convex and CCW; skip the revalidating constructor
+    poly = ConvexPolygon._unchecked(tuple(ps.coord(i) for i in hull))
     return HullResult(poly, tuple(hull), interior)
 
 

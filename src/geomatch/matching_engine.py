@@ -24,8 +24,9 @@ from .geom_core import (
     Matching,
     PointSet,
     Segment,
+    blocker_table,
     convex_position_order,
-    segments_cross_coords,
+    crosses_any_blocker,
 )
 from .orientation import EvenOrientation
 from .subdivision import ConvexSubdivision, DualMultigraph
@@ -134,6 +135,10 @@ class ConstrainedMatchProblem:
     to segments, ...); touching one at a shared endpoint is fine, crossing
     or overlapping it is not.  ``region``, when given, must contain the
     edges (it is convex, so containing the endpoints suffices).
+
+    :func:`constrained_matching` converts the blockers once per problem into
+    the point set's integer frame (:func:`geom_core.blocker_table`) and
+    decides every visibility test there, in exact integer arithmetic.
     """
 
     ps: PointSet
@@ -153,20 +158,21 @@ def constrained_matching(prob: ConstrainedMatchProblem) -> Optional[Matching]:
             if not prob.region.contains(ps.coord(i)):
                 return None
 
+    table = blocker_table(ps, prob.blockers)
+    ix, iy = ps._ix, ps._iy
     visible_cache: dict[tuple[int, int], bool] = {}
 
     def visible(i: int, j: int) -> bool:
         key = (i, j)
         got = visible_cache.get(key)
         if got is None:
-            p, q = ps.coord(i), ps.coord(j)
-            got = not any(segments_cross_coords(p, q, r, s) for r, s in prob.blockers)
+            got = not crosses_any_blocker((ix[i], iy[i]), (ix[j], iy[j]), table)
             visible_cache[key] = got
         return got
 
     def sort_key(i: int, j: int):
-        (ax, ay), (bx, by) = ps.coord(i), ps.coord(j)
-        return ((ax - bx) ** 2 + (ay - by) ** 2, j)
+        # squared length in the integer frame: scaling keeps the order
+        return ((ix[i] - ix[j]) ** 2 + (iy[i] - iy[j]) ** 2, j)
 
     chosen: list[Segment] = []
 
@@ -241,15 +247,19 @@ def assemble_from_orientation(
     """
     ps = m.base
     assignment = assignment_from_orientation(dual, orientation)
+    vertex_cell = assignment.vertex_cell
+    # edges of m with both endpoints handed to one cell, grouped by cell
+    induced_in: dict[int, list[Segment]] = {}
+    for s in m.edges:
+        y = vertex_cell.get(s.a)
+        if y is not None and vertex_cell.get(s.b) == y:
+            induced_in.setdefault(y, []).append(s)
     edges: list[Segment] = []
     for y in range(dual.n):
         batch = assignment.cell_vertices[y]
         if not batch:
             continue
-        induced = [
-            s for s in m.edges if s.a in assignment.vertex_cell and s.b in assignment.vertex_cell
-            and assignment.vertex_cell[s.a] == y and assignment.vertex_cell[s.b] == y
-        ]
+        induced = induced_in.get(y, [])
         if require_disjoint:
             if len(batch) == 2 and induced:
                 raise SameSegmentIndegreeTwo(

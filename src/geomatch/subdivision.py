@@ -145,8 +145,9 @@ class DualMultigraph:
 
 
 def endpoint_role(ps, seg: Segment, vertex: int) -> EndpointRole:
-    ax, ay = ps.coord(seg.a)
-    bx, by = ps.coord(seg.b)
+    # the scaled integer coordinates keep every comparison
+    ax, ay = ps.scaled(seg.a)
+    bx, by = ps.scaled(seg.b)
     if ax == bx:
         low = seg.a if ay < by else seg.b
         return EndpointRole.BOTTOM_END if vertex == low else EndpointRole.TOP_END
@@ -189,11 +190,12 @@ class _Feature:
     the feature (wall ends, landings of other rays, matching vertices).
     """
 
-    __slots__ = ("ax", "ay", "bx", "by", "lo", "hi", "is_boundary", "seg", "params")
+    __slots__ = ("ax", "ay", "bx", "by", "dx", "dy", "lo", "hi", "is_boundary", "seg", "params")
 
     def __init__(self, a, b, is_boundary, seg=None):
         self.ax, self.ay = a
         self.bx, self.by = b
+        self.dx, self.dy = self.bx - self.ax, self.by - self.ay
         self.lo = _ZERO
         self.hi = _ONE
         self.is_boundary = is_boundary
@@ -209,12 +211,7 @@ class _Feature:
         return (x // g, y // g, td // g)
 
     def direction(self) -> tuple[int, int]:
-        return (self.bx - self.ax, self.by - self.ay)
-
-
-def _param_between(lo: tuple[int, int], un: int, ud: int, hi: tuple[int, int]) -> bool:
-    # ud > 0 required; checks lo <= un/ud <= hi
-    return un * lo[1] >= lo[0] * ud and un * hi[1] <= hi[0] * ud
+        return (self.dx, self.dy)
 
 
 def extend(
@@ -240,27 +237,33 @@ def extend(
     denoms = [region_poly.vertices[i][j].denominator for i in range(len(region_poly)) for j in (0, 1)]
     frame = lcm(ps._scale, *denoms)
     mult = frame // ps._scale
-    pts = [(ix * mult, iy * mult) for ix, iy in zip(ps._ix, ps._iy)]
-    reg = [(int(x * frame), int(y * frame)) for x, y in region_poly.vertices]
+    pts = {i: (ps._ix[i] * mult, ps._iy[i] * mult) for s in m.edges for i in s.ids}
+    reg = [
+        (x.numerator * (frame // x.denominator), y.numerator * (frame // y.denominator))
+        for x, y in region_poly.vertices
+    ]
     nreg = len(reg)
 
-    # classify segments by how many endpoints are inside the region
-    def point_state(i: int) -> int:
+    # classify segments by how many endpoints are inside the region; a
+    # point's mask has bit k set when it lies strictly outside region edge k
+    def outside_mask(i: int) -> int:
         px, py = pts[i]
         on_edge = False
+        mask = 0
         for k in range(nreg):
             ax, ay = reg[k]
             bx, by = reg[(k + 1) % nreg]
             s = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
             if s < 0:
-                return 0
-            if s == 0:
+                mask |= 1 << k
+            elif s == 0:
                 on_edge = True
-        if on_edge:
+        if on_edge and not mask:
             raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
-        return 1
+        return mask
 
-    state = {i: point_state(i) for s in m.edges for i in s.ids}
+    outside = {i: outside_mask(i) for s in m.edges for i in s.ids}
+    state = {i: int(not mask) for i, mask in outside.items()}
     one_in: set[Segment] = set()
     both_in: set[Segment] = set()
     for s in m.edges:
@@ -269,7 +272,8 @@ def extend(
             both_in.add(s)
         elif k == 1:
             one_in.add(s)
-        else:
+        elif not outside[s.a] & outside[s.b]:
+            # no edge line has the whole segment strictly on its outer side
             for i in range(len(reg)):
                 r, t = reg[i], reg[(i + 1) % len(reg)]
                 if segments_cross_coords(pts[s.a], pts[s.b], r, t):
@@ -330,27 +334,33 @@ def extend(
             dx, dy = -dx, -dy
         best = None  # (tn, td, feature, un, ud)
         tie = False
+        # the hottest loop of extend, so the cross products are inlined: the
+        # ray meets g at ray parameter tn/td >= 0 and g parameter un/ud, which
+        # must lie in g's current extent lo..hi
         for g in features:
             if g is f:
                 continue
-            ex, ey = g.direction()
+            ex, ey = g.dx, g.dy
             fx, fy = ox - g.ax, oy - g.ay
-            denom = _cross(dx, dy, ex, ey)
+            denom = dx * ey - dy * ex
+            tn = ex * fy - ey * fx
             if denom == 0:
-                if _cross(ex, ey, fx, fy) == 0:
+                if tn == 0:
                     raise DegenerateIncidence(
                         f"ray from {endpoint} is collinear with another feature"
                     )
                 continue
-            tn, td = _cross(ex, ey, fx, fy), denom
-            if td < 0:
-                tn, td = -tn, -td
+            if denom < 0:
+                tn, td = -tn, -denom
+                un = dy * fx - dx * fy
+            else:
+                td = denom
+                un = dx * fy - dy * fx
             if tn < 0:
                 continue
-            un, ud = _cross(dx, dy, fx, fy), denom
-            if ud < 0:
-                un, ud = -un, -ud
-            if not _param_between(g.lo, un, ud, g.hi):
+            ud = td
+            lo, hi = g.lo, g.hi
+            if un * lo[1] < lo[0] * ud or un * hi[1] > hi[0] * ud:
                 continue
             if tn == 0:
                 raise DegenerateIncidence(
@@ -448,42 +458,42 @@ def extend(
     node_ids: dict[tuple[int, int, int], int] = {}
     node_pts: list[tuple[int, int, int]] = []
 
-    def node(key: tuple[int, int, int]) -> int:
-        i = node_ids.get(key)
-        if i is None:
-            i = len(node_pts)
-            node_ids[key] = i
-            node_pts.append(key)
-        return i
-
     # dedges 2k and 2k+1 are the two directions of edgelet k
     dedge_from: list[int] = []
-    dedge_to: list[int] = []
     dedge_dir: list[tuple[int, int]] = []
-
-    def add_edgelet(n1: int, n2: int, direction: tuple[int, int]):
-        dedge_from.extend((n1, n2))
-        dedge_to.extend((n2, n1))
-        dedge_dir.append(direction)
-        dedge_dir.append((-direction[0], -direction[1]))
 
     for f in features:
         if f.is_boundary:
-            lo_cut, hi_cut = _ZERO, _ONE
+            (lo_n, lo_d), (hi_n, hi_d) = _ZERO, _ONE
         else:
-            lo_cut, hi_cut = f.lo, f.hi
+            (lo_n, lo_d), (hi_n, hi_d) = f.lo, f.hi
         params = sorted(
-            (p for p in f.params if not (_plt(p, lo_cut) or _plt(hi_cut, p))),
+            (
+                p for p in f.params
+                if p[0] * lo_d >= lo_n * p[1] and p[0] * hi_d <= hi_n * p[1]
+            ),
             key=cmp_to_key(_pcmp),
         )
         if f.is_boundary and not params:
             raise InvariantViolation("boundary edge lost its endpoints")
-        nodes = [node(f.node_key(p)) for p in params]
         d = f.direction()
-        for a, b in zip(nodes, nodes[1:]):
-            if a == b:
-                raise DegenerateIncidence("two structure vertices coincide")
-            add_edgelet(a, b, d)
+        back = (-d[0], -d[1])
+        prev = None
+        for t in params:
+            key = f.node_key(t)
+            i = node_ids.get(key)
+            if i is None:
+                i = len(node_pts)
+                node_ids[key] = i
+                node_pts.append(key)
+            if prev is not None:
+                if prev == i:
+                    raise DegenerateIncidence("two structure vertices coincide")
+                dedge_from.append(prev)
+                dedge_from.append(i)
+                dedge_dir.append(d)
+                dedge_dir.append(back)
+            prev = i
 
     # rotation system: outgoing dedges sorted counter-clockwise per node
     def angle_cmp(i: int, j: int) -> int:
@@ -604,8 +614,9 @@ def extend(
 def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:
     """One vertex per cell, one edge per in-region matching vertex."""
     edges = []
+    seg_of = {i: s for s in m.edges for i in s.ids}
     for v in sorted(sub.vertex_cells):
-        seg = m.segment_of(v)
+        seg = seg_of.get(v)
         if seg is None:
             raise InvariantViolation(f"subdivision vertex {v} is unmatched in M")
         edges.append(

@@ -40,6 +40,7 @@ from geomatch.errors import (
     VerticalSegment,
 )
 from geomatch.geom_core import (
+    BoundingBox,
     Matching,
     PointSet,
     Segment,
@@ -53,6 +54,7 @@ from geomatch.oracle import (
     transformation_distance,
     visibility_graph,
 )
+from geomatch.subdivision import ExtensionDirective, FromEndpoint, extend
 
 from helpers import (
     brute_segments_cross,
@@ -154,6 +156,28 @@ def test_halfplane_rejects_vertex_on_line_and_odd_cut():
         halfplane_matching(m, (1, 0, 0), +1)
     with pytest.raises(OddCut):
         halfplane_matching(m, (1, 0, Fraction(9, 2)), -1)
+
+
+def test_halfplane_two_point_side_gets_compatible_pair():
+    # a side holding two points is matched by the edge joining them, which
+    # must be compatible with m whether m's edges there are cut or not
+    rng = random.Random(31)
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(8):
+            ps = random_general_pointset(rng, 2 * n)
+            m = Matching(ps, random_ncpm_edges(ps, rng))
+            for axis, line_of in ((0, lambda c: (1, 0, c)), (1, lambda c: (0, 1, c))):
+                order = sorted(ps.ids, key=lambda i: ps.coord(i)[axis])
+                vals = [ps.coord(i)[axis] for i in order]
+                if len(set(vals)) < len(vals):
+                    continue  # a tie could put a point on the cut line
+                for inside, c, keep in (
+                    (order[:2], Fraction(vals[1] + vals[2], 2), -1),
+                    (order[-2:], Fraction(vals[-3] + vals[-2], 2), +1),
+                ):
+                    out = halfplane_matching(m, line_of(c), keep)
+                    assert set(out.edges) == {Segment(*inside)}
+                    assert compatible(m, out)
 
 
 def even_cut_sides(m: Matching, line, out: Matching):
@@ -445,6 +469,42 @@ def test_crossings_rejects_odd():
     ps = PointSet.from_coords([(0, 0), (10, 1)])
     with pytest.raises(OddMatching):
         crossings_matchings(Matching(ps, [Segment(0, 1)]))
+
+
+def test_crossings_halves_avoid_segments_and_fraction_rays():
+    # each half is matched by constrained_matching behind the input segments
+    # and the one-way rays from the other endpoint class, whose termini are
+    # Fractions with large denominators
+    checked = 0
+    for n in (4, 6, 8):
+        for seed in range(6):
+            m = gen_random_matching(n, seed)
+            ps = m.base
+            if any(ps.coord(e.a)[0] == ps.coord(e.b)[0] for e in m.edges):
+                continue
+            order = m.sorted_edges()
+            left, right = {}, {}
+            for e in order:
+                lo, hi = sorted(e.ids, key=lambda i: ps.coord(i)[0])
+                left[e], right[e] = lo, hi
+            m_l, m_r = crossings_matchings(m)
+            for half, matched, rays_from in ((m_l, left, right), (m_r, right, left)):
+                assert sorted(half.matched_ids) == sorted(matched.values())
+                assert 2 * len(half) == n
+                directives = [
+                    ExtensionDirective(e, FromEndpoint(rays_from[e]), i)
+                    for i, e in enumerate(order)
+                ]
+                geometry, _ = extend(m, BoundingBox.around(ps), directives, partial=True)
+                assert len(geometry.rays) == n
+                assert any(r.terminus[0].denominator > 1 for r in geometry.rays)
+                walls = [(ps.coord(e.a), ps.coord(e.b)) for e in order]
+                walls += [(r.origin, r.terminus) for r in geometry.rays]
+                for f in half.edges:
+                    for r, s in walls:
+                        assert not brute_segments_cross(ps.coord(f.a), ps.coord(f.b), r, s)
+            checked += 1
+    assert checked >= 12
 
 
 # ---------------------------------------------------------------------------

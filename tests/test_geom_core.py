@@ -20,9 +20,11 @@ from geomatch.geom_core import (
     Point,
     PointSet,
     Segment,
+    blocker_table,
     compatible,
     convex_hull,
     convex_position_order,
+    crosses_any_blocker,
     disjoint,
     distinct_x,
     orientation_test,
@@ -129,6 +131,100 @@ def test_cross_ids_agrees_with_coords_on_random_sets():
         got = ps.segments_cross_ids(0, 1, 2, 3)
         want = brute_segments_cross(*coords)
         assert got == want, coords
+
+
+# ---------------------------------------------------------------------------
+# blockers in the integer frame
+
+# denominators like those of extension-ray termini
+BIG_DENOMS = (1, 3, 10**9 + 7, 2**61 - 1)
+
+
+def frame_cross(p, q, blockers):
+    """crosses_any_blocker on edge pq, with pq taken from a two-point set."""
+    ps = PointSet.from_coords([p, q])
+    return crosses_any_blocker(ps.scaled(0), ps.scaled(1), blocker_table(ps, blockers))
+
+
+def along(p, q, t):
+    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+
+F = Fraction
+P0, Q0 = (F(1, 3), F(2, 7)), (F(13, 3), F(-5, 7))  # frame scale 21
+MID, OFF = along(P0, Q0, F(1, 2)), (F(0), F(9))  # OFF is off pq's line
+DEGENERATE_CONTACTS = [
+    # (case, blocker r, blocker s, crosses)
+    ("proper crossing", along(MID, OFF, F(1, 2)), along(MID, OFF, F(-1, 2)), True),
+    ("shared endpoint", P0, (F(-7, 10**9 + 7), F(9, 2)), False),
+    ("shared endpoint, reversed", (F(5, 2**61 - 1), F(9, 2)), Q0, False),
+    ("blocker endpoint inside pq", along(P0, Q0, F(3, 10**9 + 7)), OFF, True),
+    ("p inside the blocker", (F(1, 3), F(-4)), (F(1, 3), F(7, 2)), True),
+    ("q inside the blocker", along(Q0, OFF, F(-1, 3)), along(Q0, OFF, F(2, 5)), True),
+    ("collinear overlap", along(P0, Q0, F(-1, 2)), along(P0, Q0, F(1, 10**9 + 7)), True),
+    ("collinear, blocker inside pq", along(P0, Q0, F(1, 5)), along(P0, Q0, F(4, 5)), True),
+    ("collinear, overlap past a shared endpoint", Q0, MID, True),
+    ("identical segment", Q0, P0, True),
+    ("collinear disjoint", along(P0, Q0, F(2**61, 2**61 - 1)), along(P0, Q0, F(3)), False),
+    ("collinear, touch at one common endpoint", Q0, along(P0, Q0, F(7, 3)), False),
+    ("collinear, touch at p only", along(P0, Q0, F(-2, 3)), P0, False),
+    ("endpoint on pq's line, outside pq", along(P0, Q0, F(5, 4)), OFF, False),
+    ("point blocker inside pq", MID, MID, True),
+    ("point blocker at p", P0, P0, False),
+]
+
+
+@pytest.mark.parametrize(
+    "r,s,crosses", [c[1:] for c in DEGENERATE_CONTACTS], ids=[c[0] for c in DEGENERATE_CONTACTS]
+)
+def test_blocker_kernel_degenerate_contacts(r, s, crosses):
+    assert segments_cross_coords(P0, Q0, r, s) == crosses
+    assert frame_cross(P0, Q0, [(r, s)]) == crosses
+    assert frame_cross(Q0, P0, [(s, r)]) == crosses
+
+
+def test_blocker_kernel_matches_reference_on_random_rationals():
+    rng = Random(41)
+
+    def coord():
+        d = rng.choice(BIG_DENOMS)
+        return F(rng.randint(-5 * d, 5 * d), d)
+
+    def small():
+        return F(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+
+    kinds = set()
+    for trial in range(3000):
+        pick = coord if trial % 2 else small
+        p, q = (pick(), pick()), (pick(), pick())
+        if p == q:
+            continue
+        t1, t2 = F(rng.randint(-3, 6), rng.choice(BIG_DENOMS[1:])), F(rng.randint(-3, 6), 4)
+        kind = trial % 6
+        if kind == 0:
+            r, s = (pick(), pick()), (pick(), pick())
+        elif kind == 1:  # shared endpoint
+            r, s = rng.choice((p, q)), (pick(), pick())
+        elif kind == 2:  # blocker endpoint on pq's line
+            r, s = along(p, q, t1), (pick(), pick())
+        elif kind == 3:  # blocker on pq's line
+            r, s = along(p, q, t1), along(p, q, t2)
+        elif kind == 4:  # p on the blocker's line
+            d = (pick(), pick())
+            r, s = along(p, d, t1), along(p, d, -t2)
+        else:  # collinear, touching or overlapping at q
+            r, s = q, along(p, q, 1 + t1)
+        want = segments_cross_coords(p, q, r, s)
+        assert frame_cross(p, q, [(r, s)]) == want, (p, q, r, s)
+        kinds.add((kind, want))
+    # every construction met both verdicts
+    assert kinds == {(k, v) for k in range(6) for v in (False, True)}
+    # a table answers for all its blockers at once
+    p, q = (F(-3), F(1, 2)), (F(4), F(1, 3))
+    blockers = [((coord(), coord()), (coord(), coord())) for _ in range(40)]
+    for k in range(len(blockers)):
+        want = any(segments_cross_coords(p, q, r, s) for r, s in blockers[:k])
+        assert frame_cross(p, q, blockers[:k]) == want
 
 
 # ---------------------------------------------------------------------------
