@@ -63,12 +63,9 @@ from .orientation import (
     prune_odd_components,
 )
 from .subdivision import (
-    BothDirections,
     DualMultigraph,
     EndpointRole,
-    ExtensionDirective,
-    FromEndpoint,
-    both_ways_directives,
+    both_ways_rays,
     dual_multigraph,
     extend,
 )
@@ -165,7 +162,7 @@ class FourFifthsReport:
 @dataclass(frozen=True)
 class TwoTreesResult:
     found: bool
-    directives: Optional[tuple[ExtensionDirective, ...]]
+    rays: Optional[tuple[tuple[Segment, int], ...]]
     assignment: Optional[tuple[int, ...]]
     dual: Optional[DualMultigraph]
     orders_tried: int
@@ -199,8 +196,9 @@ def halfplane_matching(
     m: Matching, line: Line, keep: int, within: Optional[ConvexPolygon] = None
 ) -> Matching:
     """Perfect matching of m's vertices on one side of the line, compatible
-    with m: extend m inside the clipped region, orient the dual evenly and
-    match each cell's assigned vertices around its boundary.
+    with m: extend m inside the clipped region by one ray beyond every
+    endpoint on the kept side (in sorted edge order), orient the dual evenly
+    and match each cell's assigned vertices around its boundary.
 
     ``within`` optionally reuses a precomputed bounding polygon of the
     point set (it must contain every point strictly).
@@ -232,23 +230,13 @@ def halfplane_matching(
     region = within.clip_halfplane(a, b, c, keep)
     if region is None:
         raise InvariantViolation("the bounding box misses the kept halfplane")
-    directives = []
-    for e in m.sorted_edges():
-        if sides[e.a] == keep and sides[e.b] == keep:
-            directives.append(
-                ExtensionDirective(e, BothDirections(), len(directives))
-            )
-        elif sides[e.a] != sides[e.b]:
-            inner = e.a if sides[e.a] == keep else e.b
-            directives.append(
-                ExtensionDirective(e, FromEndpoint(inner), len(directives))
-            )
-    _, sub = extend(m, region, directives)
+    rays = [(e, i) for e in m.sorted_edges() for i in e.ids if sides[i] == keep]
+    _, sub = extend(m, region, rays)
     dual = dual_multigraph(sub, m)
     orientation = even_orientation(dual.graph())
     if orientation is None:
         raise InvariantViolation("dual of a halfplane extension must orient evenly")
-    return assemble_from_orientation(m, sub, dual, orientation, require_disjoint=False)
+    return assemble_from_orientation(m, dual, orientation, require_disjoint=False)
 
 
 def even_cut_matching(
@@ -387,7 +375,7 @@ def hv_disjoint_matching(m: Matching) -> tuple[Optional[Matching], ColoredDual]:
         )
         raise NotAxisParallel(f"{bad} is neither horizontal nor vertical")
     region = BoundingBox.around(ps)
-    _, sub = extend(m, region, both_ways_directives(horizontals + verticals))
+    _, sub = extend(m, region, both_ways_rays(horizontals + verticals))
     dual = dual_multigraph(sub, m)
     colors = tuple(_role_color(e.role) for e in dual.edges)
     colored = ColoredDual(dual, colors)
@@ -399,7 +387,7 @@ def hv_disjoint_matching(m: Matching) -> tuple[Optional[Matching], ColoredDual]:
         return None, colored
     partition = {i: c for i, c in enumerate(colors)}
     orientation = orientation_from_partition(dual.graph(), partition)
-    out = assemble_from_orientation(m, sub, dual, orientation, require_disjoint=True)
+    out = assemble_from_orientation(m, dual, orientation, require_disjoint=True)
     return out, colored
 
 
@@ -511,16 +499,8 @@ def four_fifths_matching(m: Matching) -> FourFifthsReport:
     ps = m.base
     order = m.sorted_edges()
     ends = {e: _left_right(ps, e) for e in order}
-    directives = [
-        ExtensionDirective(e, FromEndpoint(ends[e][1]), i)
-        for i, e in enumerate(order)
-    ]
-    directives += [
-        ExtensionDirective(e, FromEndpoint(ends[e][0]), n + i)
-        for i, e in enumerate(order)
-    ]
-    region = BoundingBox.around(ps)
-    _, sub = extend(m, region, directives)
+    rays = [(e, ends[e][1]) for e in order] + [(e, ends[e][0]) for e in order]
+    _, sub = extend(m, BoundingBox.around(ps), rays)
     dual = dual_multigraph(sub, m)
     colors = tuple(
         BLUE if e.role == EndpointRole.LEFT_END else RED for e in dual.edges
@@ -543,7 +523,7 @@ def four_fifths_matching(m: Matching) -> FourFifthsReport:
     reduced = DualMultigraph(dual.n, kept_edges)
     partition = {i: c for i, c in enumerate(kept_colors)}
     orientation = orientation_from_partition(reduced.graph(), partition)
-    out = assemble_from_orientation(m, sub, reduced, orientation, require_disjoint=True)
+    out = assemble_from_orientation(m, reduced, orientation, require_disjoint=True)
 
     guarantee = -(-(4 * n - 1) // 5)
     achieved = len(out)
@@ -574,11 +554,8 @@ def crossings_matchings(m: Matching) -> tuple[Matching, Matching]:
     segments = [(ps.coord(e.a), ps.coord(e.b)) for e in order]
 
     def one_side(extend_from: int, match_points: int) -> Matching:
-        directives = [
-            ExtensionDirective(e, FromEndpoint(ends[e][extend_from]), i)
-            for i, e in enumerate(order)
-        ]
-        geometry, _ = extend(m, region, directives, partial=True)
+        rays = [(e, ends[e][extend_from]) for e in order]
+        geometry, _ = extend(m, region, rays, partial=True)
         blockers = tuple(segments) + tuple(
             (r.origin, r.terminus) for r in geometry.rays
         )
@@ -620,26 +597,19 @@ def two_trees_search(m: Matching, max_orders: int = 24) -> TwoTreesResult:
 
     def candidate_orders():
         for perm in itertools.permutations(base_edges):
-            yield both_ways_directives(perm)
+            yield both_ways_rays(perm)
             if no_verticals:
-                n = len(perm)
-                rights = [
-                    ExtensionDirective(e, FromEndpoint(_left_right(ps, e)[1]), i)
-                    for i, e in enumerate(perm)
-                ]
-                lefts = [
-                    ExtensionDirective(e, FromEndpoint(_left_right(ps, e)[0]), n + i)
-                    for i, e in enumerate(perm)
-                ]
+                rights = [(e, _left_right(ps, e)[1]) for e in perm]
+                lefts = [(e, _left_right(ps, e)[0]) for e in perm]
                 yield rights + lefts
 
     tried = skipped = 0
-    for directives in candidate_orders():
+    for rays in candidate_orders():
         if tried >= max_orders:
             break
         tried += 1
         try:
-            _, sub = extend(m, region, directives)
+            _, sub = extend(m, region, rays)
             dual = dual_multigraph(sub, m)
         except DegenerateIncidence:
             skipped += 1
@@ -660,7 +630,7 @@ def two_trees_search(m: Matching, max_orders: int = 24) -> TwoTreesResult:
             t1 = [dual.edges[i].cells for i in range(len(assign)) if assign[i] == 1]
             if _is_spanning_tree(dual.n, t0) and _is_spanning_tree(dual.n, t1):
                 return TwoTreesResult(
-                    True, tuple(directives), tuple(assign), dual, tried, skipped
+                    True, tuple(rays), tuple(assign), dual, tried, skipped
                 )
     return TwoTreesResult(False, None, None, None, tried, skipped)
 

@@ -486,12 +486,6 @@ class Matching:
     def is_perfect(self) -> bool:
         return 2 * len(self.edges) == len(self.base)
 
-    def segment_of(self, i: int) -> Optional[Segment]:
-        for s in self.edges:
-            if i in s.ids:
-                return s
-        return None
-
     def sorted_edges(self) -> list[Segment]:
         return sorted(self.edges)
 
@@ -706,20 +700,27 @@ class BoundingBox:
         """Box containing every point with margin 1 + coordinate spread."""
         if len(ps) == 0:
             raise TooFewPoints("cannot bound an empty point set")
-        xs = [p.x for p in ps]
-        ys = [p.y for p in ps]
-        spread = max(max(xs) - min(xs), max(ys) - min(ys))
-        margin = 1 + spread
-        return cls(min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
+        # in the point set's integer frame: the same Fractions, built once
+        ix, iy, scale = ps._ix, ps._iy, ps._scale
+        x0, x1, y0, y1 = min(ix), max(ix), min(iy), max(iy)
+        margin = scale + max(x1 - x0, y1 - y0)
+        return cls(
+            Fraction(x0 - margin, scale),
+            Fraction(y0 - margin, scale),
+            Fraction(x1 + margin, scale),
+            Fraction(y1 + margin, scale),
+        )
 
     def polygon(self) -> ConvexPolygon:
-        return ConvexPolygon(
-            [
+        # __post_init__ guarantees xmin < xmax and ymin < ymax, so the four
+        # corners are in strictly convex CCW order
+        return ConvexPolygon._unchecked(
+            (
                 (self.xmin, self.ymin),
                 (self.xmax, self.ymin),
                 (self.xmax, self.ymax),
                 (self.xmin, self.ymax),
-            ]
+            )
         )
 
     def strictly_contains(self, pt: Coord) -> bool:

@@ -8,7 +8,7 @@ of a subdivision dual into a full matching, cell by cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -19,7 +19,6 @@ from .errors import (
     TwoPointsAlreadyMatched,
 )
 from .geom_core import (
-    ConvexPolygon,
     Coord,
     Matching,
     PointSet,
@@ -29,7 +28,7 @@ from .geom_core import (
     crosses_any_blocker,
 )
 from .orientation import EvenOrientation
-from .subdivision import ConvexSubdivision, DualMultigraph
+from .subdivision import DualMultigraph
 
 
 def _hull_cycle(ps: PointSet, pts: Sequence[int]) -> list[int]:
@@ -133,8 +132,7 @@ class ConstrainedMatchProblem:
 
     Blockers are coordinate segments (matching edges, extension rays clipped
     to segments, ...); touching one at a shared endpoint is fine, crossing
-    or overlapping it is not.  ``region``, when given, must contain the
-    edges (it is convex, so containing the endpoints suffices).
+    or overlapping it is not.
 
     :func:`constrained_matching` converts the blockers once per problem into
     the point set's integer frame (:func:`geom_core.blocker_table`) and
@@ -144,7 +142,6 @@ class ConstrainedMatchProblem:
     ps: PointSet
     points: tuple[int, ...]
     blockers: tuple[Blocker, ...] = ()
-    region: Optional[ConvexPolygon] = None
 
 
 def constrained_matching(prob: ConstrainedMatchProblem) -> Optional[Matching]:
@@ -153,11 +150,6 @@ def constrained_matching(prob: ConstrainedMatchProblem) -> Optional[Matching]:
     ps = prob.ps
     if len(prob.points) % 2 == 1:
         raise OddCount(f"{len(prob.points)} points cannot be perfectly matched")
-    if prob.region is not None:
-        for i in prob.points:
-            if not prob.region.contains(ps.coord(i)):
-                return None
-
     table = blocker_table(ps, prob.blockers)
     ix, iy = ps._ix, ps._iy
     visible_cache: dict[tuple[int, int], bool] = {}
@@ -233,7 +225,6 @@ def assignment_from_orientation(
 
 def assemble_from_orientation(
     m: Matching,
-    sub: ConvexSubdivision,
     dual: DualMultigraph,
     orientation: EvenOrientation,
     require_disjoint: bool = True,

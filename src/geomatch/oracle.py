@@ -148,9 +148,6 @@ class VisibilityGraph:
             adj[v].add(u)
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum(v in p for p in self.pairs)
-
 
 def visibility_graph(m: Matching, minus_m: bool = False) -> VisibilityGraph:
     """Segment uv is an edge iff it crosses no edge of ``m`` (other than

@@ -46,9 +46,6 @@ class Multigraph:
             adj[v].append((eid, u))
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum((u == v) + (w == v) for u, w in self.edges)
-
 
 def components(g: Multigraph) -> list[tuple[list[int], list[int]]]:
     """Connected components as (sorted vertex ids, sorted edge ids)."""

@@ -1,12 +1,14 @@
 """Segment extension inside a convex region, and the resulting subdivision.
 
-Each matching segment is extended by rays in a prescribed order; a ray stops
-at the first thing it meets — another segment, a previous extension, or the
-region boundary.  Once all rays are placed, the union of walls partitions
-the region into convex cells (one more cell than the number of extended
-segments).  Every matching vertex inside the region then lies on the shared
-boundary of exactly two cells, which is recorded as the dual multigraph:
-one vertex per cell, one edge per in-region matching vertex.
+The caller lists the rays to place as ``(segment, endpoint)`` pairs: each
+pair extends the segment beyond that endpoint.  Rays are placed in list
+order, and each stops at the first thing it meets — another segment, a
+previously placed ray, or the region boundary.  Once all rays are placed,
+the union of walls partitions the region into convex cells (one more cell
+than the number of extended segments).  Every matching vertex inside the
+region then lies on the shared boundary of exactly two cells, which is
+recorded as the dual multigraph: one vertex per cell, one edge per
+in-region matching vertex.
 
 All arithmetic is exact.  Rays are compared by cross-multiplied integers in
 a scaled frame, so no rounding ever decides a blocking order; a tie (two
@@ -43,49 +45,18 @@ Region = Union[ConvexPolygon, BoundingBox]
 
 
 # ---------------------------------------------------------------------------
-# directives
+# rays
 
 
-@dataclass(frozen=True)
-class BothDirections:
-    """Extend a segment beyond both of its endpoints."""
-
-
-@dataclass(frozen=True)
-class FromEndpoint:
-    """Extend a segment beyond the given endpoint only."""
-
-    point: int
-
-
-@dataclass(frozen=True)
-class ExtensionDirective:
-    segment: Segment
-    directions: Union[BothDirections, FromEndpoint]
-    order_index: int
-
-    def __post_init__(self):
-        if isinstance(self.directions, FromEndpoint):
-            if self.directions.point not in self.segment.ids:
-                raise GeomatchError(
-                    f"endpoint {self.directions.point} not on {self.segment}"
-                )
-        elif not isinstance(self.directions, BothDirections):
-            raise GeomatchError("directions must be BothDirections or FromEndpoint")
-
-
-def both_ways_directives(segments: Sequence[Segment]) -> list[ExtensionDirective]:
-    """One BothDirections directive per segment, in the given order."""
-    return [
-        ExtensionDirective(seg, BothDirections(), i) for i, seg in enumerate(segments)
-    ]
+def both_ways_rays(segments: Sequence[Segment]) -> list[tuple[Segment, int]]:
+    """Both rays of every segment, in the given segment order."""
+    return [(s, i) for s in segments for i in s.ids]
 
 
 @dataclass(frozen=True)
 class RayExtension:
     """One placed ray: where it started, where it stopped."""
 
-    directive_index: int
     segment: Segment
     from_point: int
     origin: Coord
@@ -96,13 +67,6 @@ class RayExtension:
 @dataclass(frozen=True)
 class ExtensionGeometry:
     rays: tuple[RayExtension, ...]
-
-    def rays_for(self, directive_index: int) -> list[RayExtension]:
-        return [r for r in self.rays if r.directive_index == directive_index]
-
-    def segments(self) -> list[tuple[Coord, Coord]]:
-        """The extension pieces as coordinate segments (for blocking/drawing)."""
-        return [(r.origin, r.terminus) for r in self.rays]
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +88,6 @@ class ConvexSubdivision:
 
     cells: tuple[ConvexPolygon, ...]
     vertex_cells: dict[int, tuple[int, int]]
-    region: Region
 
 
 @dataclass(frozen=True)
@@ -217,14 +180,18 @@ class _Feature:
 def extend(
     m: Matching,
     region: Region,
-    directives: Sequence[ExtensionDirective],
+    rays: Sequence[tuple[Segment, int]],
     partial: bool = False,
 ):
-    """Extend matching segments in the directed order inside the region.
+    """Place the rays inside the region, in list order.
 
-    Returns (ExtensionGeometry, ConvexSubdivision).  With ``partial=True``
-    the directives need not extend every segment fully; only the ray
-    geometry is computed and the subdivision slot is None.
+    Each ray is a ``(segment, endpoint)`` pair that extends a segment of m
+    beyond one of its endpoints inside the region; no ray may repeat.
+    Returns (ExtensionGeometry, ConvexSubdivision), with the placed rays in
+    the order given.  Unless ``partial``, the rays must extend every
+    segment meeting the region beyond each of its endpoints inside it;
+    with ``partial=True`` only the ray geometry is computed and the
+    subdivision slot is None.
     """
     ps = m.base
     region_poly = region.polygon() if isinstance(region, BoundingBox) else region
@@ -281,41 +248,26 @@ def extend(
                         f"{s} crosses the region but has no endpoint inside"
                     )
 
-    # validate directives and expand them into rays, in order
-    order_seen = set()
+    # validate the rays: each leaves an in-region endpoint of its segment,
+    # at most once
     wanted: dict[Segment, set[int]] = {}
     for s in one_in:
         wanted[s] = {s.a if state[s.a] else s.b}
     for s in both_in:
         wanted[s] = set(s.ids)
     given: dict[Segment, set[int]] = {s: set() for s in wanted}
-    rays: list[tuple[int, Segment, int]] = []  # (directive order_index, segment, endpoint)
-    for d in sorted(directives, key=lambda d: d.order_index):
-        if d.order_index in order_seen:
-            raise GeomatchError(f"duplicate order_index {d.order_index}")
-        order_seen.add(d.order_index)
-        if d.segment not in wanted:
-            raise GeomatchError(f"directive for {d.segment}, which is not in the region")
-        if isinstance(d.directions, BothDirections):
-            ends = [d.segment.a, d.segment.b]
-        else:
-            ends = [d.directions.point]
-        for e in ends:
-            if e not in wanted[d.segment]:
-                raise GeomatchError(
-                    f"cannot extend {d.segment} beyond endpoint {e}"
-                    " (outside the region or already covered)"
-                )
-            if e in given[d.segment]:
-                raise GeomatchError(f"{d.segment} extended twice beyond {e}")
-            given[d.segment].add(e)
-            rays.append((d.order_index, d.segment, e))
+    for seg, e in rays:
+        if seg not in wanted:
+            raise GeomatchError(f"ray from {seg}, which is not in the region")
+        if e not in wanted[seg]:  # also rejects a point that is not on seg
+            raise GeomatchError(f"{e} is not an endpoint of {seg} inside the region")
+        if e in given[seg]:
+            raise GeomatchError(f"{seg} extended twice beyond {e}")
+        given[seg].add(e)
     if not partial:
         missing = [s for s in wanted if given[s] != wanted[s]]
         if missing:
-            raise GeomatchError(
-                f"directives do not fully extend {sorted(missing)[0]}"
-            )
+            raise GeomatchError(f"the rays do not fully extend {sorted(missing)[0]}")
 
     in_segments = sorted(wanted)
     walls = {s: _Feature(pts[s.a], pts[s.b], False, s) for s in in_segments}
@@ -325,7 +277,7 @@ def extend(
     features: list[_Feature] = [walls[s] for s in in_segments] + boundary
 
     ray_records: list[RayExtension] = []
-    for di, seg, endpoint in rays:
+    for seg, endpoint in rays:
         f = walls[seg]
         at_b = endpoint == seg.b
         ox, oy = pts[endpoint]
@@ -392,7 +344,6 @@ def extend(
         g.params.add(u)
         ray_records.append(
             RayExtension(
-                directive_index=di,
                 segment=seg,
                 from_point=endpoint,
                 origin=ps.coord(endpoint),
@@ -589,8 +540,7 @@ def extend(
     for s in in_segments:
         f = walls[s]
         forward = f.direction()
-        a_c, b_c = ps.coord(s.a), ps.coord(s.b)
-        if (a_c[0], a_c[1]) > (b_c[0], b_c[1]):
+        if pts[s.a] > pts[s.b]:
             forward = (-forward[0], -forward[1])
         for endpoint in s.ids:
             if not state[endpoint]:
@@ -607,7 +557,7 @@ def extend(
                 raise InvariantViolation("matching vertex sees only one cell")
             vertex_cells[endpoint] = (left, right)
 
-    sub = ConvexSubdivision(tuple(cells), vertex_cells, region)
+    sub = ConvexSubdivision(tuple(cells), vertex_cells)
     return geometry, sub
 
 

@@ -13,7 +13,7 @@ from .errors import GeomatchError
 from .geom_core import BoundingBox, Matching
 from .subdivision import (
     EndpointRole,
-    both_ways_directives,
+    both_ways_rays,
     dual_multigraph,
     extend,
 )
@@ -114,8 +114,7 @@ def render_matching(
 
     geometry = sub = dual = None
     if {"extensions", "cells", "dual"} & set(layers):
-        directives = both_ways_directives(m.sorted_edges())
-        geometry, sub = extend(m, region, directives)
+        geometry, sub = extend(m, region, both_ways_rays(m.sorted_edges()))
         dual = dual_multigraph(sub, m)
 
     if "cells" in layers:

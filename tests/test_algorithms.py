@@ -54,7 +54,7 @@ from geomatch.oracle import (
     transformation_distance,
     visibility_graph,
 )
-from geomatch.subdivision import ExtensionDirective, FromEndpoint, extend
+from geomatch.subdivision import extend
 
 from helpers import (
     brute_segments_cross,
@@ -491,11 +491,8 @@ def test_crossings_halves_avoid_segments_and_fraction_rays():
             for half, matched, rays_from in ((m_l, left, right), (m_r, right, left)):
                 assert sorted(half.matched_ids) == sorted(matched.values())
                 assert 2 * len(half) == n
-                directives = [
-                    ExtensionDirective(e, FromEndpoint(rays_from[e]), i)
-                    for i, e in enumerate(order)
-                ]
-                geometry, _ = extend(m, BoundingBox.around(ps), directives, partial=True)
+                rays = [(e, rays_from[e]) for e in order]
+                geometry, _ = extend(m, BoundingBox.around(ps), rays, partial=True)
                 assert len(geometry.rays) == n
                 assert any(r.terminus[0].denominator > 1 for r in geometry.rays)
                 walls = [(ps.coord(e.a), ps.coord(e.b)) for e in order]

@@ -412,6 +412,29 @@ def test_bounding_box_margin_is_one_plus_spread():
         assert box.strictly_contains(p.coord)
 
 
+def test_bounding_box_around_matches_fraction_formula():
+    from geomatch.algorithms import Flavor, gen_random_matching
+
+    sets = [
+        PointSet.from_coords([(Fraction(1, 3), Fraction(-2, 7)), (Fraction(5, 2), 4)]),
+        PointSet.from_coords([(Fraction(-7, 6), Fraction(9, 4))]),
+    ]
+    chc = [gen_random_matching(6, seed, Flavor.CHC).base for seed in range(4)]
+    assert any(p.x.denominator > 1 for ps in chc for p in ps)
+    for flavor in (Flavor.GENERAL, Flavor.AXIS_PARALLEL):
+        sets += [gen_random_matching(6, seed, flavor).base for seed in range(4)]
+    for ps in sets + chc:
+        xs = [p.x for p in ps]
+        ys = [p.y for p in ps]
+        margin = 1 + max(max(xs) - min(xs), max(ys) - min(ys))
+        expected = (min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
+        box = BoundingBox.around(ps)
+        assert (box.xmin, box.ymin, box.xmax, box.ymax) == expected
+        assert all(isinstance(v, Fraction) for v in (box.xmin, box.ymin, box.xmax, box.ymax))
+        corners = box.polygon().vertices
+        assert corners == ConvexPolygon(corners).vertices
+
+
 # ---------------------------------------------------------------------------
 # shear
 

@@ -28,7 +28,7 @@ from geomatch.matching_engine import (
 )
 from geomatch.oracle import enumerate_ncpm, has_disjoint_compatible_pm
 from geomatch.orientation import EvenOrientation, even_orientation
-from geomatch.subdivision import both_ways_directives, dual_multigraph, extend
+from geomatch.subdivision import both_ways_rays, dual_multigraph, extend
 
 from helpers import random_general_pointset
 
@@ -175,15 +175,6 @@ def test_constrained_prefers_shorter_edges():
     assert set(out.edges) == {Segment(0, 1), Segment(2, 3)}
 
 
-def test_constrained_region_filter():
-    ps = PointSet.from_coords([(0, 0), (1, 1), (50, 0), (51, 1)])
-    region = BoundingBox(-5, -5, 5, 5).polygon()
-    out = constrained_matching(
-        ConstrainedMatchProblem(ps, (0, 1, 2, 3), (), region)
-    )
-    assert out is None  # points 2 and 3 fall outside the region
-
-
 def test_constrained_agrees_with_disjoint_compatible_oracle():
     rng = random.Random(23)
     agreements = 0
@@ -230,13 +221,13 @@ def one_segment_setup():
     ps = PointSet.from_coords([(0, 0), (2, 1)])
     m = Matching(ps, [Segment(0, 1)])
     region = BoundingBox.around(ps)
-    _, sub = extend(m, region, both_ways_directives(m.sorted_edges()))
+    _, sub = extend(m, region, both_ways_rays(m.sorted_edges()))
     dual = dual_multigraph(sub, m)
-    return ps, m, sub, dual
+    return ps, m, dual
 
 
 def test_assignment_partitions_vertices():
-    ps, m, sub, dual = one_segment_setup()
+    ps, m, dual = one_segment_setup()
     orient = even_orientation(dual.graph())
     assert orient is not None
     assignment = assignment_from_orientation(dual, orient)
@@ -248,16 +239,16 @@ def test_assignment_partitions_vertices():
 
 
 def test_assemble_same_segment_indegree_two():
-    ps, m, sub, dual = one_segment_setup()
+    ps, m, dual = one_segment_setup()
     orient = even_orientation(dual.graph())
     with pytest.raises(SameSegmentIndegreeTwo):
-        assemble_from_orientation(m, sub, dual, orient, require_disjoint=True)
-    reused = assemble_from_orientation(m, sub, dual, orient, require_disjoint=False)
+        assemble_from_orientation(m, dual, orient, require_disjoint=True)
+    reused = assemble_from_orientation(m, dual, orient, require_disjoint=False)
     assert set(reused.edges) == set(m.edges)
 
 
 def test_assemble_rejects_foreign_orientation():
-    ps, m, sub, dual = one_segment_setup()
+    ps, m, dual = one_segment_setup()
     from geomatch.orientation import Multigraph
 
     other = Multigraph(2, ((0, 1),))
@@ -271,16 +262,16 @@ def test_assemble_two_segments_all_even_orientations():
     ps = PointSet.from_coords([(0, 0), (10, 1), (1, 5), (11, 7)])
     m = Matching(ps, [Segment(0, 1), Segment(2, 3)])
     region = BoundingBox.around(ps)
-    _, sub = extend(m, region, both_ways_directives(m.sorted_edges()))
+    _, sub = extend(m, region, both_ways_rays(m.sorted_edges()))
     dual = dual_multigraph(sub, m)
     g = dual.graph()
     disjoint_found = 0
     for heads in brute_even_orientations(g.n, g.edges):
         orient = EvenOrientation(g, heads)
-        loose = assemble_from_orientation(m, sub, dual, orient, require_disjoint=False)
+        loose = assemble_from_orientation(m, dual, orient, require_disjoint=False)
         assert loose.is_perfect and compatible(m, loose)
         try:
-            out = assemble_from_orientation(m, sub, dual, orient)
+            out = assemble_from_orientation(m, dual, orient)
         except SameSegmentIndegreeTwo:
             continue
         assert out.is_perfect
@@ -301,14 +292,14 @@ def test_assemble_random_compatible_pipeline():
         m = catalog[rng.randrange(len(catalog))]
         region = BoundingBox.around(ps)
         try:
-            _, sub = extend(m, region, both_ways_directives(m.sorted_edges()))
+            _, sub = extend(m, region, both_ways_rays(m.sorted_edges()))
         except DegenerateIncidence:
             continue
         dual = dual_multigraph(sub, m)
         g = dual.graph()
         orient = even_orientation(g)
         assert orient is not None  # the dual always has evenly many edges
-        out = assemble_from_orientation(m, sub, dual, orient, require_disjoint=False)
+        out = assemble_from_orientation(m, dual, orient, require_disjoint=False)
         assert out.is_perfect
         assert compatible(m, out)
         # Not every instance admits a disjoint assembly from THIS subdivision,
@@ -317,7 +308,7 @@ def test_assemble_random_compatible_pipeline():
 
         for heads in brute_even_orientations(g.n, g.edges):
             try:
-                strict = assemble_from_orientation(m, sub, dual, EvenOrientation(g, heads))
+                strict = assemble_from_orientation(m, dual, EvenOrientation(g, heads))
             except SameSegmentIndegreeTwo:
                 continue
             assert disjoint(m, strict) and compatible(m, strict)

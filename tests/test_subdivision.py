@@ -12,15 +12,7 @@ from geomatch.errors import (
 )
 from geomatch.geom_core import BoundingBox, ConvexPolygon, Matching, PointSet, Segment
 from geomatch.orientation import components
-from geomatch.subdivision import (
-    BothDirections,
-    EndpointRole,
-    ExtensionDirective,
-    FromEndpoint,
-    both_ways_directives,
-    dual_multigraph,
-    extend,
-)
+from geomatch.subdivision import EndpointRole, both_ways_rays, dual_multigraph, extend
 
 from helpers import random_general_pointset, random_ncpm_edges, replay_extensions
 
@@ -29,7 +21,7 @@ def test_single_segment_both_directions():
     ps = PointSet.from_coords([(-1, 0), (1, 0)])
     m = Matching(ps, [Segment(0, 1)])
     box = BoundingBox(-2, -2, 2, 2)
-    geo, sub = extend(m, box, both_ways_directives([Segment(0, 1)]))
+    geo, sub = extend(m, box, both_ways_rays([Segment(0, 1)]))
 
     assert len(geo.rays) == 2
     termini = {r.terminus for r in geo.rays}
@@ -54,7 +46,7 @@ def test_single_segment_both_directions():
 def test_vertical_segment_roles():
     ps = PointSet.from_coords([(0, -1), (0, 1)])
     m = Matching(ps, [Segment(0, 1)])
-    _, sub = extend(m, BoundingBox(-2, -2, 2, 2), both_ways_directives([Segment(0, 1)]))
+    _, sub = extend(m, BoundingBox(-2, -2, 2, 2), both_ways_rays([Segment(0, 1)]))
     dual = dual_multigraph(sub, m)
     roles = {e.vertex: e.role for e in dual.edges}
     assert roles == {0: EndpointRole.BOTTOM_END, 1: EndpointRole.TOP_END}
@@ -65,11 +57,8 @@ def test_mixed_region_counts():
     ps = PointSet.from_coords([(2, 2), (4, 5), (7, 3), (13, 4)])
     m = Matching(ps, [Segment(0, 1), Segment(2, 3)])
     region = ConvexPolygon([(0, 0), (10, 0), (10, 10), (0, 10)])
-    directives = [
-        ExtensionDirective(Segment(0, 1), BothDirections(), 0),
-        ExtensionDirective(Segment(2, 3), FromEndpoint(2), 1),
-    ]
-    geo, sub = extend(m, region, directives)
+    rays = [(Segment(0, 1), 0), (Segment(0, 1), 1), (Segment(2, 3), 2)]
+    geo, sub = extend(m, region, rays)
     assert len(geo.rays) == 3
     assert not any(r.went_to_infinity for r in geo.rays)  # region is a real polygon
     assert len(sub.cells) == 3  # |M1| + |M2| + 1 = 1 + 1 + 1
@@ -84,36 +73,45 @@ def test_segment_crossing_region_without_endpoint_inside():
     m = Matching(ps, [Segment(0, 1), Segment(2, 3)])
     region = ConvexPolygon([(0, 0), (10, 0), (10, 10), (0, 10)])
     with pytest.raises(SegmentOutsideRegionRule):
-        extend(m, region, both_ways_directives([Segment(0, 1), Segment(2, 3)]))
+        extend(m, region, both_ways_rays([Segment(0, 1), Segment(2, 3)]))
 
 
-def test_directive_validation_errors():
-    ps = PointSet.from_coords([(2, 2), (4, 5), (7, 3), (13, 4)])
-    m = Matching(ps, [Segment(0, 1), Segment(2, 3)])
+def test_ray_validation_errors():
+    ps = PointSet.from_coords([(2, 2), (4, 5), (7, 3), (13, 4), (20, 20), (24, 21)])
+    m = Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5)])
     region = ConvexPolygon([(0, 0), (10, 0), (10, 10), (0, 10)])
-    s01, s23 = Segment(0, 1), Segment(2, 3)
-    with pytest.raises(GeomatchError):  # missing coverage for s23
-        extend(m, region, [ExtensionDirective(s01, BothDirections(), 0)])
-    with pytest.raises(GeomatchError):  # duplicate order index
-        extend(
-            m,
-            region,
-            [
-                ExtensionDirective(s01, BothDirections(), 0),
-                ExtensionDirective(s23, FromEndpoint(2), 0),
-            ],
-        )
-    with pytest.raises(GeomatchError):  # extending beyond the outside endpoint
-        extend(
-            m,
-            region,
-            [
-                ExtensionDirective(s01, BothDirections(), 0),
-                ExtensionDirective(s23, FromEndpoint(3), 1),
-            ],
-        )
-    with pytest.raises(GeomatchError):  # FromEndpoint must name an endpoint
-        ExtensionDirective(s01, FromEndpoint(2), 0)
+    s01, s23, s45 = Segment(0, 1), Segment(2, 3), Segment(4, 5)
+    both01 = [(s01, 0), (s01, 1)]
+    with pytest.raises(GeomatchError, match="fully extend"):  # s23 not covered
+        extend(m, region, both01)
+    with pytest.raises(GeomatchError, match="not an endpoint"):  # 3 is outside
+        extend(m, region, both01 + [(s23, 3)])
+    with pytest.raises(GeomatchError, match="not an endpoint"):  # 2 is not on s01
+        extend(m, region, both01 + [(s23, 2), (s01, 2)])
+    with pytest.raises(GeomatchError, match="not in the region"):
+        extend(m, region, both01 + [(s23, 2), (s45, 4)])
+    with pytest.raises(GeomatchError, match="twice"):
+        extend(m, region, both01 + [(s23, 2), (s01, 0)])
+    with pytest.raises(GeomatchError, match="twice"):  # also when partial
+        extend(m, region, [(s23, 2), (s23, 2)], partial=True)
+    geo, sub = extend(m, region, both01 + [(s23, 2)])
+    assert len(geo.rays) == 3 and len(sub.cells) == 3
+
+
+def test_extend_places_rays_in_list_order():
+    rng = Random(8)
+    ps = random_general_pointset(rng, 10)
+    m = Matching(ps, random_ncpm_edges(ps, rng), check=False)
+    box = BoundingBox.around(ps)
+    for _ in range(4):
+        rays = both_ways_rays(m.sorted_edges())
+        rng.shuffle(rays)
+        geo, sub = extend(m, box, rays)
+        assert [(r.segment, r.from_point) for r in geo.rays] == rays
+        assert len(sub.cells) == len(m) + 1
+        replay = replay_extensions(m, box.polygon(), geo)
+        for ray, (terminus, _) in zip(geo.rays, replay):
+            assert ray.terminus == terminus
 
 
 def test_ray_through_foreign_vertex_aborts():
@@ -124,7 +122,7 @@ def test_ray_through_foreign_vertex_aborts():
         extend(
             m,
             BoundingBox.around(ps),
-            both_ways_directives([Segment(0, 1), Segment(2, 3)]),
+            both_ways_rays([Segment(0, 1), Segment(2, 3)]),
         )
 
 
@@ -135,7 +133,7 @@ def test_collinear_segments_abort():
         extend(
             m,
             BoundingBox.around(ps),
-            both_ways_directives([Segment(0, 1), Segment(2, 3)]),
+            both_ways_rays([Segment(0, 1), Segment(2, 3)]),
         )
 
 
@@ -143,11 +141,10 @@ def test_partial_extension_left_rays_only():
     rng = Random(11)
     ps = random_general_pointset(rng, 8)
     m = Matching(ps, random_ncpm_edges(ps, rng), check=False)
-    directives = []
-    for i, s in enumerate(m.sorted_edges()):
-        left = s.a if ps.coord(s.a) < ps.coord(s.b) else s.b
-        directives.append(ExtensionDirective(s, FromEndpoint(left), i))
-    geo, sub = extend(m, BoundingBox.around(ps), directives, partial=True)
+    rays = [
+        (s, s.a if ps.coord(s.a) < ps.coord(s.b) else s.b) for s in m.sorted_edges()
+    ]
+    geo, sub = extend(m, BoundingBox.around(ps), rays, partial=True)
     assert sub is None
     assert len(geo.rays) == 4
     replay = replay_extensions(m, BoundingBox.around(ps).polygon(), geo)
@@ -164,7 +161,7 @@ def test_random_runs_match_independent_replay():
         box = BoundingBox.around(ps)
         order = m.sorted_edges()
         rng.shuffle(order)
-        geo, sub = extend(m, box, both_ways_directives(order))
+        geo, sub = extend(m, box, both_ways_rays(order))
         replay = replay_extensions(m, box.polygon(), geo)
         assert len(sub.cells) == n + 1
         for ray, (terminus, hit_boundary) in zip(geo.rays, replay):
@@ -181,7 +178,7 @@ def test_counts_are_order_invariant():
     for _ in range(6):
         order = m.sorted_edges()
         rng.shuffle(order)
-        geo, sub = extend(m, box, both_ways_directives(order))
+        geo, sub = extend(m, box, both_ways_rays(order))
         dual = dual_multigraph(sub, m)
         seen.add((len(sub.cells), dual.n, len(dual.edges)))
         assert len(components(dual.graph())) == 1
@@ -197,21 +194,9 @@ def test_halfplane_style_region_with_cut_segments():
         cut = (xs[4] + xs[5]) / 2
         box = BoundingBox.around(ps)
         region = box.polygon().clip_halfplane(Fraction(1), Fraction(0), cut, keep=-1)
-        directives = []
-        idx = 0
-        for s in m.sorted_edges():
-            a_in = ps.coord(s.a)[0] < cut
-            b_in = ps.coord(s.b)[0] < cut
-            if a_in and b_in:
-                directives.append(ExtensionDirective(s, BothDirections(), idx))
-            elif a_in or b_in:
-                inner = s.a if a_in else s.b
-                directives.append(ExtensionDirective(s, FromEndpoint(inner), idx))
-            else:
-                continue
-            idx += 1
-        geo, sub = extend(m, region, directives)
-        assert len(sub.cells) == len(directives) + 1
+        rays = [(s, i) for s in m.sorted_edges() for i in s.ids if ps.coord(i)[0] < cut]
+        geo, sub = extend(m, region, rays)
+        assert len(sub.cells) == len({s for s, _ in rays}) + 1
         dual = dual_multigraph(sub, m)
         assert len(dual.edges) == len(sub.vertex_cells)
         assert len(components(dual.graph())) == 1
