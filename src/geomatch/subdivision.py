@@ -12,18 +12,28 @@ in-region matching vertex.
 
 All arithmetic is exact.  Rays are compared by cross-multiplied integers in
 a scaled frame, so no rounding ever decides a blocking order; a tie (two
-blockers at the identical point, or a ray through an existing vertex) is a
-degeneracy and raises DegenerateIncidence rather than being perturbed away.
+blockers at the identical point, a ray through an existing vertex, or a ray
+along the line of another segment or of a region edge) is a degeneracy and
+raises DegenerateIncidence rather than being perturbed away.  Every blocker
+keeps an integer bounding box of its current extent, and each ray a box of
+the part of it that can still hold the first hit; a blocker whose box misses
+the ray's box is skipped before any cross product is formed.
+
+The cells keep their corners as the integer node triples of the frame; the
+``Fraction`` polygons of ``ConvexSubdivision.cells`` are built on first read,
+so a caller that only needs the dual never pays for them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import (
     DegenerateIncidence,
@@ -80,13 +90,51 @@ class EndpointRole(Enum):
     TOP_END = "top"
 
 
+class CellPolygons(Sequence):
+    """The cells of a subdivision as ``ConvexPolygon``s, built on first read.
+
+    Each cell is held as its counter-clockwise corners, gcd-normalized
+    homogeneous integer triples (X, Y, W) with W > 0, in units of 1/frame;
+    ``len`` builds nothing, and the first element access builds every
+    polygon with ``Fraction`` corners (X / (W * frame), Y / (W * frame)).
+    """
+
+    __slots__ = ("_corners", "_frame", "_polygons")
+
+    def __init__(self, corners: Sequence[tuple[tuple[int, int, int], ...]], frame: int):
+        self._corners = corners
+        self._frame = frame
+        self._polygons: Optional[tuple[ConvexPolygon, ...]] = None
+
+    def __len__(self) -> int:
+        return len(self._corners)
+
+    def __getitem__(self, i):
+        if self._polygons is None:
+            frame = self._frame
+            # the face walk certified each corner list as a strictly convex
+            # CCW cycle, so the revalidating constructor is skipped
+            self._polygons = tuple(
+                ConvexPolygon._unchecked(
+                    tuple((Fraction(x, w * frame), Fraction(y, w * frame)) for x, y, w in cell)
+                )
+                for cell in self._corners
+            )
+        return self._polygons[i]
+
+
 @dataclass(frozen=True)
 class ConvexSubdivision:
     """Convex cells covering the region; each in-region matching vertex lies
     on the common boundary of exactly two of them (left cell listed first,
-    looking along the segment from its coordinate-wise smaller endpoint)."""
+    looking along the segment from its coordinate-wise smaller endpoint).
 
-    cells: tuple[ConvexPolygon, ...]
+    ``cells`` keeps the corners as integer node triples and builds the
+    ``Fraction`` polygons on first element access (see ``CellPolygons``);
+    its length is the cell count and costs nothing.
+    """
+
+    cells: CellPolygons
     vertex_cells: dict[int, tuple[int, int]]
 
 
@@ -145,25 +193,73 @@ def _pcmp(a: tuple[int, int], b: tuple[int, int]) -> int:
     return a[0] * b[1] - b[0] * a[1]
 
 
+def _sort_params(params: list[tuple[int, int]]) -> None:
+    """Sort distinct normalized parameters in place, increasing.
+
+    ``int / int`` is correctly rounded, so the float sort is monotone; a
+    cross-multiplied pass over adjacent pairs confirms it, and a float tie
+    in the wrong order (or a quotient too large for a float) falls back to
+    the exact sort.
+    """
+    try:
+        params.sort(key=lambda p: p[0] / p[1])
+    except OverflowError:
+        params.sort(key=cmp_to_key(_pcmp))
+        return
+    for (an, ad), (bn, bd) in zip(params, params[1:]):
+        if an * bd >= bn * ad:
+            params.sort(key=cmp_to_key(_pcmp))
+            return
+
+
+def _turn_rank(a: tuple[int, int], vx: int, vy: int) -> int:
+    """Where direction v lies turning counter-clockwise from direction a:
+    0 within the first half turn, 1 exactly opposite, 2 within the second."""
+    turn = a[0] * vy - a[1] * vx
+    if turn > 0:
+        return 0
+    if turn < 0:
+        return 2
+    if a[0] * vx + a[1] * vy > 0:
+        raise DegenerateIncidence("two collinear edgelets leave one vertex")
+    return 1
+
+
 class _Feature:
     """A straight blocker: a wall (segment plus extensions) or a region edge.
 
     Points on the carrier line are A + t*(B - A); ``lo..hi`` is the part
-    that currently exists.  ``params`` collects every node that ends up on
-    the feature (wall ends, landings of other rays, matching vertices).
+    that currently exists, and ``x0..x1`` by ``y0..y1`` an integer box
+    around it.  ``params`` collects every node that ends up on the feature
+    (wall ends, landings of other rays, matching vertices).
     """
 
-    __slots__ = ("ax", "ay", "bx", "by", "dx", "dy", "lo", "hi", "is_boundary", "seg", "params")
+    __slots__ = (
+        "ax", "ay", "bx", "by", "dx", "dy", "lo", "hi",
+        "x0", "y0", "x1", "y1", "is_boundary", "seg", "params",
+    )
 
     def __init__(self, a, b, is_boundary, seg=None):
-        self.ax, self.ay = a
-        self.bx, self.by = b
-        self.dx, self.dy = self.bx - self.ax, self.by - self.ay
+        ax, ay = self.ax, self.ay = a
+        bx, by = self.bx, self.by = b
+        self.dx, self.dy = bx - ax, by - ay
         self.lo = _ZERO
         self.hi = _ONE
+        self.x0, self.x1 = (ax, bx) if ax < bx else (bx, ax)
+        self.y0, self.y1 = (ay, by) if ay < by else (by, ay)
         self.is_boundary = is_boundary
         self.seg = seg
         self.params: set[tuple[int, int]] = set()
+
+    def line(self) -> tuple[int, int, int]:
+        """The carrier line a*x + b*y + c = 0, gcd-normalized, (a, b) > 0
+        lexicographically, so that equal lines give equal triples."""
+        a, b = self.dy, -self.dx
+        c = self.dx * self.ay - self.dy * self.ax
+        g = gcd(a, b, c)
+        if a < 0 or (a == 0 and b < 0):
+            g = -g
+        return (a // g, b // g, c // g)
 
     def node_key(self, t: tuple[int, int]) -> tuple[int, int, int]:
         """A + t*(B - A) as a gcd-normalized homogeneous integer triple."""
@@ -276,32 +372,48 @@ def extend(
     ]
     features: list[_Feature] = [walls[s] for s in in_segments] + boundary
 
+    # a ray along the line of another wall or of a region edge is
+    # degenerate wherever that feature lies, even behind the ray
+    carrier = {g: g.line() for g in features}
+    line_count = Counter(carrier.values())
+
+    # the region's integer box bounds every ray's search
+    rx0, rx1 = min(x for x, _ in reg), max(x for x, _ in reg)
+    ry0, ry1 = min(y for _, y in reg), max(y for _, y in reg)
+
     ray_records: list[RayExtension] = []
     for seg, endpoint in rays:
         f = walls[seg]
+        if line_count[carrier[f]] > 1:
+            raise DegenerateIncidence(
+                f"ray from {endpoint} is collinear with another feature"
+            )
         at_b = endpoint == seg.b
         ox, oy = pts[endpoint]
-        dx, dy = f.direction()
+        dx, dy = f.dx, f.dy
         if not at_b:
             dx, dy = -dx, -dy
+        # integer box of the part of the ray that can still hold the first
+        # hit: the quadrant ahead of the origin inside the region box, cut
+        # back to the best hit so far
+        bx0, bx1 = (ox, rx1) if dx > 0 else (rx0, ox) if dx < 0 else (ox, ox)
+        by0, by1 = (oy, ry1) if dy > 0 else (ry0, oy) if dy < 0 else (oy, oy)
         best = None  # (tn, td, feature, un, ud)
         tie = False
         # the hottest loop of extend, so the cross products are inlined: the
         # ray meets g at ray parameter tn/td >= 0 and g parameter un/ud, which
-        # must lie in g's current extent lo..hi
+        # must lie in g's current extent lo..hi.  The box test is strict, so
+        # a feature through the origin or through the best hit is still
+        # tested and the degeneracy checks below see it.
         for g in features:
-            if g is f:
+            if g.x1 < bx0 or g.x0 > bx1 or g.y1 < by0 or g.y0 > by1 or g is f:
                 continue
             ex, ey = g.dx, g.dy
             fx, fy = ox - g.ax, oy - g.ay
             denom = dx * ey - dy * ex
-            tn = ex * fy - ey * fx
-            if denom == 0:
-                if tn == 0:
-                    raise DegenerateIncidence(
-                        f"ray from {endpoint} is collinear with another feature"
-                    )
+            if denom == 0:  # parallel; a common line was rejected above
                 continue
+            tn = ex * fy - ey * fx
             if denom < 0:
                 tn, td = -tn, -denom
                 un = dy * fx - dx * fy
@@ -321,6 +433,15 @@ def extend(
             if best is None or tn * best[1] < best[0] * td:
                 best = (tn, td, g, un, ud)
                 tie = False
+                hx, hy = ox * td + tn * dx, oy * td + tn * dy
+                if dx > 0:
+                    bx1 = -(-hx // td)
+                elif dx < 0:
+                    bx0 = hx // td
+                if dy > 0:
+                    by1 = -(-hy // td)
+                elif dy < 0:
+                    by0 = hy // td
             elif tn * best[1] == best[0] * td:
                 tie = True
         if best is None:
@@ -341,16 +462,24 @@ def extend(
             f.hi = _norm(td + tn, td)
         else:
             f.lo = _norm(-tn, td)
+        hx, hy = ox * td + tn * dx, oy * td + tn * dy
+        # the wall now reaches the terminus, beyond its old end; widen its
+        # box on that side
+        if dx > 0:
+            f.x1 = -(-hx // td)
+        elif dx < 0:
+            f.x0 = hx // td
+        if dy > 0:
+            f.y1 = -(-hy // td)
+        elif dy < 0:
+            f.y0 = hy // td
         g.params.add(u)
         ray_records.append(
             RayExtension(
                 segment=seg,
                 from_point=endpoint,
                 origin=ps.coord(endpoint),
-                terminus=(
-                    Fraction(ox * td + tn * dx, td * frame),
-                    Fraction(oy * td + tn * dy, td * frame),
-                ),
+                terminus=(Fraction(hx, td * frame), Fraction(hy, td * frame)),
                 went_to_infinity=g.is_boundary and clip_is_infinity,
             )
         )
@@ -418,13 +547,11 @@ def extend(
             (lo_n, lo_d), (hi_n, hi_d) = _ZERO, _ONE
         else:
             (lo_n, lo_d), (hi_n, hi_d) = f.lo, f.hi
-        params = sorted(
-            (
-                p for p in f.params
-                if p[0] * lo_d >= lo_n * p[1] and p[0] * hi_d <= hi_n * p[1]
-            ),
-            key=cmp_to_key(_pcmp),
-        )
+        params = [
+            p for p in f.params
+            if p[0] * lo_d >= lo_n * p[1] and p[0] * hi_d <= hi_n * p[1]
+        ]
+        _sort_params(params)
         if f.is_boundary and not params:
             raise InvariantViolation("boundary edge lost its endpoints")
         d = f.direction()
@@ -446,30 +573,40 @@ def extend(
                 dedge_dir.append(back)
             prev = i
 
-    # rotation system: outgoing dedges sorted counter-clockwise per node
-    def angle_cmp(i: int, j: int) -> int:
-        (ax, ay), (bx, by) = dedge_dir[i], dedge_dir[j]
-        ha = 0 if (ay > 0 or (ay == 0 and ax > 0)) else 1
-        hb = 0 if (by > 0 or (by == 0 and bx > 0)) else 1
-        if ha != hb:
-            return -1 if ha < hb else 1
-        c = _cross(ax, ay, bx, by)
-        if c == 0:
-            raise DegenerateIncidence("two collinear edgelets leave one vertex")
-        return -1 if c > 0 else 1
-
     outgoing: list[list[int]] = [[] for _ in node_pts]
     for e in range(len(dedge_from)):
         outgoing[dedge_from[e]].append(e)
-    prev_at_node: dict[int, int] = {}
-    for v, out in enumerate(outgoing):
-        out.sort(key=cmp_to_key(angle_cmp))
+    # rotation system: the outgoing dedges of each node in counter-clockwise
+    # cyclic order.  A node meets at most three edgelets (a corner or a
+    # matching vertex two, a ray landing or a wall leaving the region
+    # three; any more would need two rays or walls through one point, which
+    # the ray search rejects), so the order needs no sort.
+    prev_at_node = [0] * len(dedge_from)
+    for out in outgoing:
+        if len(out) == 2:
+            # two edgelets are in cyclic order either way; only a pair
+            # leaving in the same direction is degenerate
+            (ax, ay), (bx, by) = dedge_dir[out[0]], dedge_dir[out[1]]
+            if ax * by == ay * bx and ax * bx + ay * by > 0:
+                raise DegenerateIncidence("two collinear edgelets leave one vertex")
+        elif len(out) == 3:
+            a, b, c = out
+            da, (bx, by), (cx, cy) = dedge_dir[a], dedge_dir[b], dedge_dir[c]
+            rb, rc = _turn_rank(da, bx, by), _turn_rank(da, cx, cy)
+            if rb == rc:
+                # same half turn from a: parallel means the same direction
+                turn = _cross(bx, by, cx, cy)
+                if turn == 0:
+                    raise DegenerateIncidence("two collinear edgelets leave one vertex")
+                b_first = turn > 0
+            else:
+                b_first = rb < rc
+            if not b_first:
+                out[1], out[2] = c, b
+        elif len(out) > 3:
+            raise InvariantViolation("a structure vertex meets more than three edgelets")
         for k, e in enumerate(out):
             prev_at_node[e] = out[k - 1]
-
-    def next_dedge(e: int) -> int:
-        # clockwise-next around the head of e keeps the face on the left
-        return prev_at_node[e ^ 1]
 
     face_of: list[Optional[int]] = [None] * len(dedge_from)
     face_cycles: list[list[int]] = []  # cycles of dedges, face on the left
@@ -482,7 +619,8 @@ def extend(
         while face_of[e] is None:
             face_of[e] = fid
             cycle.append(e)
-            e = next_dedge(e)
+            # clockwise-next around the head of e keeps the face on the left
+            e = prev_at_node[e ^ 1]
         if e != e0:
             raise InvariantViolation("face walk did not close")
         face_cycles.append(cycle)
@@ -510,25 +648,23 @@ def extend(
         raise InvariantViolation("subdivision structure is not connected")
 
     cell_index: dict[int, int] = {}
-    cells: list[ConvexPolygon] = []
+    cells: list[tuple[tuple[int, int, int], ...]] = []
     for fid, cycle in enumerate(face_cycles):
         if fid == outer_face:
             continue
         heads = [dedge_from[e] for e in cycle]
         if len(set(heads)) != len(heads):
             raise InvariantViolation("a traced cell pinches at a vertex")
-        corners: list[Coord] = []
+        corners = []
         prev = cycle[-1]
         for e in cycle:
             (ax, ay), (bx, by) = dedge_dir[prev], dedge_dir[e]
             if ax * by - ay * bx != 0:
-                x_num, y_num, w = node_pts[dedge_from[e]]
-                corners.append((Fraction(x_num, w * frame), Fraction(y_num, w * frame)))
+                corners.append(node_pts[dedge_from[e]])
             prev = e
         if len(corners) < 3:
             raise InvariantViolation("traced cell has fewer than 3 corners")
-        # simple convex-certified CCW walk; skip the revalidating constructor
-        cells.append(ConvexPolygon._unchecked(tuple(corners)))
+        cells.append(tuple(corners))
         cell_index[fid] = len(cells) - 1
 
     if len(cells) != len(one_in) + len(both_in) + 1:
@@ -557,7 +693,7 @@ def extend(
                 raise InvariantViolation("matching vertex sees only one cell")
             vertex_cells[endpoint] = (left, right)
 
-    sub = ConvexSubdivision(tuple(cells), vertex_cells)
+    sub = ConvexSubdivision(CellPolygons(cells, frame), vertex_cells)
     return geometry, sub
 
 

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from geomatch.algorithms import Flavor, gen_random_matching
 from geomatch.errors import (
     DegenerateIncidence,
     GeomatchError,
@@ -215,3 +216,144 @@ def test_no_segments_in_region_gives_one_cell():
     assert sub.vertex_cells == {}
     dual = dual_multigraph(sub, m)
     assert dual.n == 1 and dual.edges == ()
+
+
+def _assert_replayed(m, region, geo, rays, infinite):
+    """Rays come back in order and stop where the Fraction replay stops."""
+    assert [(r.segment, r.from_point) for r in geo.rays] == list(rays)
+    replay = replay_extensions(m, region.polygon() if infinite else region, geo)
+    for ray, (terminus, hit_boundary) in zip(geo.rays, replay):
+        assert ray.terminus == terminus
+        assert ray.went_to_infinity == (hit_boundary and infinite)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_box_pruned_ray_search_matches_replay_at_scale(n):
+    # many rays against many walls, so most blockers are skipped by the box
+    # test; both-ways and right-then-left orders, as the constructions use
+    rng = Random(n)
+    ps = random_general_pointset(rng, 2 * n)
+    m = Matching(ps, random_ncpm_edges(ps, rng), check=False)
+    box = BoundingBox.around(ps)
+    order = m.sorted_edges()
+    rng.shuffle(order)
+    right = [(e, max(e.ids, key=ps.coord)) for e in order]
+    left = [(e, min(e.ids, key=ps.coord)) for e in order]
+    for rays in (both_ways_rays(order), right + left):
+        geo, sub = extend(m, box, rays)
+        assert len(sub.cells) == n + 1
+        _assert_replayed(m, box, geo, rays, infinite=True)
+
+
+def test_box_pruned_ray_search_on_axis_parallel_walls():
+    # horizontal and vertical walls have boxes of zero height or width, and
+    # vertical or horizontal rays have boxes of zero width or height
+    for n, seed in [(8, 1), (16, 2), (32, 3), (32, 4)]:
+        m = gen_random_matching(n, seed, Flavor.AXIS_PARALLEL)
+        ps = m.base
+        box = BoundingBox.around(ps)
+        order = m.sorted_edges()
+        Random(seed).shuffle(order)
+        for rays in (both_ways_rays(order), both_ways_rays(order)[::-1]):
+            geo, sub = extend(m, box, rays)
+            assert len(sub.cells) == n + 1
+            _assert_replayed(m, box, geo, rays, infinite=True)
+
+
+def test_box_pruned_ray_search_in_fraction_clipped_region():
+    rng = Random(31)
+    for _ in range(4):
+        ps = random_general_pointset(rng, 48)
+        m = Matching(ps, random_ncpm_edges(ps, rng), check=False)
+        xs = sorted(p.x for p in ps)
+        # 3x + y/3 = c has no integer point on it, and the clipped corners
+        # get denominators the point set does not have
+        c = 3 * xs[24] + Fraction(1, 7)
+        region = BoundingBox.around(ps).polygon().clip_halfplane(
+            Fraction(3), Fraction(1, 3), c, keep=-1
+        )
+        assert any(v.denominator > 1 for xy in region.vertices for v in xy)
+        inside = [i for i in ps.ids if region.contains(ps.coord(i), strict=True)]
+        rays = [(s, i) for s in m.sorted_edges() for i in s.ids if i in inside]
+        geo, sub = extend(m, region, rays)
+        assert len(sub.cells) == len({s for s, _ in rays}) + 1
+        _assert_replayed(m, region, geo, rays, infinite=False)
+
+
+def test_collinear_wall_rule_ignores_where_the_feature_lies():
+    # a ray along the line of another wall is degenerate even when that wall
+    # lies behind the ray; a wall that receives no ray is not checked
+    ps = PointSet.from_coords([(0, 0), (1, 0), (3, 0), (4, 0)])
+    s01, s23 = Segment(0, 1), Segment(2, 3)
+    m = Matching(ps, [s01, s23])
+    box = BoundingBox.around(ps)
+    with pytest.raises(DegenerateIncidence, match="collinear"):
+        extend(m, box, [(s01, 0)], partial=True)
+    with pytest.raises(DegenerateIncidence, match="collinear"):
+        extend(m, box, [(s23, 3)], partial=True)
+    geo, sub = extend(m, box, [], partial=True)
+    assert geo.rays == () and sub is None
+
+
+def test_parameters_closer_than_float_resolution():
+    # the landings on the bottom and top edges sit 1 apart on edges 2e18
+    # long, so their float parameters tie and the exact order decides
+    b = 10**17
+    ps = PointSet.from_coords(
+        [(b, 5), (b, 6), (b + 1, 7), (b + 1, 9), (b + 3, 2), (b + 3, 3)]
+    )
+    m = Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5)])
+    box = BoundingBox(-(10**18), -10, 10**18, 100)
+    rays = both_ways_rays(m.sorted_edges())
+    geo, sub = extend(m, box, rays)
+    _assert_replayed(m, box, geo, rays, infinite=True)
+    assert len(sub.cells) == 4
+    assert sum(c.area2() for c in sub.cells) == box.polygon().area2()
+    for cell in sub.cells:
+        assert ConvexPolygon(cell.vertices).vertices == cell.vertices
+
+
+def _lazy_cell_cases():
+    rng = Random(77)
+    for n in (6, 20):
+        ps = random_general_pointset(rng, 2 * n)
+        m = Matching(ps, random_ncpm_edges(ps, rng), check=False)
+        box = BoundingBox.around(ps)
+        yield m, box.polygon(), extend(m, box, both_ways_rays(m.sorted_edges()))[1]
+        xs = sorted(p.x for p in ps)
+        region = box.polygon().clip_halfplane(
+            Fraction(2), Fraction(-1, 5), 2 * xs[n] + Fraction(1, 3), keep=1
+        )
+        rays = [
+            (s, i) for s in m.sorted_edges() for i in s.ids
+            if region.contains(ps.coord(i), strict=True)
+        ]
+        yield m, region, extend(m, region, rays)[1]
+
+
+def test_lazy_cells_are_checked_polygons_tiling_the_region(monkeypatch):
+    built = []
+    unchecked = ConvexPolygon._unchecked.__func__
+    monkeypatch.setattr(
+        ConvexPolygon,
+        "_unchecked",
+        classmethod(lambda cls, v: built.append(v) or unchecked(cls, v)),
+    )
+    for m, region, sub in _lazy_cell_cases():
+        built.clear()
+        dual = dual_multigraph(sub, m)
+        # the count, and so the dual, costs no polygon
+        assert len(sub.cells) == dual.n
+        assert built == []
+        cells = list(sub.cells)
+        assert len(built) == len(cells) == dual.n
+        for cell in cells:
+            # the checked constructor accepts every corner list as it stands
+            assert ConvexPolygon(cell.vertices).vertices == cell.vertices
+        assert sum(c.area2() for c in cells) == region.area2()
+        for v, (left, right) in sub.vertex_cells.items():
+            pt = m.base.coord(v)
+            for i in (left, right):
+                assert cells[i].contains(pt)
+                assert not cells[i].contains(pt, strict=True)
+        assert len(built) == dual.n  # built once, then kept
