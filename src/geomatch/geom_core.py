@@ -368,9 +368,26 @@ class PointSet:
             ) * (iy[e2] - iy[shared])
             return dot > 0
         ix, iy = self._ix, self._iy
-        return segments_cross_coords(
-            (ix[a], iy[a]), (ix[b], iy[b]), (ix[c], iy[c]), (ix[d], iy[d])
-        )
+        ax, ay, bx, by = ix[a], iy[a], ix[b], iy[b]
+        cx, cy, dx, dy = ix[c], iy[c], ix[d], iy[d]
+        # Sign first: the four orientation determinants of
+        # segments_cross_coords, inlined.  Both ends strictly on one side of
+        # the other segment's line rule out any shared point; all four
+        # non-zero (and no such side) is a proper crossing.  Only a zero, a
+        # point on the other line, needs the touch rules.
+        ex, ey = dx - cx, dy - cy
+        d1 = ex * (ay - cy) - ey * (ax - cx)
+        d2 = ex * (by - cy) - ey * (bx - cx)
+        if d1 * d2 > 0:
+            return False
+        fx, fy = bx - ax, by - ay
+        d3 = fx * (cy - ay) - fy * (cx - ax)
+        d4 = fx * (dy - ay) - fy * (dx - ax)
+        if d3 * d4 > 0:
+            return False
+        if d1 and d2 and d3 and d4:
+            return True
+        return segments_cross_coords((ax, ay), (bx, by), (cx, cy), (dx, dy))
 
     def _edge_boxes(self, edges: Sequence[Segment]):
         ix, iy = self._ix, self._iy

@@ -1,16 +1,28 @@
 """Brute-force ground truth at desk scale.
 
-Everything here is deliberately simple and exhaustive so that the clever
-constructions elsewhere can be checked against it: full enumeration of
-non-crossing perfect matchings, existence of a disjoint compatible one,
-exact shortest transformation distances, and visibility graphs.
+The constructions elsewhere are checked against exhaustive answers computed
+here: full enumeration of non-crossing perfect matchings, existence of a
+disjoint compatible one, exact shortest transformation distances, and
+visibility graphs.
+
+``enumerate_ncpm`` and ``has_disjoint_compatible_pm`` share one exhaustive
+backtracking search.  It always matches the lowest free point (the lowest set
+bit of an integer bitmask of free points) and tries its partners in
+increasing id, so each matching is reached exactly once and the catalog, or
+the first witness, comes out in a fixed order.  Within one call the search
+memoises whether a pair may be used at all (not an edge of ``m`` and crossing
+none of them) and whether a candidate pair crosses an already chosen one, so
+no crossing test is repeated across backtracks; every memo is local to the
+call.  Segments are only built for the matchings returned.  The plain
+backtracking versions, with a crossing test at every step, are kept in
+``tests/helpers.py`` as the reference these are tested against.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import MismatchedVertexSet, OddCount, TooLarge, Unreachable
 from .geom_core import Matching, PointSet, Segment, compatible, disjoint
@@ -20,6 +32,82 @@ DISTANCE_LIMIT = 12  # points, for BFS over the catalog
 PERFECT_MATCHING_LIMIT = 24  # vertices, for abstract-graph matching search
 
 MatchingCatalog = list[Matching]
+
+
+def _mates(n: int, m_edges: Iterable[Segment]) -> tuple[list[int], list[tuple[int, int]]]:
+    """Each point's partner in ``m_edges`` (-1 if none), and the edges as id pairs."""
+    mate = [-1] * n
+    edges = []
+    for s in m_edges:
+        mate[s.a], mate[s.b] = s.b, s.a
+        edges.append((s.a, s.b))
+    return mate, edges
+
+
+def _blocked(cross, edges: list[tuple[int, int]], u: int, v: int) -> bool:
+    """Whether segment uv crosses an edge of ``edges`` other than uv itself."""
+    for c, d in edges:
+        if (c != u or d != v) and cross(u, v, c, d):
+            return True
+    return False
+
+
+def _search(ps: PointSet, m_edges: list[Segment], first_only: bool) -> list[list[Segment]]:
+    """Non-crossing perfect matchings of ``ps`` that share no edge with, and
+    cross no edge of, ``m_edges``, in search order; only the first if
+    ``first_only``.  ``len(ps)`` must be even."""
+    n = len(ps)
+    if n == 0:
+        return [[]]
+    cross = ps.segments_cross_ids
+    mate, edges = _mates(n, m_edges)
+    nn = n * n
+    # pair (a, b), a < b, is index a*n + b; usable[p] is None until tested
+    usable: list[Optional[bool]] = [None] * nn
+    # crossing verdict of candidate pair p against chosen pair q, at p*nn + q
+    verdicts: dict[int, bool] = {}
+    chosen: list[int] = []
+    leaves: list[list[int]] = []
+
+    def extend(free: int) -> bool:
+        low = free & -free
+        a = low.bit_length() - 1
+        rest = free ^ low
+        base = a * n
+        cands = rest
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            b = bit.bit_length() - 1
+            p = base + b
+            ok = usable[p]
+            if ok is None:
+                ok = usable[p] = mate[a] != b and not _blocked(cross, edges, a, b)
+            if not ok:
+                continue
+            key = p * nn
+            for q in chosen:
+                hit = verdicts.get(key + q)
+                if hit is None:
+                    c, d = divmod(q, n)
+                    hit = verdicts[key + q] = cross(a, b, c, d)
+                if hit:
+                    break
+            else:
+                chosen.append(p)
+                left = rest ^ bit
+                if left:
+                    if extend(left):
+                        return True
+                else:
+                    leaves.append(list(chosen))
+                    if first_only:
+                        return True
+                chosen.pop()
+        return False
+
+    extend((1 << n) - 1)
+    return [[Segment(*divmod(p, n)) for p in leaf] for leaf in leaves]
 
 
 def enumerate_ncpm(ps: PointSet, limit: int = ENUMERATION_LIMIT) -> MatchingCatalog:
@@ -33,23 +121,7 @@ def enumerate_ncpm(ps: PointSet, limit: int = ENUMERATION_LIMIT) -> MatchingCata
         raise TooLarge(f"{n} points exceeds the enumeration limit {limit}")
     if n % 2 == 1:
         raise OddCount(f"{n} points cannot be perfectly matched")
-    out: MatchingCatalog = []
-    chosen: list[Segment] = []
-
-    def extend(remaining: tuple[int, ...]):
-        if not remaining:
-            out.append(Matching(ps, chosen, check=False))
-            return
-        a = remaining[0]
-        for b in remaining[1:]:
-            if any(ps.segments_cross_ids(a, b, s.a, s.b) for s in chosen):
-                continue
-            chosen.append(Segment(a, b))
-            extend(tuple(x for x in remaining if x != a and x != b))
-            chosen.pop()
-
-    extend(tuple(range(n)))
-    return out
+    return [Matching(ps, edges, check=False) for edges in _search(ps, [], False)]
 
 
 def has_disjoint_compatible_pm(
@@ -68,32 +140,10 @@ def has_disjoint_compatible_pm(
         raise TooLarge(f"{n} points exceeds the enumeration limit {limit}")
     if n % 2 == 1:
         return False, None
-    m_edges = m.sorted_edges()
-    chosen: list[Segment] = []
-
-    def extend(remaining: tuple[int, ...]) -> Optional[list[Segment]]:
-        if not remaining:
-            return list(chosen)
-        a = remaining[0]
-        for b in remaining[1:]:
-            seg = Segment(a, b)
-            if seg in m.edges:
-                continue
-            if any(ps.segments_cross_ids(a, b, s.a, s.b) for s in m_edges):
-                continue
-            if any(ps.segments_cross_ids(a, b, s.a, s.b) for s in chosen):
-                continue
-            chosen.append(seg)
-            found = extend(tuple(x for x in remaining if x != a and x != b))
-            chosen.pop()
-            if found is not None:
-                return found
-        return None
-
-    witness = extend(tuple(range(n)))
-    if witness is None:
+    found = _search(ps, m.sorted_edges(), True)
+    if not found:
         return False, None
-    result = Matching(ps, witness, check=False)
+    result = Matching(ps, found[0], check=False)
     assert disjoint(m, result) and compatible(m, result)
     return True, result
 
@@ -154,17 +204,15 @@ def visibility_graph(m: Matching, minus_m: bool = False) -> VisibilityGraph:
     itself); with ``minus_m``, m's own edges are removed as well."""
     ps = m.base
     n = len(ps)
+    cross = ps.segments_cross_ids
+    mate, edges = _mates(n, m.edges)
     pairs = set()
     for u in range(n):
         for v in range(u + 1, n):
-            seg = Segment(u, v)
-            if minus_m and seg in m.edges:
+            if minus_m and mate[u] == v:
                 continue
-            if any(
-                s != seg and ps.segments_cross_ids(u, v, s.a, s.b) for s in m.edges
-            ):
-                continue
-            pairs.add((u, v))
+            if not _blocked(cross, edges, u, v):
+                pairs.add((u, v))
     return VisibilityGraph(n, frozenset(pairs))
 
 

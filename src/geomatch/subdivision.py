@@ -327,14 +327,10 @@ def extend(
 
     outside = {i: outside_mask(i) for s in m.edges for i in s.ids}
     state = {i: int(not mask) for i, mask in outside.items()}
-    one_in: set[Segment] = set()
-    both_in: set[Segment] = set()
+    in_segments: list[Segment] = []
     for s in m.edges:
-        k = state[s.a] + state[s.b]
-        if k == 2:
-            both_in.add(s)
-        elif k == 1:
-            one_in.add(s)
+        if state[s.a] or state[s.b]:
+            in_segments.append(s)
         elif not outside[s.a] & outside[s.b]:
             # no edge line has the whole segment strictly on its outer side
             for i in range(len(reg)):
@@ -344,33 +340,36 @@ def extend(
                         f"{s} crosses the region but has no endpoint inside"
                     )
 
+    # the tables below are keyed by endpoint id (each point is on at most
+    # one segment of m), so no Segment is hashed per ray
+    in_segments.sort()
+    walls = [_Feature(pts[s.a], pts[s.b], False, s) for s in in_segments]
+    wall_at: dict[int, _Feature] = {}
+    for f in walls:
+        wall_at[f.seg.a] = wall_at[f.seg.b] = f
+
     # validate the rays: each leaves an in-region endpoint of its segment,
     # at most once
-    wanted: dict[Segment, set[int]] = {}
-    for s in one_in:
-        wanted[s] = {s.a if state[s.a] else s.b}
-    for s in both_in:
-        wanted[s] = set(s.ids)
-    given: dict[Segment, set[int]] = {s: set() for s in wanted}
+    given: set[int] = set()
     for seg, e in rays:
-        if seg not in wanted:
+        f = wall_at.get(seg.a)
+        if f is None or f.seg.b != seg.b:
             raise GeomatchError(f"ray from {seg}, which is not in the region")
-        if e not in wanted[seg]:  # also rejects a point that is not on seg
+        # also rejects a point that is not on seg
+        if (e != seg.a and e != seg.b) or not state[e]:
             raise GeomatchError(f"{e} is not an endpoint of {seg} inside the region")
-        if e in given[seg]:
+        if e in given:
             raise GeomatchError(f"{seg} extended twice beyond {e}")
-        given[seg].add(e)
+        given.add(e)
     if not partial:
-        missing = [s for s in wanted if given[s] != wanted[s]]
-        if missing:
-            raise GeomatchError(f"the rays do not fully extend {sorted(missing)[0]}")
+        for s in in_segments:
+            if (state[s.a] and s.a not in given) or (state[s.b] and s.b not in given):
+                raise GeomatchError(f"the rays do not fully extend {s}")
 
-    in_segments = sorted(wanted)
-    walls = {s: _Feature(pts[s.a], pts[s.b], False, s) for s in in_segments}
     boundary = [
         _Feature(reg[i], reg[(i + 1) % len(reg)], True) for i in range(len(reg))
     ]
-    features: list[_Feature] = [walls[s] for s in in_segments] + boundary
+    features: list[_Feature] = walls + boundary
 
     # a ray along the line of another wall or of a region edge is
     # degenerate wherever that feature lies, even behind the ray
@@ -383,7 +382,7 @@ def extend(
 
     ray_records: list[RayExtension] = []
     for seg, endpoint in rays:
-        f = walls[seg]
+        f = wall_at[endpoint]
         if line_count[carrier[f]] > 1:
             raise DegenerateIncidence(
                 f"ray from {endpoint} is collinear with another feature"
@@ -488,8 +487,7 @@ def extend(
         return geometry, None
 
     # clip every wall to the region and register boundary entry nodes
-    for s in in_segments:
-        f = walls[s]
+    for f in walls:
         dx, dy = f.direction()
         crossings = []
         for ei, g in enumerate(boundary):
@@ -667,14 +665,14 @@ def extend(
         cells.append(tuple(corners))
         cell_index[fid] = len(cells) - 1
 
-    if len(cells) != len(one_in) + len(both_in) + 1:
+    if len(cells) != len(in_segments) + 1:
+        both_in = sum(state[s.a] & state[s.b] for s in in_segments)
         raise InvariantViolation(
-            f"{len(cells)} cells for {len(one_in)} + {len(both_in)} extended segments"
+            f"{len(cells)} cells for {len(in_segments) - both_in} + {both_in} extended segments"
         )
 
     vertex_cells: dict[int, tuple[int, int]] = {}
-    for s in in_segments:
-        f = walls[s]
+    for s, f in zip(in_segments, walls):
         forward = f.direction()
         if pts[s.a] > pts[s.b]:
             forward = (-forward[0], -forward[1])

@@ -7,8 +7,11 @@ suite cross-checks two separate derivations of each fact.
 
 from fractions import Fraction
 from random import Random
+from typing import Optional
 
-from geomatch.geom_core import Matching, Point, PointSet, Segment
+from geomatch.errors import OddCount, TooLarge
+from geomatch.geom_core import Matching, Point, PointSet, Segment, compatible, disjoint
+from geomatch.oracle import ENUMERATION_LIMIT, MatchingCatalog, VisibilityGraph
 
 
 def brute_orient(p, q, r):
@@ -293,3 +296,109 @@ def replay_extensions(m, region_poly, geometry):
         placed.append((ray.origin, terminus))
         out.append((terminus, best_boundary))
     return out
+
+
+# ---------------------------------------------------------------------------
+# naive oracle references
+#
+# The plain backtracking searches the oracle started from: a tuple of free
+# ids, a fresh Segment per candidate and a crossing test against every edge
+# of m and every chosen edge at each step.  They use the library's
+# ``segments_cross_ids`` (itself checked against ``segments_cross_coords``
+# and ``brute_segments_cross``) and fix the order in which the memoised
+# searches of ``geomatch.oracle`` must return their results.
+
+
+def naive_enumerate_ncpm(ps: PointSet, limit: int = ENUMERATION_LIMIT) -> MatchingCatalog:
+    """All non-crossing perfect matchings of ``ps``.
+
+    Backtracks by always matching the lowest-id free point, so each matching
+    is produced exactly once.
+    """
+    n = len(ps)
+    if n > limit:
+        raise TooLarge(f"{n} points exceeds the enumeration limit {limit}")
+    if n % 2 == 1:
+        raise OddCount(f"{n} points cannot be perfectly matched")
+    out: MatchingCatalog = []
+    chosen: list[Segment] = []
+
+    def extend(remaining: tuple[int, ...]):
+        if not remaining:
+            out.append(Matching(ps, chosen, check=False))
+            return
+        a = remaining[0]
+        for b in remaining[1:]:
+            if any(ps.segments_cross_ids(a, b, s.a, s.b) for s in chosen):
+                continue
+            chosen.append(Segment(a, b))
+            extend(tuple(x for x in remaining if x != a and x != b))
+            chosen.pop()
+
+    extend(tuple(range(n)))
+    return out
+
+
+def naive_has_disjoint_compatible_pm(
+    m: Matching, limit: int = ENUMERATION_LIMIT
+) -> tuple[bool, Optional[Matching]]:
+    """Does a perfect matching disjoint from and compatible with ``m`` exist?
+
+    Equivalent to filtering enumerate_ncpm by both predicates, but the
+    search prunes early: a candidate edge is rejected the moment it repeats
+    an edge of ``m``, crosses ``m``, or crosses an edge already chosen.
+    Returns (found, witness or None).
+    """
+    ps = m.base
+    n = len(ps)
+    if n > limit:
+        raise TooLarge(f"{n} points exceeds the enumeration limit {limit}")
+    if n % 2 == 1:
+        return False, None
+    m_edges = m.sorted_edges()
+    chosen: list[Segment] = []
+
+    def extend(remaining: tuple[int, ...]) -> Optional[list[Segment]]:
+        if not remaining:
+            return list(chosen)
+        a = remaining[0]
+        for b in remaining[1:]:
+            seg = Segment(a, b)
+            if seg in m.edges:
+                continue
+            if any(ps.segments_cross_ids(a, b, s.a, s.b) for s in m_edges):
+                continue
+            if any(ps.segments_cross_ids(a, b, s.a, s.b) for s in chosen):
+                continue
+            chosen.append(seg)
+            found = extend(tuple(x for x in remaining if x != a and x != b))
+            chosen.pop()
+            if found is not None:
+                return found
+        return None
+
+    witness = extend(tuple(range(n)))
+    if witness is None:
+        return False, None
+    result = Matching(ps, witness, check=False)
+    assert disjoint(m, result) and compatible(m, result)
+    return True, result
+
+
+def naive_visibility_graph(m: Matching, minus_m: bool = False) -> VisibilityGraph:
+    """Segment uv is an edge iff it crosses no edge of ``m`` (other than
+    itself); with ``minus_m``, m's own edges are removed as well."""
+    ps = m.base
+    n = len(ps)
+    pairs = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            seg = Segment(u, v)
+            if minus_m and seg in m.edges:
+                continue
+            if any(
+                s != seg and ps.segments_cross_ids(u, v, s.a, s.b) for s in m.edges
+            ):
+                continue
+            pairs.add((u, v))
+    return VisibilityGraph(n, frozenset(pairs))

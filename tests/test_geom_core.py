@@ -133,6 +133,22 @@ def test_cross_ids_agrees_with_coords_on_random_sets():
         assert got == want, coords
 
 
+def test_segments_cross_ids_exhaustive_on_small_grid():
+    # every ordered pair of segments on a 4x4 grid: all collinear,
+    # T-contact, overlap and shared-endpoint configurations occur; on the
+    # grid of thirds the set is rescaled (_scale 3) before the integer tests
+    for unit, scale in ((1, 1), (Fraction(1, 3), 3)):
+        ps = PointSet.from_coords([(x * unit, y * unit) for x in range(4) for y in range(4)])
+        assert ps._scale == scale
+        coords = [ps.coord(i) for i in ps.ids]
+        segs = [(a, b) for a in ps.ids for b in ps.ids if a != b]
+        for a, b in segs:
+            p, q = coords[a], coords[b]
+            for c, d in segs:
+                want = segments_cross_coords(p, q, coords[c], coords[d])
+                assert ps.segments_cross_ids(a, b, c, d) == want, (unit, a, b, c, d)
+
+
 # ---------------------------------------------------------------------------
 # blockers in the integer frame
 

@@ -5,7 +5,8 @@ from random import Random
 
 import pytest
 
-from geomatch.errors import TooLarge, Unreachable
+from geomatch.algorithms import gen_general_odd, gen_parallel_chords
+from geomatch.errors import OddCount, TooLarge, Unreachable
 from geomatch.geom_core import Matching, PointSet, Segment, compatible, disjoint
 from geomatch.oracle import (
     VisibilityGraph,
@@ -16,7 +17,14 @@ from geomatch.oracle import (
     visibility_graph,
 )
 
-from helpers import brute_pm_exists, random_general_pointset, random_ncpm_edges
+from helpers import (
+    brute_pm_exists,
+    naive_enumerate_ncpm,
+    naive_has_disjoint_compatible_pm,
+    naive_visibility_graph,
+    random_general_pointset,
+    random_ncpm_edges,
+)
 
 
 def convex_points(m):
@@ -26,6 +34,40 @@ def convex_points(m):
 
 def square():
     return PointSet.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+def circle_chords():
+    """Three parallel chords of the unit circle at heights 4/5, 0, -4/5."""
+    ps = PointSet.from_coords(
+        [
+            (Fraction(-3, 5), Fraction(4, 5)),
+            (Fraction(3, 5), Fraction(4, 5)),
+            (-1, 0),
+            (1, 0),
+            (Fraction(-3, 5), Fraction(-4, 5)),
+            (Fraction(3, 5), Fraction(-4, 5)),
+        ]
+    )
+    return Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5)])
+
+
+def grid_pointset(rng, n, side):
+    """n distinct points of a side x side integer grid (collinear triples
+    and axis-parallel pairs are the rule, not the exception)."""
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    return PointSet.from_coords(rng.sample(cells, n))
+
+
+def assert_same_catalog(ps):
+    got = [m.edges for m in enumerate_ncpm(ps)]
+    assert got == [m.edges for m in naive_enumerate_ncpm(ps)]
+    return got
+
+
+def assert_same_probe(m):
+    got = has_disjoint_compatible_pm(m)
+    assert got == naive_has_disjoint_compatible_pm(m), sorted(m.edges)
+    return got
 
 
 # --- enumeration -----------------------------------------------------------
@@ -74,19 +116,7 @@ def test_single_segment_has_no_disjoint_mate():
 
 
 def test_three_circle_chords_have_no_disjoint_mate():
-    # three parallel chords of the unit circle at heights 4/5, 0, -4/5
-    ps = PointSet.from_coords(
-        [
-            (Fraction(-3, 5), Fraction(4, 5)),
-            (Fraction(3, 5), Fraction(4, 5)),
-            (-1, 0),
-            (1, 0),
-            (Fraction(-3, 5), Fraction(-4, 5)),
-            (Fraction(3, 5), Fraction(-4, 5)),
-        ]
-    )
-    m = Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5)])
-    found, witness = has_disjoint_compatible_pm(m)
+    found, witness = has_disjoint_compatible_pm(circle_chords())
     assert not found and witness is None
 
 
@@ -116,6 +146,58 @@ def test_random_even_matchings_have_disjoint_mates():
         found, witness = has_disjoint_compatible_pm(m)
         assert found, f"no disjoint compatible mate for {sorted(m.edges)} on {list(ps)}"
         assert witness.is_perfect
+
+
+# --- equivalence with the naive references ---------------------------------
+#
+# The memoised bitmask search must return exactly what the plain
+# backtracking in helpers returns: the same catalog in the same order, and
+# the same first witness.
+
+
+def test_search_matches_naive_reference_on_general_sets():
+    rng = Random(31)
+    for n in range(2, 15, 2):
+        for _ in range(2 if n < 14 else 1):
+            ps = random_general_pointset(rng, n)
+            catalog = assert_same_catalog(ps)
+            probes = [random_ncpm_edges(ps, rng) for _ in range(3)]
+            probes += [catalog[0], catalog[-1], catalog[len(catalog) // 2]]
+            for edges in probes:
+                assert_same_probe(Matching(ps, edges, check=False))
+
+
+def test_search_matches_naive_reference_on_grid_sets():
+    rng = Random(32)
+    for trial in range(40):
+        side = rng.choice([3, 4, 5])
+        n = rng.randint(1, min(10, side * side))
+        ps = grid_pointset(rng, n, side)
+        if n % 2:
+            with pytest.raises(OddCount):
+                enumerate_ncpm(ps)
+            with pytest.raises(OddCount):
+                naive_enumerate_ncpm(ps)
+            # an odd count is never perfectly matched, whatever m is
+            catalog = naive_enumerate_ncpm(PointSet.from_coords(ps.coord(i) for i in range(n - 1)))
+            m = Matching(ps, rng.choice(catalog).edges)
+            assert assert_same_probe(m) == (False, None)
+            continue
+        catalog = assert_same_catalog(ps)
+        for edges in rng.sample(catalog, min(4, len(catalog))):
+            assert_same_probe(Matching(ps, edges))
+            # a partial m leaves points without a partner in m
+            assert_same_probe(Matching(ps, sorted(edges)[: len(edges) // 2]))
+
+
+def test_search_matches_naive_reference_on_families_without_mate():
+    cases = [circle_chords(), gen_general_odd(1), gen_general_odd(2), gen_general_odd(3)]
+    cases += [gen_parallel_chords(k) for k in (1, 3, 5, 7)]
+    for m in cases:
+        assert assert_same_probe(m) == (False, None)
+    for k in (2, 4, 6):
+        found, witness = assert_same_probe(gen_parallel_chords(k))
+        assert found and witness.is_perfect
 
 
 # --- transformation distance ------------------------------------------------
@@ -206,6 +288,22 @@ def test_graph_pm_matches_brute_force():
 def test_graph_pm_guard():
     with pytest.raises(TooLarge):
         graph_perfect_matching_exists(VisibilityGraph(26, frozenset()))
+
+
+def test_visibility_graph_matches_naive_expression():
+    rng = Random(33)
+    for trial in range(30):
+        n = rng.choice([2, 4, 6, 8, 10])
+        if trial % 2:
+            ps = random_general_pointset(rng, n)
+            edges = random_ncpm_edges(ps, rng)
+        else:
+            ps = grid_pointset(rng, n, 4)
+            edges = rng.choice(naive_enumerate_ncpm(ps)).edges
+        # a full and a partial matching
+        for m in (Matching(ps, edges), Matching(ps, sorted(edges)[1:])):
+            for minus_m in (False, True):
+                assert visibility_graph(m, minus_m) == naive_visibility_graph(m, minus_m)
 
 
 def test_visibility_minus_m_has_perfect_matching():

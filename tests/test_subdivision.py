@@ -91,6 +91,10 @@ def test_ray_validation_errors():
         extend(m, region, both01 + [(s23, 2), (s01, 2)])
     with pytest.raises(GeomatchError, match="not in the region"):
         extend(m, region, both01 + [(s23, 2), (s45, 4)])
+    # not segments of m, though each shares an endpoint with one in the region
+    for foreign in (Segment(0, 2), Segment(1, 2), Segment(1, 3)):
+        with pytest.raises(GeomatchError, match="not in the region"):
+            extend(m, region, both01 + [(s23, 2), (foreign, foreign.a)])
     with pytest.raises(GeomatchError, match="twice"):
         extend(m, region, both01 + [(s23, 2), (s01, 0)])
     with pytest.raises(GeomatchError, match="twice"):  # also when partial
