@@ -50,7 +50,7 @@ from .geom_core import (
 )
 from .oracle import visibility_graph
 from .matching_engine import (
-    ConstrainedMatchProblem,
+    FrameMatchProblem,
     assemble_from_orientation,
     constrained_matching,
 )
@@ -448,12 +448,9 @@ def _chc_recurse(ps: PointSet, edges: list[Segment]) -> list[Segment]:
         if (e.a in covered) == (e.b in covered):
             raise InvariantViolation(f"alternate gaps cover {e} unevenly")
     remaining = tuple(i for i in ids if i not in covered)
-    blockers = tuple(
-        (ps.coord(s.a), ps.coord(s.b)) for s in list(edges) + chosen
-    )
-    inner = constrained_matching(
-        ConstrainedMatchProblem(ps, remaining, blockers)
-    )
+    ix, iy = ps._ix, ps._iy
+    blockers = [((ix[s.a], iy[s.a], 1), (ix[s.b], iy[s.b], 1)) for s in edges + chosen]
+    inner = constrained_matching(FrameMatchProblem(ps, remaining, blockers))
     if inner is None:
         raise InvariantViolation("no inner matching despite the gap structure")
     return chosen + list(inner.edges)
@@ -462,7 +459,9 @@ def _chc_recurse(ps: PointSet, edges: list[Segment]) -> list[Segment]:
 def chc_disjoint_matching(m: Matching) -> Matching:
     """Disjoint compatible matching for convex-hull-connected inputs:
     recurse on splitter segments, otherwise pair alternate hull gaps and
-    match the leftover endpoints behind them."""
+    match the leftover endpoints behind them.  The points must be in
+    general position (CollinearTriple otherwise)."""
+    validate_general_position(m.base)
     if not m.is_perfect:
         raise GeomatchError("input must be a perfect matching")
     if len(m) % 2 == 1:
@@ -551,16 +550,20 @@ def crossings_matchings(m: Matching) -> tuple[Matching, Matching]:
     order = m.sorted_edges()
     ends = {e: _left_right(ps, e) for e in order}
     region = BoundingBox.around(ps)
-    segments = [(ps.coord(e.a), ps.coord(e.b)) for e in order]
+    # the blockers stay in the point set's integer frame: points are
+    # (ix, iy, 1), ray termini come from extend as triples
+    ix, iy = ps._ix, ps._iy
+    segments = [((ix[e.a], iy[e.a], 1), (ix[e.b], iy[e.b], 1)) for e in order]
 
     def one_side(extend_from: int, match_points: int) -> Matching:
         rays = [(e, ends[e][extend_from]) for e in order]
         geometry, _ = extend(m, region, rays, partial=True)
-        blockers = tuple(segments) + tuple(
-            (r.origin, r.terminus) for r in geometry.rays
-        )
+        placed = [
+            ((ix[i], iy[i], 1), terminus)
+            for (_, i), terminus in zip(rays, geometry.rays.frame_termini())
+        ]
         points = tuple(sorted(ends[e][match_points] for e in order))
-        got = constrained_matching(ConstrainedMatchProblem(ps, points, blockers))
+        got = constrained_matching(FrameMatchProblem(ps, points, segments + placed))
         if got is None:
             raise InvariantViolation("rays never block a whole endpoint class")
         return got

@@ -4,11 +4,14 @@ All coordinates are rational (`fractions.Fraction`); every predicate is
 decided by the sign of an integer determinant, so there is no tolerance
 anywhere.  A :class:`PointSet` caches its coordinates scaled to a common
 integer grid, which keeps the hot predicates in (arbitrary-precision)
-integer arithmetic instead of `Fraction` arithmetic.  Blockers with
-arbitrary rational endpoints (matching edges, extension rays) are converted
-once into that grid as homogeneous integer triples, so blocker visibility
-(:func:`crosses_any_blocker`) is integer arithmetic too;
+integer arithmetic instead of `Fraction` arithmetic.  Blockers (matching
+edges, extension rays) live in that grid as homogeneous integer triples, so
+blocker visibility (:func:`crosses_any_blocker`) is integer arithmetic too;
 :func:`segments_cross_coords` stays the reference it must agree with.
+:func:`frame_blocker_table` builds the blocker table from endpoint triples,
+as the constructions hand them over (points of the set as ``(ix, iy, 1)``,
+ray termini as ``extend`` computed them); :func:`blocker_table` is the
+``Fraction`` edge that converts coordinate pairs first.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from .errors import (
 Scalar = Fraction
 
 Coord = tuple[Fraction, Fraction]
+
+#: A homogeneous integer point (X, Y, W), W > 0, standing for (X / W, Y / W).
+Triple = tuple[int, int, int]
 
 
 def as_scalar(value) -> Fraction:
@@ -114,7 +120,7 @@ def segments_cross_coords(p: Coord, q: Coord, r: Coord, s: Coord) -> bool:
 # determinant by W > 0, or all points by ``_scale``, keeps its sign.
 
 
-def _frame_triple(x: Fraction, y: Fraction, scale: int) -> tuple[int, int, int]:
+def _frame_triple(x: Fraction, y: Fraction, scale: int) -> Triple:
     # (x, y) * scale as (X, Y, W) in lowest terms; integer arithmetic only,
     # since this runs for every blocker endpoint of every problem
     x, y = as_scalar(x), as_scalar(y)
@@ -129,17 +135,26 @@ def _frame_triple(x: Fraction, y: Fraction, scale: int) -> tuple[int, int, int]:
 
 
 def blocker_table(ps: PointSet, blockers: Iterable[tuple[Coord, Coord]]) -> tuple[tuple, ...]:
-    """Convert coordinate-pair blockers once into the integer frame of ``ps``.
+    """Convert coordinate-pair blockers once into the integer frame of ``ps``
+    and build their :func:`frame_blocker_table`."""
+    scale = ps._scale
+    return frame_blocker_table(
+        (_frame_triple(r[0], r[1], scale), _frame_triple(s[0], s[1], scale))
+        for r, s in blockers
+    )
 
+
+def frame_blocker_table(blockers: Iterable[tuple[Triple, Triple]]) -> tuple[tuple, ...]:
+    """The blocker table of segments given by their endpoint triples.
+
+    Each endpoint is a gcd-normalized homogeneous triple (X, Y, W), W > 0,
+    in a point set's integer frame: ``(ix, iy, 1)`` for a point of the set.
     Each entry is ``(xlo, xhi, ylo, yhi, a, b, c, R, S)``: an integer box
     around the blocker (floor / ceiling of its extent), its line
     ``a*x + b*y + c = 0`` and its endpoint triples ``R`` and ``S``.
     """
-    scale = ps._scale
     table = []
-    for r, s in blockers:
-        R = _frame_triple(r[0], r[1], scale)
-        S = _frame_triple(s[0], s[1], scale)
+    for R, S in blockers:
         (xr, yr, wr), (xs, ys, ws) = R, S
         table.append((
             min(xr // wr, xs // ws),
@@ -779,7 +794,9 @@ def convex_hull(ps: PointSet, ids: Optional[Iterable[int]] = None) -> HullResult
     upper = half(reversed(pts))
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
-        raise CollinearTriple(hull[0], hull[1], pts[-1])
+        # every point is on the line of the two chain ends; name them and
+        # the point next to the first end
+        raise CollinearTriple(pts[0], pts[1], pts[-1])
     hull_set = set(hull)
     interior = tuple(i for i in idx if i not in hull_set)
     # the chain pops every non-left turn in exact integers, so the hull is

@@ -9,7 +9,7 @@ of a subdivision dual into a full matching, cell by cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     GeomatchError,
@@ -23,9 +23,11 @@ from .geom_core import (
     Matching,
     PointSet,
     Segment,
+    Triple,
     blocker_table,
     convex_position_order,
     crosses_any_blocker,
+    frame_blocker_table,
 )
 from .orientation import EvenOrientation
 from .subdivision import DualMultigraph
@@ -134,23 +136,46 @@ class ConstrainedMatchProblem:
     to segments, ...); touching one at a shared endpoint is fine, crossing
     or overlapping it is not.
 
-    :func:`constrained_matching` converts the blockers once per problem into
-    the point set's integer frame (:func:`geom_core.blocker_table`) and
-    decides every visibility test there, in exact integer arithmetic.
+    This is the ``Fraction`` edge of the search: :meth:`table` converts the
+    blockers once per problem into the point set's integer frame
+    (:func:`geom_core.blocker_table`), and :func:`constrained_matching`
+    decides every visibility test there, in exact integer arithmetic.  The
+    constructions, whose blockers are already integer triples, pose a
+    :class:`FrameMatchProblem` instead.
     """
 
     ps: PointSet
     points: tuple[int, ...]
     blockers: tuple[Blocker, ...] = ()
 
+    def table(self) -> tuple[tuple, ...]:
+        return blocker_table(self.ps, self.blockers)
 
-def constrained_matching(prob: ConstrainedMatchProblem) -> Optional[Matching]:
+
+@dataclass(frozen=True)
+class FrameMatchProblem:
+    """A :class:`ConstrainedMatchProblem` whose blockers are endpoint triples
+    in the point set's integer frame, so nothing is converted: points of the
+    set as ``(ix, iy, 1)``, ray termini as ``RayExtensions.frame_termini``
+    gives them."""
+
+    ps: PointSet
+    points: tuple[int, ...]
+    blockers: Sequence[tuple[Triple, Triple]] = ()
+
+    def table(self) -> tuple[tuple, ...]:
+        return frame_blocker_table(self.blockers)
+
+
+def constrained_matching(
+    prob: Union[ConstrainedMatchProblem, FrameMatchProblem]
+) -> Optional[Matching]:
     """First perfect matching (canonical order) satisfying the constraints,
     or None when exhaustive search shows there is none."""
     ps = prob.ps
     if len(prob.points) % 2 == 1:
         raise OddCount(f"{len(prob.points)} points cannot be perfectly matched")
-    table = blocker_table(ps, prob.blockers)
+    table = prob.table()
     ix, iy = ps._ix, ps._iy
     visible_cache: dict[tuple[int, int], bool] = {}
 

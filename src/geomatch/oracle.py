@@ -13,7 +13,9 @@ the first witness, comes out in a fixed order.  Within one call the search
 memoises whether a pair may be used at all (not an edge of ``m`` and crossing
 none of them) and whether a candidate pair crosses an already chosen one, so
 no crossing test is repeated across backtracks; every memo is local to the
-call.  Segments are only built for the matchings returned.  The plain
+call.  The edges of ``m`` are boxed once per call in integers, and a pair is
+only tested against an edge whose box meets its own.  Segments are only
+built for the matchings returned.  The plain
 backtracking versions, with a crossing test at every step, are kept in
 ``tests/helpers.py`` as the reference these are tested against.
 """
@@ -34,20 +36,27 @@ PERFECT_MATCHING_LIMIT = 24  # vertices, for abstract-graph matching search
 MatchingCatalog = list[Matching]
 
 
-def _mates(n: int, m_edges: Iterable[Segment]) -> tuple[list[int], list[tuple[int, int]]]:
-    """Each point's partner in ``m_edges`` (-1 if none), and the edges as id pairs."""
-    mate = [-1] * n
-    edges = []
+def _mates(ps: PointSet, m_edges: Iterable[Segment]) -> tuple[list[int], list[tuple]]:
+    """Each point's partner in ``m_edges`` (-1 if none), and the edges with
+    their integer boxes (``PointSet._edge_boxes``)."""
+    mate = [-1] * len(ps)
     for s in m_edges:
         mate[s.a], mate[s.b] = s.b, s.a
-        edges.append((s.a, s.b))
-    return mate, edges
+    return mate, ps._edge_boxes(m_edges)
 
 
-def _blocked(cross, edges: list[tuple[int, int]], u: int, v: int) -> bool:
-    """Whether segment uv crosses an edge of ``edges`` other than uv itself."""
-    for c, d in edges:
-        if (c != u or d != v) and cross(u, v, c, d):
+def _blocked(ps: PointSet, boxes: list[tuple], u: int, v: int) -> bool:
+    """Whether segment uv crosses a boxed edge other than uv itself; an edge
+    whose box misses uv's box shares no point with it."""
+    ix, iy = ps._ix, ps._iy
+    xu, xv, yu, yv = ix[u], ix[v], iy[u], iy[v]
+    x0, x1 = (xu, xv) if xu < xv else (xv, xu)
+    y0, y1 = (yu, yv) if yu < yv else (yv, yu)
+    for xlo, xhi, ylo, yhi, s in boxes:
+        if xhi < x0 or x1 < xlo or yhi < y0 or y1 < ylo:
+            continue
+        c, d = s.a, s.b
+        if (c != u or d != v) and ps.segments_cross_ids(u, v, c, d):
             return True
     return False
 
@@ -60,7 +69,7 @@ def _search(ps: PointSet, m_edges: list[Segment], first_only: bool) -> list[list
     if n == 0:
         return [[]]
     cross = ps.segments_cross_ids
-    mate, edges = _mates(n, m_edges)
+    mate, boxes = _mates(ps, m_edges)
     nn = n * n
     # pair (a, b), a < b, is index a*n + b; usable[p] is None until tested
     usable: list[Optional[bool]] = [None] * nn
@@ -82,7 +91,7 @@ def _search(ps: PointSet, m_edges: list[Segment], first_only: bool) -> list[list
             p = base + b
             ok = usable[p]
             if ok is None:
-                ok = usable[p] = mate[a] != b and not _blocked(cross, edges, a, b)
+                ok = usable[p] = mate[a] != b and not _blocked(ps, boxes, a, b)
             if not ok:
                 continue
             key = p * nn
@@ -204,14 +213,13 @@ def visibility_graph(m: Matching, minus_m: bool = False) -> VisibilityGraph:
     itself); with ``minus_m``, m's own edges are removed as well."""
     ps = m.base
     n = len(ps)
-    cross = ps.segments_cross_ids
-    mate, edges = _mates(n, m.edges)
+    mate, boxes = _mates(ps, m.edges)
     pairs = set()
     for u in range(n):
         for v in range(u + 1, n):
             if minus_m and mate[u] == v:
                 continue
-            if not _blocked(cross, edges, u, v):
+            if not _blocked(ps, boxes, u, v):
                 pairs.add((u, v))
     return VisibilityGraph(n, frozenset(pairs))
 

@@ -19,9 +19,11 @@ keeps an integer bounding box of its current extent, and each ray a box of
 the part of it that can still hold the first hit; a blocker whose box misses
 the ray's box is skipped before any cross product is formed.
 
-The cells keep their corners as the integer node triples of the frame; the
-``Fraction`` polygons of ``ConvexSubdivision.cells`` are built on first read,
-so a caller that only needs the dual never pays for them.
+The cells keep their corners, and the placed rays their termini, as the
+integer node triples of the frame; the ``Fraction`` polygons of
+``ConvexSubdivision.cells`` and the ``RayExtension`` records of
+``ExtensionGeometry.rays`` are built on first read, so a caller that only
+needs the dual, or the termini as triples, never pays for them.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ from .geom_core import (
     ConvexPolygon,
     Coord,
     Matching,
+    PointSet,
     Segment,
+    Triple,
     segments_cross_coords,
 )
 from .orientation import Multigraph, components
@@ -74,9 +78,73 @@ class RayExtension:
     went_to_infinity: bool
 
 
+class RayExtensions(Sequence):
+    """The placed rays as ``RayExtension`` records, built on first read.
+
+    Each ray is held as its segment, endpoint, terminus and boundary flag,
+    the terminus as the integer triple (X, Y, W), W > 0, of the point
+    (X / (W * frame), Y / (W * frame)).  ``len`` builds nothing, and the
+    first element access builds every record with ``Fraction`` coordinates;
+    equality, hashing and repr are those of the tuple of records.
+    :meth:`frame_termini` hands the termini to internal callers without
+    building any ``Fraction``.
+    """
+
+    __slots__ = ("_ps", "_placed", "_frame", "_records")
+
+    def __init__(self, ps: PointSet, placed: Sequence[tuple], frame: int):
+        self._ps = ps
+        self._placed = placed  # (segment, endpoint, X, Y, W, went_to_infinity)
+        self._frame = frame
+        self._records: Optional[tuple[RayExtension, ...]] = None
+
+    def _built(self) -> tuple[RayExtension, ...]:
+        if self._records is None:
+            coord, frame = self._ps.coord, self._frame
+            self._records = tuple(
+                RayExtension(
+                    segment=seg,
+                    from_point=endpoint,
+                    origin=coord(endpoint),
+                    terminus=(Fraction(x, w * frame), Fraction(y, w * frame)),
+                    went_to_infinity=infinite,
+                )
+                for seg, endpoint, x, y, w, infinite in self._placed
+            )
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._placed)
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RayExtensions):
+            other = other._built()
+        return self._built() == other
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+    def frame_termini(self) -> list[Triple]:
+        """The termini in the point set's integer frame (coordinates times
+        ``ps._scale``): gcd-normalized triples (X, Y, W), W > 0, in ray order."""
+        mult = self._frame // self._ps._scale
+        out = []
+        for _, _, x, y, w, _ in self._placed:
+            w *= mult
+            g = gcd(x, y, w)
+            out.append((x // g, y // g, w // g))
+        return out
+
+
 @dataclass(frozen=True)
 class ExtensionGeometry:
-    rays: tuple[RayExtension, ...]
+    rays: RayExtensions
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +377,35 @@ def extend(
 
     # classify segments by how many endpoints are inside the region; a
     # point's mask has bit k set when it lies strictly outside region edge k
-    def outside_mask(i: int) -> int:
-        px, py = pts[i]
-        on_edge = False
-        mask = 0
-        for k in range(nreg):
-            ax, ay = reg[k]
-            bx, by = reg[(k + 1) % nreg]
-            s = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-            if s < 0:
-                mask |= 1 << k
-            elif s == 0:
-                on_edge = True
-        if on_edge and not mask:
-            raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
-        return mask
+    if clip_is_infinity:
+        # the box's edges are bottom, right, top, left (polygon() order), so
+        # four integer comparisons give the same bits
+        (x0, y0), (x1, y1) = reg[0], reg[2]
+
+        def outside_mask(i: int) -> int:
+            px, py = pts[i]
+            mask = (py < y0) | (px > x1) << 1 | (py > y1) << 2 | (px < x0) << 3
+            if not mask and (py == y0 or px == x1 or py == y1 or px == x0):
+                raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
+            return mask
+
+    else:
+
+        def outside_mask(i: int) -> int:
+            px, py = pts[i]
+            on_edge = False
+            mask = 0
+            for k in range(nreg):
+                ax, ay = reg[k]
+                bx, by = reg[(k + 1) % nreg]
+                s = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+                if s < 0:
+                    mask |= 1 << k
+                elif s == 0:
+                    on_edge = True
+            if on_edge and not mask:
+                raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
+            return mask
 
     outside = {i: outside_mask(i) for s in m.edges for i in s.ids}
     state = {i: int(not mask) for i, mask in outside.items()}
@@ -380,7 +462,7 @@ def extend(
     rx0, rx1 = min(x for x, _ in reg), max(x for x, _ in reg)
     ry0, ry1 = min(y for _, y in reg), max(y for _, y in reg)
 
-    ray_records: list[RayExtension] = []
+    placed: list[tuple] = []
     for seg, endpoint in rays:
         f = wall_at[endpoint]
         if line_count[carrier[f]] > 1:
@@ -473,16 +555,8 @@ def extend(
         elif dy < 0:
             f.y0 = hy // td
         g.params.add(u)
-        ray_records.append(
-            RayExtension(
-                segment=seg,
-                from_point=endpoint,
-                origin=ps.coord(endpoint),
-                terminus=(Fraction(hx, td * frame), Fraction(hy, td * frame)),
-                went_to_infinity=g.is_boundary and clip_is_infinity,
-            )
-        )
-    geometry = ExtensionGeometry(tuple(ray_records))
+        placed.append((seg, endpoint, hx, hy, td, g.is_boundary and clip_is_infinity))
+    geometry = ExtensionGeometry(RayExtensions(ps, placed, frame))
     if partial:
         return geometry, None
 

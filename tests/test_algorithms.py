@@ -26,6 +26,7 @@ from geomatch.algorithms import (
     two_trees_search,
 )
 from geomatch.errors import (
+    CollinearTriple,
     DistinctXRequired,
     GeomatchError,
     InvariantViolation,
@@ -393,6 +394,18 @@ def test_chc_rejects_odd_and_inner_segments():
     assert not is_convex_hull_connected(m)
     with pytest.raises(NotCHC):
         chc_disjoint_matching(m)
+
+
+def test_chc_checks_general_position_first():
+    # convex-hull-connected on a 4x3 grid: the construction, which assumes
+    # general position, used to find no inner matching behind its gaps
+    ps = PointSet.from_coords([(0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (3, 0), (3, 2)])
+    m = Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 6), Segment(5, 7)])
+    assert is_convex_hull_connected(m)
+    with pytest.raises(CollinearTriple) as ei:
+        chc_disjoint_matching(m)
+    assert ei.value.triple == (0, 2, 4)
+    assert str(ei.value) == "points 0, 2, 4 are collinear"
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,18 @@ def test_cli_run_surfaces_precondition_failures(tmp_path, capsys):
     assert main(["run", "hv", slanted]) == 1
 
 
+def test_cli_chc_rejects_collinear_input_as_validate_does(tmp_path, capsys):
+    # a convex-hull-connected matching on a 4x3 grid; the construction used
+    # to fail its own inner-matching assertion here (exit 3)
+    inst = tmp_path / "grid.txt"
+    inst.write_text("0 0 0 1\n1 0 1 2\n2 0 3 0\n2 1 3 2\n")
+    assert main(["validate", str(inst)]) == 1
+    validate_err = capsys.readouterr().err
+    assert main(["run", "chc", str(inst), "--verify"]) == 1
+    assert capsys.readouterr().err == validate_err
+    assert "collinear" in validate_err
+
+
 def test_cli_render_instance_and_sequence(tmp_path):
     m = gen_random_matching(2, 4)
     inst = write_instance(tmp_path, "m.txt", m)

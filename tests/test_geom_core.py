@@ -361,6 +361,21 @@ def test_hull_square_with_interior_point():
     assert res.polygon.area2() > 0
 
 
+def test_hull_of_collinear_points_names_three_distinct_ones():
+    # the two chain ends and the point next to the first, by position
+    for coords, triple in (
+        ([(0, 0), (1, 1), (2, 2), (3, 3)], (0, 1, 3)),
+        ([(3, 3), (0, 0), (2, 2), (1, 1)], (1, 3, 0)),
+        ([(5, 1), (5, -2), (5, 7)], (1, 0, 2)),
+    ):
+        ps = PointSet.from_coords(coords)
+        with pytest.raises(CollinearTriple) as ei:
+            convex_hull(ps)
+        assert ei.value.triple == triple
+        assert str(ei.value) == "points {}, {}, {} are collinear".format(*triple)
+        assert ps.orient_ids(*triple) == 0
+
+
 def test_hull_requires_three_points():
     with pytest.raises(TooFewPoints):
         convex_hull(PointSet.from_coords([(0, 0), (1, 1)]))

@@ -11,7 +11,16 @@ from geomatch.errors import (
     GeomatchError,
     SegmentOutsideRegionRule,
 )
-from geomatch.geom_core import BoundingBox, ConvexPolygon, Matching, PointSet, Segment
+from geomatch import subdivision
+from geomatch.geom_core import (
+    BoundingBox,
+    ConvexPolygon,
+    Matching,
+    PointSet,
+    Segment,
+    blocker_table,
+    frame_blocker_table,
+)
 from geomatch.orientation import components
 from geomatch.subdivision import EndpointRole, both_ways_rays, dual_multigraph, extend
 
@@ -361,3 +370,130 @@ def test_lazy_cells_are_checked_polygons_tiling_the_region(monkeypatch):
                 assert cells[i].contains(pt)
                 assert not cells[i].contains(pt, strict=True)
         assert len(built) == dual.n  # built once, then kept
+
+
+# ---------------------------------------------------------------------------
+# ray termini in the integer frame, and records built on first read
+
+
+def _frame_cases():
+    """(m, region, rays): around-boxes, and clipped polygons whose corners
+    have denominators the point set does not have, on integer point sets
+    and on the same sets scaled by 1/3 (so ``ps._scale`` is not 1)."""
+    rng = Random(61)
+    for n in (5, 12):
+        base = random_general_pointset(rng, 2 * n)
+        edges = random_ncpm_edges(base, rng)
+        for factor in (1, Fraction(1, 3)):
+            ps = PointSet.from_coords([(p.x * factor, p.y * factor) for p in base])
+            m = Matching(ps, edges, check=False)
+            box = BoundingBox.around(ps)
+            yield m, box, both_ways_rays(m.sorted_edges())
+            yield m, box, [(s, max(s.ids, key=ps.coord)) for s in m.sorted_edges()]
+            xs = sorted(p.x for p in ps)
+            region = box.polygon().clip_halfplane(
+                Fraction(3), Fraction(1, 3), 3 * xs[n] + Fraction(1, 7), keep=-1
+            )
+            rays = [
+                (s, i) for s in m.sorted_edges() for i in s.ids
+                if region.contains(ps.coord(i), strict=True)
+            ]
+            yield m, region, rays
+
+
+def test_frame_termini_build_the_coordinate_blocker_table():
+    clipped = 0
+    for m, region, rays in _frame_cases():
+        ps = m.base
+        geo, _ = extend(m, region, rays, partial=True)
+        if geo.rays._frame != ps._scale:
+            clipped += 1
+        origins = [(*ps.scaled(i), 1) for _, i in rays]
+        table = frame_blocker_table(zip(origins, geo.rays.frame_termini()))
+        assert table == blocker_table(ps, [(r.origin, r.terminus) for r in geo.rays])
+    assert clipped == 4
+
+
+def test_ray_records_are_built_on_first_read(monkeypatch):
+    built = []
+    record = subdivision.RayExtension
+    monkeypatch.setattr(
+        subdivision, "RayExtension", lambda **kw: built.append(kw) or record(**kw)
+    )
+    for m, region, rays in _frame_cases():
+        built.clear()
+        geo, _ = extend(m, region, rays, partial=True)
+        assert len(geo.rays) == len(rays)
+        geo.rays.frame_termini()
+        assert built == []  # neither the count nor the triples build records
+        records = list(geo.rays)
+        assert len(built) == len(rays)
+        assert [(r.segment, r.from_point) for r in records] == rays
+        poly = region.polygon() if isinstance(region, BoundingBox) else region
+        replay = replay_extensions(m, poly, geo)
+        for ray, (terminus, hit_boundary) in zip(records, replay):
+            assert ray.origin == m.base.coord(ray.from_point)
+            assert ray.terminus == terminus
+            assert ray.went_to_infinity == (hit_boundary and isinstance(region, BoundingBox))
+        assert geo.rays == tuple(records) and hash(geo.rays) == hash(tuple(records))
+        assert geo.rays[-1] is records[-1]
+        assert len(built) == len(rays)  # built once, then kept
+
+
+def _outcome(m, region, rays, partial):
+    try:
+        geo, sub = extend(m, region, rays, partial=partial)
+    except GeomatchError as exc:
+        return type(exc), str(exc)
+    cells = None if sub is None else [c.vertices for c in sub.cells]
+    return [(r.segment, r.from_point, r.terminus) for r in geo.rays], cells
+
+
+def test_user_box_classifies_points_as_its_polygon_does():
+    # the box compares coordinates with its bounds, the polygon takes cross
+    # products; points outside, on an edge line and on a corner must give
+    # the same error class and message, or the same rays and cells
+    rng = Random(12)
+    checked = set()
+    for _ in range(40):
+        ps = random_general_pointset(rng, 8, grid=12)
+        m = Matching(ps, random_ncpm_edges(ps, rng), check=False)
+        xs = sorted({p.x for p in ps})
+        ys = sorted({p.y for p in ps})
+        rays = both_ways_rays(m.sorted_edges())
+        for box in (
+            BoundingBox(xs[0] - Fraction(1, 2), ys[0] - 1, xs[-1] + 1, ys[-1] + Fraction(2, 3)),
+            BoundingBox(xs[1] - Fraction(1, 2), ys[0] - 1, xs[-2] + Fraction(1, 2), ys[-1] + 1),
+            BoundingBox(xs[0], ys[0] - 1, xs[-1] + 1, ys[-1] + 1),
+            BoundingBox(xs[1], ys[1], xs[-1] + 5, ys[-1] + 5),
+            BoundingBox(xs[0] - 3, ys[0] - 3, xs[-2], ys[-2]),
+        ):
+            inside = [i for i in ps.ids if box.strictly_contains(ps.coord(i))]
+            for partial, ray_list in ((False, rays), (True, [r for r in rays if r[1] in inside])):
+                got = _outcome(m, box, ray_list, partial)
+                assert got == _outcome(m, box.polygon(), ray_list, partial)
+                checked.add(got[0] if isinstance(got[0], type) else "ok")
+    assert checked == {"ok", GeomatchError, DegenerateIncidence, SegmentOutsideRegionRule}
+
+
+def test_user_box_error_messages():
+    ps = PointSet.from_coords([(0, 0), (2, 1), (1, 3), (3, 4)])
+    s01, s23 = Segment(0, 1), Segment(2, 3)
+    m = Matching(ps, [s01, s23])
+    for box, point in (
+        (BoundingBox(0, -1, 5, 5), 0),  # on the left edge
+        (BoundingBox(-1, -1, 5, 4), 3),  # on the top edge
+        (BoundingBox(-1, -1, 3, 4), 3),  # on the top right corner
+    ):
+        with pytest.raises(DegenerateIncidence) as ei:
+            extend(m, box, both_ways_rays([s01, s23]))
+        assert str(ei.value) == f"point {point} lies exactly on the region boundary"
+    # on the line of the bottom edge, but left of the box: simply outside
+    geo, sub = extend(m, BoundingBox(Fraction(1, 2), 0, 5, 6), [(s01, 1), (s23, 2), (s23, 3)])
+    assert len(sub.cells) == 3
+    with pytest.raises(GeomatchError) as ei:
+        extend(m, BoundingBox(Fraction(1, 2), -1, 5, 6), both_ways_rays([s01, s23]))
+    assert str(ei.value) == "0 is not an endpoint of Segment(a=0, b=1) inside the region"
+    with pytest.raises(SegmentOutsideRegionRule) as ei:
+        extend(m, BoundingBox(Fraction(1, 2), -1, Fraction(3, 2), 5), [])
+    assert str(ei.value) == "Segment(a=0, b=1) crosses the region but has no endpoint inside"
