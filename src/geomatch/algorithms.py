@@ -49,11 +49,7 @@ from .geom_core import (
     validate_general_position,
 )
 from .oracle import visibility_graph
-from .matching_engine import (
-    FrameMatchProblem,
-    assemble_from_orientation,
-    constrained_matching,
-)
+from .matching_engine import assemble_from_orientation, constrained_matching
 from .orientation import (
     Multigraph,
     components,
@@ -155,7 +151,6 @@ class FourFifthsReport:
     guarantee: int
     achieved: int
     odd_components: int
-    removed_edge_ids: tuple[int, ...]
     colored: ColoredDual
 
 
@@ -450,7 +445,7 @@ def _chc_recurse(ps: PointSet, edges: list[Segment]) -> list[Segment]:
     remaining = tuple(i for i in ids if i not in covered)
     ix, iy = ps._ix, ps._iy
     blockers = [((ix[s.a], iy[s.a], 1), (ix[s.b], iy[s.b], 1)) for s in edges + chosen]
-    inner = constrained_matching(FrameMatchProblem(ps, remaining, blockers))
+    inner = constrained_matching(ps, remaining, blockers)
     if inner is None:
         raise InvariantViolation("no inner matching despite the gap structure")
     return chosen + list(inner.edges)
@@ -476,7 +471,7 @@ def chc_disjoint_matching(m: Matching) -> Matching:
 
 
 def _left_right(ps: PointSet, e: Segment) -> tuple[int, int]:
-    (ax, _), (bx, _) = ps.coord(e.a), ps.coord(e.b)
+    ax, bx = ps._ix[e.a], ps._ix[e.b]
     if ax == bx:
         raise VerticalSegment(f"{e} is vertical")
     return (e.a, e.b) if ax < bx else (e.b, e.a)
@@ -497,8 +492,9 @@ def four_fifths_matching(m: Matching) -> FourFifthsReport:
         raise OddN(f"{n} segments; the guarantee needs an even matching")
     ps = m.base
     order = m.sorted_edges()
-    ends = {e: _left_right(ps, e) for e in order}
-    rays = [(e, ends[e][1]) for e in order] + [(e, ends[e][0]) for e in order]
+    ends = [_left_right(ps, e) for e in order]
+    rays = [(e, end[1]) for e, end in zip(order, ends)]
+    rays += [(e, end[0]) for e, end in zip(order, ends)]
     _, sub = extend(m, BoundingBox.around(ps), rays)
     dual = dual_multigraph(sub, m)
     colors = tuple(
@@ -530,9 +526,7 @@ def four_fifths_matching(m: Matching) -> FourFifthsReport:
         raise InvariantViolation("output size must be n - f(R)/2")
     if achieved < guarantee:
         raise InvariantViolation(f"only {achieved} segments; {guarantee} guaranteed")
-    return FourFifthsReport(
-        out, n, guarantee, achieved, f_red, tuple(sorted(removed)), colored
-    )
+    return FourFifthsReport(out, n, guarantee, achieved, f_red, colored)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +542,7 @@ def crossings_matchings(m: Matching) -> tuple[Matching, Matching]:
         raise OddMatching(f"{len(m)} segments; an even matching is required")
     ps = m.base
     order = m.sorted_edges()
-    ends = {e: _left_right(ps, e) for e in order}
+    ends = [_left_right(ps, e) for e in order]
     region = BoundingBox.around(ps)
     # the blockers stay in the point set's integer frame: points are
     # (ix, iy, 1), ray termini come from extend as triples
@@ -556,14 +550,14 @@ def crossings_matchings(m: Matching) -> tuple[Matching, Matching]:
     segments = [((ix[e.a], iy[e.a], 1), (ix[e.b], iy[e.b], 1)) for e in order]
 
     def one_side(extend_from: int, match_points: int) -> Matching:
-        rays = [(e, ends[e][extend_from]) for e in order]
+        rays = [(e, end[extend_from]) for e, end in zip(order, ends)]
         geometry, _ = extend(m, region, rays, partial=True)
         placed = [
             ((ix[i], iy[i], 1), terminus)
             for (_, i), terminus in zip(rays, geometry.rays.frame_termini())
         ]
-        points = tuple(sorted(ends[e][match_points] for e in order))
-        got = constrained_matching(FrameMatchProblem(ps, points, segments + placed))
+        points = sorted(end[match_points] for end in ends)
+        got = constrained_matching(ps, points, segments + placed)
         if got is None:
             raise InvariantViolation("rays never block a whole endpoint class")
         return got

@@ -67,14 +67,6 @@ class DegenerateIncidence(GeomatchError):
 # multigraph orientation
 
 
-class NotATree(GeomatchError):
-    pass
-
-
-class OddTree(GeomatchError):
-    pass
-
-
 class OddComponentInPart(GeomatchError):
     def __init__(self, part, component_vertices):
         super().__init__(

@@ -10,8 +10,8 @@ blocker visibility (:func:`crosses_any_blocker`) is integer arithmetic too;
 :func:`segments_cross_coords` stays the reference it must agree with.
 :func:`frame_blocker_table` builds the blocker table from endpoint triples,
 as the constructions hand them over (points of the set as ``(ix, iy, 1)``,
-ray termini as ``extend`` computed them); :func:`blocker_table` is the
-``Fraction`` edge that converts coordinate pairs first.
+ray termini as ``extend`` computed them), so no blocker coordinate passes
+through a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -120,30 +120,6 @@ def segments_cross_coords(p: Coord, q: Coord, r: Coord, s: Coord) -> bool:
 # determinant by W > 0, or all points by ``_scale``, keeps its sign.
 
 
-def _frame_triple(x: Fraction, y: Fraction, scale: int) -> Triple:
-    # (x, y) * scale as (X, Y, W) in lowest terms; integer arithmetic only,
-    # since this runs for every blocker endpoint of every problem
-    x, y = as_scalar(x), as_scalar(y)
-    xn, xd = x.numerator * scale, x.denominator
-    yn, yd = y.numerator * scale, y.denominator
-    g = math.gcd(xn, xd)
-    xn, xd = xn // g, xd // g
-    g = math.gcd(yn, yd)
-    yn, yd = yn // g, yd // g
-    w = xd * yd // math.gcd(xd, yd)
-    return (xn * (w // xd), yn * (w // yd), w)
-
-
-def blocker_table(ps: PointSet, blockers: Iterable[tuple[Coord, Coord]]) -> tuple[tuple, ...]:
-    """Convert coordinate-pair blockers once into the integer frame of ``ps``
-    and build their :func:`frame_blocker_table`."""
-    scale = ps._scale
-    return frame_blocker_table(
-        (_frame_triple(r[0], r[1], scale), _frame_triple(s[0], s[1], scale))
-        for r, s in blockers
-    )
-
-
 def frame_blocker_table(blockers: Iterable[tuple[Triple, Triple]]) -> tuple[tuple, ...]:
     """The blocker table of segments given by their endpoint triples.
 
@@ -202,7 +178,7 @@ def _blocker_contact(px, py, qx, qy, v1, v2, v3, v4, R, S) -> bool:
 
 
 def crosses_any_blocker(p: tuple[int, int], q: tuple[int, int], table: Sequence[tuple]) -> bool:
-    """Whether segment pq crosses some blocker of a :func:`blocker_table`.
+    """Whether segment pq crosses some blocker of a :func:`frame_blocker_table`.
 
     ``p`` and ``q`` are integer points of the frame the table was built in
     (``ps.scaled(i)``).  Each answer equals :func:`segments_cross_coords` on
@@ -275,13 +251,6 @@ class Segment:
     @property
     def ids(self) -> tuple[int, int]:
         return (self.a, self.b)
-
-    def other(self, i: int) -> int:
-        if i == self.a:
-            return self.b
-        if i == self.b:
-            return self.a
-        raise KeyError(i)
 
 
 def orientation_test(p: Point, q: Point, r: Point) -> int:
@@ -387,9 +356,7 @@ class PointSet:
         cx, cy, dx, dy = ix[c], iy[c], ix[d], iy[d]
         # Sign first: the four orientation determinants of
         # segments_cross_coords, inlined.  Both ends strictly on one side of
-        # the other segment's line rule out any shared point; all four
-        # non-zero (and no such side) is a proper crossing.  Only a zero, a
-        # point on the other line, needs the touch rules.
+        # the other segment's line rule out any shared point.
         ex, ey = dx - cx, dy - cy
         d1 = ex * (ay - cy) - ey * (ax - cx)
         d2 = ex * (by - cy) - ey * (bx - cx)
@@ -400,7 +367,13 @@ class PointSet:
         d4 = fx * (dy - ay) - fy * (dx - ax)
         if d3 * d4 > 0:
             return False
-        if d1 and d2 and d3 and d4:
+        # Four distinct points give zero, one or four zero determinants (two
+        # zeros would put two of the points on both lines, which then
+        # coincide).  With none zero this is a proper crossing; with one, say
+        # a on line cd, c and d lie strictly on either side of line ab, so a
+        # is inside segment cd.  Only four collinear points need the touch
+        # rules.
+        if d1 or d2 or d3 or d4:
             return True
         return segments_cross_coords((ax, ay), (bx, by), (cx, cy), (dx, dy))
 
@@ -623,25 +596,6 @@ class ConvexPolygon:
         v = self.vertices
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
-    def area2(self) -> Fraction:
-        """Twice the (positive) area."""
-        total = Fraction(0)
-        v = self.vertices
-        for i in range(len(v)):
-            (ax, ay), (bx, by) = v[i], v[(i + 1) % len(v)]
-            total += ax * by - bx * ay
-        return total
-
-    def contains(self, pt: Coord, strict: bool = False) -> bool:
-        x, y = as_scalar(pt[0]), as_scalar(pt[1])
-        lo = 1 if strict else 0
-        v = self.vertices
-        for i in range(len(v)):
-            (ax, ay), (bx, by) = v[i], v[(i + 1) % len(v)]
-            if orient(ax, ay, bx, by, x, y) < lo:
-                return False
-        return True
-
     def clip_halfplane(self, a: Fraction, b: Fraction, c: Fraction, keep: int):
         """Intersect with the halfplane sign(a*x + b*y - c) in {0, keep}.
 
@@ -754,10 +708,6 @@ class BoundingBox:
                 (self.xmin, self.ymax),
             )
         )
-
-    def strictly_contains(self, pt: Coord) -> bool:
-        x, y = pt
-        return self.xmin < x < self.xmax and self.ymin < y < self.ymax
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,18 @@ Three building blocks: perfect matchings of convex-position points avoiding
 (or merely tolerating) a boundary matching, exhaustive matchings under
 blocker constraints, and the assembly step that turns an even orientation
 of a subdivision dual into a full matching, cell by cell.
+
+The package's one backtracking matching search, :func:`_match_search`, is
+here.  :func:`constrained_matching` and the exhaustive oracle
+(``oracle.enumerate_ncpm``, ``oracle.has_disjoint_compatible_pm``) are thin
+callers: each poses a list of points, a partner order per point and a
+usable-pair test, and the search memoises every test within the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     GeomatchError,
@@ -19,12 +25,10 @@ from .errors import (
     TwoPointsAlreadyMatched,
 )
 from .geom_core import (
-    Coord,
     Matching,
     PointSet,
     Segment,
     Triple,
-    blocker_table,
     convex_position_order,
     crosses_any_blocker,
     frame_blocker_table,
@@ -123,99 +127,115 @@ def convex_compatible_matching(
 
 
 # ---------------------------------------------------------------------------
-# constrained matchings
-
-Blocker = tuple[Coord, Coord]
+# the backtracking matching search
 
 
-@dataclass(frozen=True)
-class ConstrainedMatchProblem:
-    """Match ``points`` perfectly with edges that cross no blocker.
+def _match_search(
+    points: Sequence[int],
+    rows: Sequence[Sequence[tuple[int, int]]],
+    usable: Callable[[int, int], bool],
+    cross: Callable[[int, int, int, int], bool],
+    first_only: bool,
+) -> list[list[Segment]]:
+    """Non-crossing perfect matchings of ``points`` made of usable pairs, in
+    search order; only the first if ``first_only``.
 
-    Blockers are coordinate segments (matching edges, extension rays clipped
-    to segments, ...); touching one at a shared endpoint is fine, crossing
-    or overlapping it is not.
-
-    This is the ``Fraction`` edge of the search: :meth:`table` converts the
-    blockers once per problem into the point set's integer frame
-    (:func:`geom_core.blocker_table`), and :func:`constrained_matching`
-    decides every visibility test there, in exact integer arithmetic.  The
-    constructions, whose blockers are already integer triples, pose a
-    :class:`FrameMatchProblem` instead.
+    The search keeps the free positions of ``points`` as the set bits of an
+    integer and always matches the lowest free position ``a``, trying its
+    partners in the order of ``rows[a]``: ``(b, 1 << b)`` for every position
+    ``b > a``.  ``usable(a, b)`` and ``cross(a, b, c, d)`` take positions;
+    each answer is memoised for the call, so no pair is tested twice and no
+    candidate is tested twice against one chosen pair.  ``len(points)`` must
+    be even.
     """
+    n = len(points)
+    nn = n * n
+    # pair (a, b), a < b, is index a*n + b; ok[p] is None until tested
+    ok: list[Optional[bool]] = [None] * nn
+    # crossing verdict of candidate pair p against chosen pair q, at p*nn + q
+    verdicts: dict[int, bool] = {}
+    chosen: list[int] = []
+    leaves: list[list[int]] = [] if n else [[]]
 
-    ps: PointSet
-    points: tuple[int, ...]
-    blockers: tuple[Blocker, ...] = ()
+    def extend(free: int) -> bool:
+        low = free & -free
+        a = low.bit_length() - 1
+        rest = free ^ low
+        base = a * n
+        for b, bit in rows[a]:
+            if not rest & bit:
+                continue
+            p = base + b
+            good = ok[p]
+            if good is None:
+                good = ok[p] = usable(a, b)
+            if not good:
+                continue
+            key = p * nn
+            for q in chosen:
+                hit = verdicts.get(key + q)
+                if hit is None:
+                    c, d = divmod(q, n)
+                    hit = verdicts[key + q] = cross(a, b, c, d)
+                if hit:
+                    break
+            else:
+                chosen.append(p)
+                left = rest ^ bit
+                if left:
+                    if extend(left):
+                        return True
+                else:
+                    leaves.append(list(chosen))
+                    if first_only:
+                        return True
+                chosen.pop()
+        return False
 
-    def table(self) -> tuple[tuple, ...]:
-        return blocker_table(self.ps, self.blockers)
-
-
-@dataclass(frozen=True)
-class FrameMatchProblem:
-    """A :class:`ConstrainedMatchProblem` whose blockers are endpoint triples
-    in the point set's integer frame, so nothing is converted: points of the
-    set as ``(ix, iy, 1)``, ray termini as ``RayExtensions.frame_termini``
-    gives them."""
-
-    ps: PointSet
-    points: tuple[int, ...]
-    blockers: Sequence[tuple[Triple, Triple]] = ()
-
-    def table(self) -> tuple[tuple, ...]:
-        return frame_blocker_table(self.blockers)
+    if n:
+        extend((1 << n) - 1)
+    return [
+        [Segment(points[p // n], points[p % n]) for p in leaf] for leaf in leaves
+    ]
 
 
 def constrained_matching(
-    prob: Union[ConstrainedMatchProblem, FrameMatchProblem]
+    ps: PointSet, points: Sequence[int], blockers: Iterable[tuple[Triple, Triple]] = ()
 ) -> Optional[Matching]:
-    """First perfect matching (canonical order) satisfying the constraints,
-    or None when exhaustive search shows there is none."""
-    ps = prob.ps
-    if len(prob.points) % 2 == 1:
-        raise OddCount(f"{len(prob.points)} points cannot be perfectly matched")
-    table = prob.table()
+    """First perfect matching of ``points`` whose edges cross no blocker, or
+    None when exhaustive search shows there is none.
+
+    Blockers are segments given by endpoint triples in the integer frame of
+    ``ps`` (:func:`geom_core.frame_blocker_table`): points of the set as
+    ``(ix, iy, 1)``, ray termini as ``RayExtensions.frame_termini`` gives
+    them.  Touching one at a shared endpoint is fine, crossing or
+    overlapping it is not.  The first free point in ``points`` order is
+    matched first, to its partners by increasing length, then id.
+    """
+    n = len(points)
+    if n % 2 == 1:
+        raise OddCount(f"{n} points cannot be perfectly matched")
+    table = frame_blocker_table(blockers)
     ix, iy = ps._ix, ps._iy
-    visible_cache: dict[tuple[int, int], bool] = {}
-
-    def visible(i: int, j: int) -> bool:
-        key = (i, j)
-        got = visible_cache.get(key)
-        if got is None:
-            got = not crosses_any_blocker((ix[i], iy[i]), (ix[j], iy[j]), table)
-            visible_cache[key] = got
-        return got
-
-    def sort_key(i: int, j: int):
+    at = [(ix[i], iy[i]) for i in points]
+    rows = []
+    for a, (xa, ya) in enumerate(at):
         # squared length in the integer frame: scaling keeps the order
-        return ((ix[i] - ix[j]) ** 2 + (iy[i] - iy[j]) ** 2, j)
+        later = sorted(
+            ((x - xa) ** 2 + (y - ya) ** 2, points[b], b)
+            for b, (x, y) in enumerate(at[a + 1 :], a + 1)
+        )
+        rows.append([(b, 1 << b) for _, _, b in later])
+    seg_cross = ps.segments_cross_ids
 
-    chosen: list[Segment] = []
+    def usable(a: int, b: int) -> bool:
+        return not crosses_any_blocker(at[a], at[b], table)
 
-    def search(remaining: tuple[int, ...]) -> bool:
-        if not remaining:
-            return True
-        a = remaining[0]
-        partners = [
-            b
-            for b in remaining[1:]
-            if visible(a, b)
-            and not any(ps.segments_cross_ids(a, b, s.a, s.b) for s in chosen)
-        ]
-        if not partners:
-            return False
-        partners.sort(key=lambda b: sort_key(a, b))
-        for b in partners:
-            chosen.append(Segment(a, b))
-            if search(tuple(x for x in remaining if x != a and x != b)):
-                return True
-            chosen.pop()
-        return False
+    def cross(a: int, b: int, c: int, d: int) -> bool:
+        return seg_cross(points[a], points[b], points[c], points[d])
 
-    if search(tuple(prob.points)):
-        return Matching(ps, chosen, check=False)
-    return None
+    found = _match_search(points, rows, usable, cross, True)
+    return Matching(ps, found[0], check=False) if found else None
 
 
 # ---------------------------------------------------------------------------

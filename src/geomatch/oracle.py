@@ -5,19 +5,19 @@ here: full enumeration of non-crossing perfect matchings, existence of a
 disjoint compatible one, exact shortest transformation distances, and
 visibility graphs.
 
-``enumerate_ncpm`` and ``has_disjoint_compatible_pm`` share one exhaustive
-backtracking search.  It always matches the lowest free point (the lowest set
-bit of an integer bitmask of free points) and tries its partners in
-increasing id, so each matching is reached exactly once and the catalog, or
-the first witness, comes out in a fixed order.  Within one call the search
-memoises whether a pair may be used at all (not an edge of ``m`` and crossing
-none of them) and whether a candidate pair crosses an already chosen one, so
-no crossing test is repeated across backtracks; every memo is local to the
-call.  The edges of ``m`` are boxed once per call in integers, and a pair is
-only tested against an edge whose box meets its own.  Segments are only
-built for the matchings returned.  The plain
-backtracking versions, with a crossing test at every step, are kept in
-``tests/helpers.py`` as the reference these are tested against.
+``enumerate_ncpm`` and ``has_disjoint_compatible_pm`` run the backtracking
+search of ``matching_engine``, which ``constrained_matching`` shares.  It
+always matches the lowest free point (the lowest set bit of an integer
+bitmask of free points); the oracle has it try the partners in increasing
+id, so each matching is reached exactly once and the catalog, or the first
+witness, comes out in a fixed order.  Within one call the search memoises
+whether a pair may be used at all (not an edge of ``m`` and crossing none of
+them) and whether a candidate pair crosses an already chosen one, so no
+crossing test is repeated across backtracks.  The edges of ``m`` are boxed
+once per call in integers, and a pair is only tested against an edge whose
+box meets its own.  Segments are only built for the matchings returned.
+The plain backtracking versions, with a crossing test at every step, are
+kept in ``tests/helpers.py`` as the reference these are tested against.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from typing import Iterable, Optional
 
 from .errors import MismatchedVertexSet, OddCount, TooLarge, Unreachable
 from .geom_core import Matching, PointSet, Segment, compatible, disjoint
+from .matching_engine import _match_search
 
 ENUMERATION_LIMIT = 16  # points, for full matching catalogs
 DISTANCE_LIMIT = 12  # points, for BFS over the catalog
-PERFECT_MATCHING_LIMIT = 24  # vertices, for abstract-graph matching search
 
 MatchingCatalog = list[Matching]
 
@@ -66,57 +66,15 @@ def _search(ps: PointSet, m_edges: list[Segment], first_only: bool) -> list[list
     cross no edge of, ``m_edges``, in search order; only the first if
     ``first_only``.  ``len(ps)`` must be even."""
     n = len(ps)
-    if n == 0:
-        return [[]]
-    cross = ps.segments_cross_ids
     mate, boxes = _mates(ps, m_edges)
-    nn = n * n
-    # pair (a, b), a < b, is index a*n + b; usable[p] is None until tested
-    usable: list[Optional[bool]] = [None] * nn
-    # crossing verdict of candidate pair p against chosen pair q, at p*nn + q
-    verdicts: dict[int, bool] = {}
-    chosen: list[int] = []
-    leaves: list[list[int]] = []
+    # partners by increasing id: the tails of one shared list, never sorted
+    by_id = [(b, 1 << b) for b in range(n)]
+    rows = [by_id[a + 1 :] for a in range(n)]
 
-    def extend(free: int) -> bool:
-        low = free & -free
-        a = low.bit_length() - 1
-        rest = free ^ low
-        base = a * n
-        cands = rest
-        while cands:
-            bit = cands & -cands
-            cands ^= bit
-            b = bit.bit_length() - 1
-            p = base + b
-            ok = usable[p]
-            if ok is None:
-                ok = usable[p] = mate[a] != b and not _blocked(ps, boxes, a, b)
-            if not ok:
-                continue
-            key = p * nn
-            for q in chosen:
-                hit = verdicts.get(key + q)
-                if hit is None:
-                    c, d = divmod(q, n)
-                    hit = verdicts[key + q] = cross(a, b, c, d)
-                if hit:
-                    break
-            else:
-                chosen.append(p)
-                left = rest ^ bit
-                if left:
-                    if extend(left):
-                        return True
-                else:
-                    leaves.append(list(chosen))
-                    if first_only:
-                        return True
-                chosen.pop()
-        return False
+    def usable(a: int, b: int) -> bool:
+        return mate[a] != b and not _blocked(ps, boxes, a, b)
 
-    extend((1 << n) - 1)
-    return [[Segment(*divmod(p, n)) for p in leaf] for leaf in leaves]
+    return _match_search(range(n), rows, usable, ps.segments_cross_ids, first_only)
 
 
 def enumerate_ncpm(ps: PointSet, limit: int = ENUMERATION_LIMIT) -> MatchingCatalog:
@@ -200,13 +158,6 @@ class VisibilityGraph:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"bad vertex pair ({u}, {v})")
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.pairs:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 def visibility_graph(m: Matching, minus_m: bool = False) -> VisibilityGraph:
     """Segment uv is an edge iff it crosses no edge of ``m`` (other than
@@ -222,42 +173,3 @@ def visibility_graph(m: Matching, minus_m: bool = False) -> VisibilityGraph:
             if not _blocked(ps, boxes, u, v):
                 pairs.add((u, v))
     return VisibilityGraph(n, frozenset(pairs))
-
-
-def graph_perfect_matching_exists(
-    g: VisibilityGraph, limit: int = PERFECT_MATCHING_LIMIT
-) -> bool:
-    """Purely graph-theoretic perfect matching test (geometry ignored)."""
-    n = g.n
-    if n > limit:
-        raise TooLarge(f"{n} vertices exceeds the matching-search limit {limit}")
-    if n % 2 == 1:
-        return False
-    neighbor_mask = [0] * n
-    for u, v in g.pairs:
-        neighbor_mask[u] |= 1 << v
-        neighbor_mask[v] |= 1 << u
-    full = (1 << n) - 1
-    memo: dict[int, bool] = {}
-
-    def solve(mask: int) -> bool:
-        if mask == full:
-            return True
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        # lowest unmatched vertex must pair with an unmatched neighbor
-        v = (~mask & full) & -(~mask & full)
-        vi = v.bit_length() - 1
-        ok = False
-        cands = neighbor_mask[vi] & ~mask
-        while cands:
-            w = cands & -cands
-            cands ^= w
-            if solve(mask | v | w):
-                ok = True
-                break
-        memo[mask] = ok
-        return ok
-
-    return solve(0)

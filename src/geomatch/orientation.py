@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
-from .errors import GeomatchError, InvariantViolation, NotATree, OddComponentInPart, OddTree
+from .errors import GeomatchError, InvariantViolation, OddComponentInPart
 
 
 class Multigraph:
@@ -71,10 +71,6 @@ def components(g: Multigraph) -> list[tuple[list[int], list[int]]]:
     return out
 
 
-def is_connected(g: Multigraph) -> bool:
-    return len(components(g)) <= 1
-
-
 @dataclass(frozen=True)
 class EvenOrientation:
     """An orientation given by the head vertex of every edge."""
@@ -88,15 +84,6 @@ class EvenOrientation:
         for eid, h in enumerate(self.heads):
             if h not in self.graph.edges[eid]:
                 raise GeomatchError(f"head {h} is not an endpoint of edge {eid}")
-
-    def indegrees(self) -> list[int]:
-        deg = [0] * self.graph.n
-        for h in self.heads:
-            deg[h] += 1
-        return deg
-
-    def is_even(self) -> bool:
-        return all(d % 2 == 0 for d in self.indegrees())
 
 
 def even_orientation(g: Multigraph) -> Optional[EvenOrientation]:
@@ -146,44 +133,6 @@ def even_orientation(g: Multigraph) -> Optional[EvenOrientation]:
         if parity[root]:
             raise InvariantViolation("root parity odd in an even component")
     return EvenOrientation(g, tuple(heads))
-
-
-def tree_even_orientation(tree: Multigraph) -> EvenOrientation:
-    """The unique even orientation of a tree with an even number of edges.
-
-    Deleting an edge vw splits the tree into T_v and T_w, exactly one of
-    which has an even edge count; the edge is oriented away from the even
-    side.  Raises NotATree / OddTree on bad input.
-    """
-    m = len(tree.edges)
-    if m != tree.n - 1 or not is_connected(tree):
-        raise NotATree(f"{tree!r} is not a tree")
-    if m % 2 == 1:
-        raise OddTree(f"tree has {m} edges")
-    adj = tree.adjacency()
-    root = 0
-    parent: dict[int, tuple[int, int]] = {}  # vertex -> (parent vertex, edge id)
-    order = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for eid, w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = (v, eid)
-                order.append(w)
-    subtree_vertices = [1] * tree.n
-    for v in reversed(order[1:]):
-        subtree_vertices[parent[v][0]] += subtree_vertices[v]
-    heads: list[Optional[int]] = [None] * m
-    for v in order[1:]:
-        u, eid = parent[v]
-        edges_below = subtree_vertices[v] - 1  # edge count of T_v
-        # T_v even -> orient v -> u; otherwise T_u is the even side.
-        heads[eid] = u if edges_below % 2 == 0 else v
-    return EvenOrientation(tree, tuple(heads))
 
 
 EdgePartition = dict[int, Hashable]

@@ -5,13 +5,24 @@ Fraction / integer math, no reuse of the predicates under test) so that the
 suite cross-checks two separate derivations of each fact.
 """
 
+import math
 from fractions import Fraction
 from random import Random
 from typing import Optional
 
-from geomatch.errors import OddCount, TooLarge
-from geomatch.geom_core import Matching, Point, PointSet, Segment, compatible, disjoint
+from geomatch.errors import GeomatchError, OddCount, TooLarge
+from geomatch.geom_core import (
+    Matching,
+    Point,
+    PointSet,
+    Segment,
+    compatible,
+    crosses_any_blocker,
+    disjoint,
+    frame_blocker_table,
+)
 from geomatch.oracle import ENUMERATION_LIMIT, MatchingCatalog, VisibilityGraph
+from geomatch.orientation import EvenOrientation, Multigraph, components
 
 
 def brute_orient(p, q, r):
@@ -212,8 +223,6 @@ def brute_even_orientations(n: int, edges) -> list[tuple[int, ...]]:
 
 
 def random_multigraph(rng: Random, max_n: int = 8, max_m: int = 12):
-    from geomatch.orientation import Multigraph
-
     n = rng.randint(2, max_n)
     m = rng.randint(0, max_m)
     edges = []
@@ -228,10 +237,65 @@ def random_multigraph(rng: Random, max_n: int = 8, max_m: int = 12):
 
 def random_tree(rng: Random, n_edges: int):
     """Random labeled tree on n_edges+1 vertices (attach each to an earlier one)."""
-    from geomatch.orientation import Multigraph
-
     edges = [(rng.randrange(v), v) for v in range(1, n_edges + 1)]
     return Multigraph(n_edges + 1, edges)
+
+
+class NotATree(GeomatchError):
+    pass
+
+
+class OddTree(GeomatchError):
+    pass
+
+
+def tree_even_orientation(tree: Multigraph) -> EvenOrientation:
+    """The unique even orientation of a tree with an even number of edges.
+
+    Deleting an edge vw splits the tree into T_v and T_w, exactly one of
+    which has an even edge count; the edge is oriented away from the even
+    side.  Raises NotATree / OddTree on bad input.
+    """
+    m = len(tree.edges)
+    if m != tree.n - 1 or len(components(tree)) > 1:
+        raise NotATree(f"{tree!r} is not a tree")
+    if m % 2 == 1:
+        raise OddTree(f"tree has {m} edges")
+    adj = tree.adjacency()
+    root = 0
+    parent: dict[int, tuple[int, int]] = {}  # vertex -> (parent vertex, edge id)
+    order = [root]
+    seen = {root}
+    i = 0
+    while i < len(order):
+        v = order[i]
+        i += 1
+        for eid, w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                parent[w] = (v, eid)
+                order.append(w)
+    subtree_vertices = [1] * tree.n
+    for v in reversed(order[1:]):
+        subtree_vertices[parent[v][0]] += subtree_vertices[v]
+    heads: list[Optional[int]] = [None] * m
+    for v in order[1:]:
+        u, eid = parent[v]
+        edges_below = subtree_vertices[v] - 1  # edge count of T_v
+        # T_v even -> orient v -> u; otherwise T_u is the even side.
+        heads[eid] = u if edges_below % 2 == 0 else v
+    return EvenOrientation(tree, tuple(heads))
+
+
+def indegrees(o: EvenOrientation) -> list[int]:
+    deg = [0] * o.graph.n
+    for h in o.heads:
+        deg[h] += 1
+    return deg
+
+
+def is_even(o: EvenOrientation) -> bool:
+    return all(d % 2 == 0 for d in indegrees(o))
 
 
 def brute_pm_exists(n: int, pairs) -> bool:
@@ -251,6 +315,80 @@ def brute_pm_exists(n: int, pairs) -> bool:
     return n % 2 == 0 and rec(frozenset(range(n)))
 
 
+# ---------------------------------------------------------------------------
+# polygons, boxes, segments
+
+
+def other_end(seg: Segment, i: int) -> int:
+    if i == seg.a:
+        return seg.b
+    if i == seg.b:
+        return seg.a
+    raise KeyError(i)
+
+
+def polygon_area2(poly) -> Fraction:
+    """Twice the (positive) area of a CCW ``ConvexPolygon``."""
+    total = Fraction(0)
+    v = poly.vertices
+    for i in range(len(v)):
+        (ax, ay), (bx, by) = v[i], v[(i + 1) % len(v)]
+        total += ax * by - bx * ay
+    return total
+
+
+def polygon_contains(poly, pt, strict: bool = False) -> bool:
+    x, y = Fraction(pt[0]), Fraction(pt[1])
+    lo = 1 if strict else 0
+    v = poly.vertices
+    for i in range(len(v)):
+        (ax, ay), (bx, by) = v[i], v[(i + 1) % len(v)]
+        if brute_orient((ax, ay), (bx, by), (x, y)) < lo:
+            return False
+    return True
+
+
+def box_strictly_contains(box, pt) -> bool:
+    x, y = pt
+    return box.xmin < x < box.xmax and box.ymin < y < box.ymax
+
+
+# ---------------------------------------------------------------------------
+# blockers given by coordinates
+#
+# The constructions hand ``constrained_matching`` blockers as endpoint triples
+# in the point set's integer frame.  These convert coordinate pairs into that
+# frame through ``Fraction``s, the reference the triples built elsewhere must
+# equal.
+
+
+def frame_triple(x, y, scale: int) -> tuple[int, int, int]:
+    """(x, y) * scale as a homogeneous triple (X, Y, W), W > 0, in lowest terms."""
+    x, y = Fraction(x), Fraction(y)
+    xn, xd = x.numerator * scale, x.denominator
+    yn, yd = y.numerator * scale, y.denominator
+    g = math.gcd(xn, xd)
+    xn, xd = xn // g, xd // g
+    g = math.gcd(yn, yd)
+    yn, yd = yn // g, yd // g
+    w = xd * yd // math.gcd(xd, yd)
+    return (xn * (w // xd), yn * (w // yd), w)
+
+
+def frame_blockers(ps: PointSet, coord_pairs):
+    """Coordinate-pair blockers as endpoint triples in the frame of ``ps``."""
+    scale = ps._scale
+    return [
+        (frame_triple(r[0], r[1], scale), frame_triple(s[0], s[1], scale))
+        for r, s in coord_pairs
+    ]
+
+
+def blocker_table(ps: PointSet, coord_pairs):
+    """The ``frame_blocker_table`` of coordinate-pair blockers."""
+    return frame_blocker_table(frame_blockers(ps, coord_pairs))
+
+
 def replay_extensions(m, region_poly, geometry):
     """Recompute every ray stop with plain Fraction line algebra.
 
@@ -262,8 +400,8 @@ def replay_extensions(m, region_poly, geometry):
     ps = m.base
     base = []
     for s in sorted(m.edges):
-        inside = region_poly.contains(ps.coord(s.a), strict=True) or region_poly.contains(
-            ps.coord(s.b), strict=True
+        inside = polygon_contains(region_poly, ps.coord(s.a), strict=True) or polygon_contains(
+            region_poly, ps.coord(s.b), strict=True
         )
         if inside:
             base.append((s, ps.coord(s.a), ps.coord(s.b)))
@@ -271,7 +409,7 @@ def replay_extensions(m, region_poly, geometry):
     out = []
     for ray in geometry.rays:
         ox, oy = ray.origin
-        other = ps.coord(ray.segment.other(ray.from_point))
+        other = ps.coord(other_end(ray.segment, ray.from_point))
         dx, dy = ox - other[0], oy - other[1]
         # collinear candidates (its own base segment) drop out via denom == 0
         candidates = [(p, q, False) for _s, p, q in base]
@@ -299,14 +437,16 @@ def replay_extensions(m, region_poly, geometry):
 
 
 # ---------------------------------------------------------------------------
-# naive oracle references
+# naive search references
 #
-# The plain backtracking searches the oracle started from: a tuple of free
-# ids, a fresh Segment per candidate and a crossing test against every edge
-# of m and every chosen edge at each step.  They use the library's
-# ``segments_cross_ids`` (itself checked against ``segments_cross_coords``
-# and ``brute_segments_cross``) and fix the order in which the memoised
-# searches of ``geomatch.oracle`` must return their results.
+# The plain backtracking searches the oracle and ``constrained_matching``
+# started from: a tuple of free ids, a fresh Segment per candidate and a
+# crossing test against every edge of m (or every blocker) and every chosen
+# edge at each step.  They use the library's ``segments_cross_ids`` and
+# ``crosses_any_blocker`` (themselves checked against
+# ``segments_cross_coords`` and ``brute_segments_cross``) and fix the order
+# in which the memoised search of ``geomatch.matching_engine`` must return
+# its results.
 
 
 def naive_enumerate_ncpm(ps: PointSet, limit: int = ENUMERATION_LIMIT) -> MatchingCatalog:
@@ -402,3 +542,40 @@ def naive_visibility_graph(m: Matching, minus_m: bool = False) -> VisibilityGrap
                 continue
             pairs.add((u, v))
     return VisibilityGraph(n, frozenset(pairs))
+
+
+def naive_constrained_matching(ps: PointSet, points, blockers=()) -> Optional[Matching]:
+    """First perfect matching of ``points`` whose edges cross no blocker (the
+    endpoint triples ``constrained_matching`` takes), or None.
+
+    Plain backtracking: the first remaining point in ``points`` order is
+    matched to each visible remaining point that crosses no chosen edge, by
+    increasing squared length, then id.
+    """
+    if len(points) % 2 == 1:
+        raise OddCount(f"{len(points)} points cannot be perfectly matched")
+    table = frame_blocker_table(blockers)
+    ix, iy = ps._ix, ps._iy
+    chosen: list[Segment] = []
+
+    def search(remaining: tuple[int, ...]) -> bool:
+        if not remaining:
+            return True
+        a = remaining[0]
+        partners = [
+            b
+            for b in remaining[1:]
+            if not crosses_any_blocker((ix[a], iy[a]), (ix[b], iy[b]), table)
+            and not any(ps.segments_cross_ids(a, b, s.a, s.b) for s in chosen)
+        ]
+        partners.sort(key=lambda b: ((ix[a] - ix[b]) ** 2 + (iy[a] - iy[b]) ** 2, b))
+        for b in partners:
+            chosen.append(Segment(a, b))
+            if search(tuple(x for x in remaining if x != a and x != b)):
+                return True
+            chosen.pop()
+        return False
+
+    if search(tuple(points)):
+        return Matching(ps, chosen, check=False)
+    return None

@@ -1,0 +1,147 @@
+"""Output-hash dump of the public constructions on fixed instances.
+
+Runs ``transform``, ``four_fifths_matching``, ``crossings_matchings``,
+``chc_disjoint_matching``, ``hv_disjoint_matching``,
+``has_disjoint_compatible_pm``, ``enumerate_ncpm`` and ``visibility_graph``
+on fixed seeds: random general-position matchings, axis-parallel and
+convex-hull-connected ones, the odd counterexample families and matchings of
+small integer grids (collinear points, vertical segments).  Each result, or
+each ``GeomatchError`` as class and message, is one record; the script
+prints ``<records> <sha256>`` over all of them.  Two trees that print the
+same line give the same outputs and raise the same errors on these inputs,
+which is how a refactor shows that it changed no behaviour::
+
+    python tests/output_dump.py               # the instances as generated
+    python tests/output_dump.py --scale 1/3   # every coordinate times 1/3
+    python tests/output_dump.py --records     # one record per line as well
+
+A scale whose denominator does not divide the coordinates gives point sets
+whose integer frame (``PointSet._scale``) is greater than one.  Pytest does
+not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import enum
+import hashlib
+import sys
+from fractions import Fraction
+from pathlib import Path
+from random import Random
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from geomatch import algorithms, oracle  # noqa: E402
+from geomatch.algorithms import Flavor  # noqa: E402
+from geomatch.errors import GeomatchError  # noqa: E402
+from geomatch.geom_core import Matching, PointSet, Segment  # noqa: E402
+from helpers import random_ncpm_edges  # noqa: E402
+
+SEEDS = range(10)
+
+
+def plain(obj):
+    """A repr-stable form of a result: matchings as sorted id pairs."""
+    if isinstance(obj, Matching):
+        return sorted(s.ids for s in obj.edges)
+    if isinstance(obj, Segment):
+        return obj.ids
+    if isinstance(obj, enum.Enum):
+        return obj.name
+    if isinstance(obj, (list, tuple)):
+        return [plain(x) for x in obj]
+    if isinstance(obj, (frozenset, set)):
+        return sorted(plain(x) for x in obj)
+    if dataclasses.is_dataclass(obj):
+        return [type(obj).__name__] + [
+            plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+        ]
+    return obj
+
+
+def scaled(m: Matching, scale: Fraction) -> Matching:
+    ps = PointSet.from_coords((p.x * scale, p.y * scale) for p in m.base)
+    return Matching(ps, m.edges, check=False)
+
+
+def instances():
+    """(name, matching, second matching on the same points or None)."""
+    for seed in SEEDS:
+        for n in (2, 4, 6, 8, 10):
+            m = algorithms.gen_random_matching(n, seed)
+            rng = Random(f"dump:{n}:{seed}")
+            other = Matching(m.base, random_ncpm_edges(m.base, rng))
+            yield f"general:{n}:{seed}", m, other
+        for n in (2, 3, 4, 6, 8):
+            yield f"axis:{n}:{seed}", algorithms.gen_random_matching(n, seed, Flavor.AXIS_PARALLEL), None
+            yield f"chc:{n}:{seed}", algorithms.gen_random_matching(n, seed, Flavor.CHC), None
+    for k in (1, 2, 3, 4):
+        yield f"chords:{k}", algorithms.gen_parallel_chords(k), None
+    for n in (1, 2):
+        yield f"odd:{n}", algorithms.gen_general_odd(n), None
+    rng = Random("dump:grid")
+    for trial in range(80):
+        n = rng.choice([4, 6, 8])
+        cells = sorted({(rng.randrange(8), rng.randrange(4)) for _ in range(3 * n)})
+        ps = PointSet.from_coords(rng.sample(cells, min(n, len(cells)) // 2 * 2))
+        catalog = oracle.enumerate_ncpm(ps)
+        m = catalog[rng.randrange(len(catalog))]
+        yield f"grid:{trial}", m, catalog[rng.randrange(len(catalog))]
+
+
+def outcomes(m: Matching, other):
+    def four_fifths():
+        r = algorithms.four_fifths_matching(m)
+        return [r.matching, r.n, r.guarantee, r.achieved, r.odd_components, r.colored]
+
+    calls = {
+        "four_fifths_matching": four_fifths,
+        "crossings_matchings": lambda: algorithms.crossings_matchings(m),
+        "chc_disjoint_matching": lambda: algorithms.chc_disjoint_matching(m),
+        "hv_disjoint_matching": lambda: algorithms.hv_disjoint_matching(m),
+        "has_disjoint_compatible_pm": lambda: oracle.has_disjoint_compatible_pm(m),
+        "visibility_graph": lambda: [oracle.visibility_graph(m, f) for f in (False, True)],
+    }
+    if other is not None:
+        calls["transform"] = lambda: algorithms.transform(m, other)
+    if len(m.base) <= 12:
+        calls["enumerate_ncpm"] = lambda: oracle.enumerate_ncpm(m.base)
+    for name, call in calls.items():
+        try:
+            got = plain(call())
+        except GeomatchError as exc:
+            got = ["error", type(exc).__name__, str(exc)]
+        yield name, got
+
+
+def records(scale: Fraction):
+    for name, m, other in instances():
+        if scale != 1:
+            m = scaled(m, scale)
+            other = None if other is None else scaled(other, scale)
+        for call, got in outcomes(m, other):
+            yield f"{name} {call} {got!r}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--scale", type=Fraction, default=Fraction(1),
+                        help="multiply every coordinate by this rational first")
+    parser.add_argument("--records", action="store_true",
+                        help="print every record before the summary line")
+    args = parser.parse_args(argv)
+    digest = hashlib.sha256()
+    count = 0
+    for rec in records(args.scale):
+        if args.records:
+            print(rec)
+        digest.update(rec.encode() + b"\n")
+        count += 1
+    print(count, digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

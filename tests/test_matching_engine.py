@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from geomatch.errors import (
+    DegenerateIncidence,
     GeomatchError,
     NotConvexPosition,
     OddCount,
     SameSegmentIndegreeTwo,
     TwoPointsAlreadyMatched,
+    VerticalSegment,
 )
 from geomatch.geom_core import (
     BoundingBox,
@@ -19,7 +21,6 @@ from geomatch.geom_core import (
     disjoint,
 )
 from geomatch.matching_engine import (
-    ConstrainedMatchProblem,
     assemble_from_orientation,
     assignment_from_orientation,
     constrained_matching,
@@ -30,7 +31,7 @@ from geomatch.oracle import enumerate_ncpm, has_disjoint_compatible_pm
 from geomatch.orientation import EvenOrientation, even_orientation
 from geomatch.subdivision import both_ways_rays, dual_multigraph, extend
 
-from helpers import random_general_pointset
+from helpers import frame_blockers, naive_constrained_matching, random_general_pointset
 
 
 def square() -> PointSet:
@@ -144,12 +145,12 @@ def test_convex_compatible_random_union_is_noncrossing():
 
 def test_constrained_trivial_and_blocked():
     ps = PointSet.from_coords([(0, 0), (10, 1), (4, 5), (5, -6)])
-    free = constrained_matching(ConstrainedMatchProblem(ps, (0, 1, 2, 3)))
+    free = constrained_matching(ps, (0, 1, 2, 3))
     assert free is not None and free.is_perfect
     # a wall between top and bottom forces pairing within each side
     wall = ((Fraction(-100), Fraction(0)), (Fraction(100), Fraction(0)))
     ps2 = PointSet.from_coords([(0, 1), (10, 2), (1, -1), (11, -3)])
-    out = constrained_matching(ConstrainedMatchProblem(ps2, (0, 1, 2, 3), (wall,)))
+    out = constrained_matching(ps2, (0, 1, 2, 3), frame_blockers(ps2, [wall]))
     assert out is not None
     assert set(out.edges) == {Segment(0, 1), Segment(2, 3)}
 
@@ -157,20 +158,20 @@ def test_constrained_trivial_and_blocked():
 def test_constrained_odd_count():
     ps = PointSet.from_coords([(0, 0), (10, 1), (4, 5)])
     with pytest.raises(OddCount):
-        constrained_matching(ConstrainedMatchProblem(ps, (0, 1, 2)))
+        constrained_matching(ps, (0, 1, 2))
 
 
 def test_constrained_none_when_fully_blocked():
     # two points that can only see each other through a wall
     wall = ((Fraction(-5), Fraction(0)), (Fraction(5), Fraction(0)))
     ps = PointSet.from_coords([(0, 3), (1, -3)])
-    out = constrained_matching(ConstrainedMatchProblem(ps, (0, 1), (wall,)))
+    out = constrained_matching(ps, (0, 1), frame_blockers(ps, [wall]))
     assert out is None
 
 
 def test_constrained_prefers_shorter_edges():
     ps = PointSet.from_coords([(0, 0), (1, 1), (20, 0), (21, 1)])
-    out = constrained_matching(ConstrainedMatchProblem(ps, (0, 1, 2, 3)))
+    out = constrained_matching(ps, (0, 1, 2, 3))
     assert out is not None
     assert set(out.edges) == {Segment(0, 1), Segment(2, 3)}
 
@@ -183,12 +184,8 @@ def test_constrained_agrees_with_disjoint_compatible_oracle():
         ps = random_general_pointset(rng, n, grid=30)
         catalog = enumerate_ncpm(ps)
         m = catalog[rng.randrange(len(catalog))]
-        blockers = tuple(
-            (ps.coord(s.a), ps.coord(s.b)) for s in m.edges
-        )
-        got = constrained_matching(
-            ConstrainedMatchProblem(ps, tuple(range(n)), blockers)
-        )
+        blockers = frame_blockers(ps, [(ps.coord(s.a), ps.coord(s.b)) for s in m.edges])
+        got = constrained_matching(ps, tuple(range(n)), blockers)
         expect, _ = has_disjoint_compatible_pm(m)
         assert (got is not None) == expect
         if got is not None:
@@ -211,10 +208,97 @@ def test_constrained_none_for_parallel_chords():
         ]
     )
     m = Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5)])
-    blockers = tuple((ps.coord(s.a), ps.coord(s.b)) for s in m.edges)
-    assert constrained_matching(
-        ConstrainedMatchProblem(ps, tuple(range(6)), blockers)
-    ) is None
+    blockers = frame_blockers(ps, [(ps.coord(s.a), ps.coord(s.b)) for s in m.edges])
+    assert constrained_matching(ps, tuple(range(6)), blockers) is None
+
+
+def _random_blockers(ps: PointSet, rng: random.Random, m: Matching) -> list:
+    """Endpoint triples of some edges of ``m``, some ray termini that
+    ``extend`` computes for ``m`` and some segments with fractional ends."""
+    ix, iy = ps._ix, ps._iy
+    blockers = [
+        ((ix[s.a], iy[s.a], 1), (ix[s.b], iy[s.b], 1))
+        for s in m.sorted_edges()
+        if rng.random() < 0.5
+    ]
+    rays = [(e, rng.choice(e.ids)) for e in m.sorted_edges() if rng.random() < 0.7]
+    try:
+        geometry, _ = extend(m, BoundingBox.around(ps), rays, partial=True)
+    except DegenerateIncidence:
+        geometry = None
+    if geometry is not None:
+        blockers += [
+            ((ix[i], iy[i], 1), terminus)
+            for (_, i), terminus in zip(rays, geometry.rays.frame_termini())
+        ]
+    span = max(max(ix) - min(ix), max(iy) - min(iy), 1)
+
+    def anywhere():
+        return (
+            Fraction(rng.randrange(-span, 2 * span), 7 * ps._scale),
+            Fraction(rng.randrange(-span, 2 * span), 3 * ps._scale),
+        )
+
+    blockers += frame_blockers(ps, [(anywhere(), anywhere()) for _ in range(rng.randrange(3))])
+    return blockers
+
+
+def test_constrained_agrees_with_naive_reference_on_random_subsets():
+    rng = random.Random(71)
+    found = blocked = 0
+    for trial in range(300):
+        n = rng.choice([4, 6, 8, 10])
+        if trial % 3 == 0:
+            # small grids have collinear points, which reach the touch rules
+            cells = sorted({(rng.randrange(6), rng.randrange(4)) for _ in range(2 * n)})
+            ps = PointSet.from_coords(rng.sample(cells, min(n, len(cells)) // 2 * 2))
+        else:
+            ps = random_general_pointset(rng, n, grid=60)
+        if trial % 4 == 1:
+            # a frame with _scale > 1
+            ps = PointSet.from_coords((p.x / 3, p.y / 3) for p in ps)
+        catalog = enumerate_ncpm(ps)
+        m = catalog[rng.randrange(len(catalog))]
+        blockers = _random_blockers(ps, rng, m)
+        k = rng.randrange(0, len(ps) + 1, 2)
+        points = rng.sample(range(len(ps)), k)  # unsorted, as given
+        got = constrained_matching(ps, points, blockers)
+        want = naive_constrained_matching(ps, points, blockers)
+        assert got == want, (trial, points)
+        if got is None:
+            blocked += 1
+        else:
+            found += 1
+            assert got.matched_ids == frozenset(points)
+    assert found > 150 and blocked > 20
+
+
+def test_constrained_agrees_with_naive_reference_inside_the_constructions(monkeypatch):
+    from geomatch import algorithms
+
+    calls = []
+
+    def both(ps, points, blockers):
+        got = constrained_matching(ps, points, blockers)
+        assert got == naive_constrained_matching(ps, points, blockers)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(algorithms, "constrained_matching", both)
+    for seed in range(12):
+        for n in (2, 4, 6, 8):
+            m = algorithms.gen_random_matching(n, seed)
+            try:
+                algorithms.crossings_matchings(m)
+            except (DegenerateIncidence, VerticalSegment):
+                continue
+    halves = len(calls)
+    for seed in range(12):
+        for n in (2, 4, 6, 8):
+            m = algorithms.gen_random_matching(n, seed, algorithms.Flavor.CHC)
+            algorithms.chc_disjoint_matching(m)
+    assert halves > 50 and len(calls) - halves > 20
+    assert all(got is not None for got in calls)
 
 
 def one_segment_setup():

@@ -9,9 +9,7 @@ from geomatch.algorithms import gen_general_odd, gen_parallel_chords
 from geomatch.errors import OddCount, TooLarge, Unreachable
 from geomatch.geom_core import Matching, PointSet, Segment, compatible, disjoint
 from geomatch.oracle import (
-    VisibilityGraph,
     enumerate_ncpm,
-    graph_perfect_matching_exists,
     has_disjoint_compatible_pm,
     transformation_distance,
     visibility_graph,
@@ -262,34 +260,6 @@ def test_visibility_blocked_pair():
     assert (2, 4) in g.pairs  # m's own edge is visible without minus_m
 
 
-# --- abstract perfect matchings ---------------------------------------------
-
-
-def test_graph_pm_trivial_cases():
-    assert not graph_perfect_matching_exists(VisibilityGraph(2, frozenset()))
-    assert graph_perfect_matching_exists(VisibilityGraph(2, frozenset({(0, 1)})))
-    assert not graph_perfect_matching_exists(VisibilityGraph(3, frozenset({(0, 1), (1, 2)})))
-
-
-def test_graph_pm_matches_brute_force():
-    rng = Random(2)
-    for _ in range(150):
-        n = rng.randint(2, 10)
-        pairs = frozenset(
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < 0.4
-        )
-        g = VisibilityGraph(n, pairs)
-        assert graph_perfect_matching_exists(g) == brute_pm_exists(n, pairs)
-
-
-def test_graph_pm_guard():
-    with pytest.raises(TooLarge):
-        graph_perfect_matching_exists(VisibilityGraph(26, frozenset()))
-
-
 def test_visibility_graph_matches_naive_expression():
     rng = Random(33)
     for trial in range(30):
@@ -313,4 +283,4 @@ def test_visibility_minus_m_has_perfect_matching():
         ps = random_general_pointset(rng, 2 * n)
         m = Matching(ps, random_ncpm_edges(ps, rng), check=False)
         g = visibility_graph(m, minus_m=True)
-        assert graph_perfect_matching_exists(g)
+        assert brute_pm_exists(g.n, g.pairs)

@@ -18,13 +18,20 @@ from geomatch.geom_core import (
     Matching,
     PointSet,
     Segment,
-    blocker_table,
     frame_blocker_table,
 )
 from geomatch.orientation import components
 from geomatch.subdivision import EndpointRole, both_ways_rays, dual_multigraph, extend
 
-from helpers import random_general_pointset, random_ncpm_edges, replay_extensions
+from helpers import (
+    blocker_table,
+    box_strictly_contains,
+    polygon_area2,
+    polygon_contains,
+    random_general_pointset,
+    random_ncpm_edges,
+    replay_extensions,
+)
 
 
 def test_single_segment_both_directions():
@@ -39,9 +46,9 @@ def test_single_segment_both_directions():
     assert all(r.went_to_infinity for r in geo.rays)
 
     assert len(sub.cells) == 2
-    assert sum(c.area2() for c in sub.cells) == box.polygon().area2()
+    assert sum(polygon_area2(c) for c in sub.cells) == polygon_area2(box.polygon())
     # the left cell (looking from (-1,0) to (1,0)) is the upper half
-    upper = next(i for i, c in enumerate(sub.cells) if c.contains((0, 1), strict=True))
+    upper = next(i for i, c in enumerate(sub.cells) if polygon_contains(c, (0, 1), strict=True))
     lower = 1 - upper
     assert sub.vertex_cells[0] == (upper, lower)
     assert sub.vertex_cells[1] == (upper, lower)
@@ -286,7 +293,7 @@ def test_box_pruned_ray_search_in_fraction_clipped_region():
             Fraction(3), Fraction(1, 3), c, keep=-1
         )
         assert any(v.denominator > 1 for xy in region.vertices for v in xy)
-        inside = [i for i in ps.ids if region.contains(ps.coord(i), strict=True)]
+        inside = [i for i in ps.ids if polygon_contains(region, ps.coord(i), strict=True)]
         rays = [(s, i) for s in m.sorted_edges() for i in s.ids if i in inside]
         geo, sub = extend(m, region, rays)
         assert len(sub.cells) == len({s for s, _ in rays}) + 1
@@ -321,7 +328,7 @@ def test_parameters_closer_than_float_resolution():
     geo, sub = extend(m, box, rays)
     _assert_replayed(m, box, geo, rays, infinite=True)
     assert len(sub.cells) == 4
-    assert sum(c.area2() for c in sub.cells) == box.polygon().area2()
+    assert sum(polygon_area2(c) for c in sub.cells) == polygon_area2(box.polygon())
     for cell in sub.cells:
         assert ConvexPolygon(cell.vertices).vertices == cell.vertices
 
@@ -339,7 +346,7 @@ def _lazy_cell_cases():
         )
         rays = [
             (s, i) for s in m.sorted_edges() for i in s.ids
-            if region.contains(ps.coord(i), strict=True)
+            if polygon_contains(region, ps.coord(i), strict=True)
         ]
         yield m, region, extend(m, region, rays)[1]
 
@@ -363,12 +370,12 @@ def test_lazy_cells_are_checked_polygons_tiling_the_region(monkeypatch):
         for cell in cells:
             # the checked constructor accepts every corner list as it stands
             assert ConvexPolygon(cell.vertices).vertices == cell.vertices
-        assert sum(c.area2() for c in cells) == region.area2()
+        assert sum(polygon_area2(c) for c in cells) == polygon_area2(region)
         for v, (left, right) in sub.vertex_cells.items():
             pt = m.base.coord(v)
             for i in (left, right):
-                assert cells[i].contains(pt)
-                assert not cells[i].contains(pt, strict=True)
+                assert polygon_contains(cells[i], pt)
+                assert not polygon_contains(cells[i], pt, strict=True)
         assert len(built) == dual.n  # built once, then kept
 
 
@@ -396,7 +403,7 @@ def _frame_cases():
             )
             rays = [
                 (s, i) for s in m.sorted_edges() for i in s.ids
-                if region.contains(ps.coord(i), strict=True)
+                if polygon_contains(region, ps.coord(i), strict=True)
             ]
             yield m, region, rays
 
@@ -468,7 +475,7 @@ def test_user_box_classifies_points_as_its_polygon_does():
             BoundingBox(xs[1], ys[1], xs[-1] + 5, ys[-1] + 5),
             BoundingBox(xs[0] - 3, ys[0] - 3, xs[-2], ys[-2]),
         ):
-            inside = [i for i in ps.ids if box.strictly_contains(ps.coord(i))]
+            inside = [i for i in ps.ids if box_strictly_contains(box, ps.coord(i))]
             for partial, ray_list in ((False, rays), (True, [r for r in rays if r[1] in inside])):
                 got = _outcome(m, box, ray_list, partial)
                 assert got == _outcome(m, box.polygon(), ray_list, partial)
