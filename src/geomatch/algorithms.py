@@ -36,7 +36,6 @@ from .errors import (
 )
 from .geom_core import (
     BoundingBox,
-    ConvexPolygon,
     Matching,
     PointSet,
     Scalar,
@@ -61,6 +60,7 @@ from .orientation import (
 from .subdivision import (
     DualMultigraph,
     EndpointRole,
+    Region,
     both_ways_rays,
     dual_multigraph,
     extend,
@@ -178,36 +178,48 @@ def canonical_matching(ps: PointSet) -> Matching:
     return Matching(ps, [Segment(order[i], order[i + 1]) for i in range(0, len(order), 2)])
 
 
-def _line_sides(ps: PointSet, ids, line: Line) -> dict[int, int]:
-    """Side of the line per point id, evaluated on the integer grid."""
+def _line_sides(m: Matching, line: Line) -> dict[int, int]:
+    """Side of the line per matched point id (in id order), evaluated on the
+    integer grid.  Raises VertexOnLine for the first point on the line, then
+    OddCut if an odd number of m's edges cross it."""
     a, b, c = (Fraction(v) for v in line)
     den = math.lcm(a.denominator, b.denominator, c.denominator)
     ia, ib, ic = int(a * den), int(b * den), int(c * den)
-    ix, iy, scale = ps._ix, ps._iy, ps._scale
-    return {i: sign(ia * ix[i] + ib * iy[i] - ic * scale) for i in ids}
+    ix, iy, scale = m.base._ix, m.base._iy, m.base._scale
+    sides = {i: sign(ia * ix[i] + ib * iy[i] - ic * scale) for i in sorted(m.matched_ids)}
+    for i, s in sides.items():
+        if s == 0:
+            raise VertexOnLine(f"point {i} lies on the cut line")
+    cut = sum(sides[e.a] != sides[e.b] for e in m.edges)
+    if cut % 2 == 1:
+        raise OddCut(cut)
+    return sides
 
 
 def halfplane_matching(
-    m: Matching, line: Line, keep: int, within: Optional[ConvexPolygon] = None
+    m: Matching, line: Line, keep: int, within: Optional[Region] = None
 ) -> Matching:
     """Perfect matching of m's vertices on one side of the line, compatible
     with m: extend m inside the clipped region by one ray beyond every
     endpoint on the kept side (in sorted edge order), orient the dual evenly
     and match each cell's assigned vertices around its boundary.
 
-    ``within`` optionally reuses a precomputed bounding polygon of the
-    point set (it must contain every point strictly).
+    ``within`` optionally reuses a precomputed region around the point set,
+    a ``BoundingBox`` or a ``ConvexPolygon`` (it must contain every point
+    strictly).  Without it, the region is ``BoundingBox.around`` the points.
+    A box cut by a vertical or horizontal line is again a box, so the
+    extension then classifies points by integer comparisons.
     """
     if keep not in (1, -1):
         raise GeomatchError("halfplane selector must be +1 or -1")
+    return _halfplane_side(m, _line_sides(m, line), line, keep, within)
+
+
+def _halfplane_side(
+    m: Matching, sides: dict[int, int], line: Line, keep: int, within: Optional[Region]
+) -> Matching:
+    """``halfplane_matching`` once the sides of the line are known."""
     ps = m.base
-    sides = _line_sides(ps, sorted(m.matched_ids), line)
-    for i, s in sides.items():
-        if s == 0:
-            raise VertexOnLine(f"point {i} lies on the cut line")
-    cut = [e for e in m.sorted_edges() if sides[e.a] != sides[e.b]]
-    if len(cut) % 2 == 1:
-        raise OddCut(len(cut))
     inside = [i for i, s in sides.items() if s == keep]
     if not inside:
         return Matching(ps, [], check=False)
@@ -221,7 +233,7 @@ def halfplane_matching(
 
     a, b, c = (as_scalar(v) for v in line)
     if within is None:
-        within = BoundingBox.around(ps).polygon()
+        within = BoundingBox.around(ps)
     region = within.clip_halfplane(a, b, c, keep)
     if region is None:
         raise InvariantViolation("the bounding box misses the kept halfplane")
@@ -235,11 +247,12 @@ def halfplane_matching(
 
 
 def even_cut_matching(
-    m: Matching, line: Line, within: Optional[ConvexPolygon] = None
+    m: Matching, line: Line, within: Optional[Region] = None
 ) -> Matching:
     """Match both sides of the line; the union never crosses the line."""
-    left = halfplane_matching(m, line, +1, within)
-    right = halfplane_matching(m, line, -1, within)
+    sides = _line_sides(m, line)
+    left = _halfplane_side(m, sides, line, +1, within)
+    right = _halfplane_side(m, sides, line, -1, within)
     # each side is non-crossing on its own and the open halfplanes are
     # disjoint, so the union needs no crossing re-check
     return Matching(m.base, list(left.edges) + list(right.edges), check=False)
@@ -249,7 +262,7 @@ def _canonical_steps(
     ps: PointSet,
     ids: list[int],
     edges: list[Segment],
-    within: ConvexPolygon,
+    within: Region,
 ) -> list[frozenset[Segment]]:
     """Edge sets from ``edges`` to the canonical matching of ``ids``.
 
@@ -284,36 +297,43 @@ def _collapse(steps: Sequence[frozenset[Segment]]) -> list[frozenset[Segment]]:
     return out
 
 
-def transform_to_canonical(m: Matching) -> TransformationSequence:
-    """A transformation from m to the canonical matching of its points,
-    of length at most ceil(log2 n)."""
+def _chain_to_canonical(m: Matching) -> list[Matching]:
+    """The matchings of a transformation from m to the canonical matching
+    of its points, each one checked non-crossing, at most ceil(log2 n)
+    steps long and ending at the canonical matching.  Consecutive entries
+    are not checked for compatibility here: the ``TransformationSequence``
+    built from the chain does that."""
     if not m.is_perfect:
         raise GeomatchError("transformation requires a perfect matching")
     ps = m.base
     if not distinct_x(ps):
         raise DistinctXRequired("transformation needs distinct x-coordinates")
-    within = BoundingBox.around(ps).polygon()
-    steps = _canonical_steps(ps, list(ps.ids), list(m.sorted_edges()), within)
-    steps = _collapse(steps)
-    seq = TransformationSequence(tuple(Matching(ps, s) for s in steps))
+    within = BoundingBox.around(ps)
+    steps = _canonical_steps(ps, list(ps.ids), m.sorted_edges(), within)
+    chain = [Matching(ps, s) for s in _collapse(steps)]
     n = len(m)
     bound = math.ceil(math.log2(n)) if n > 1 else 0
-    if seq.length > bound:
-        raise InvariantViolation(f"length {seq.length} exceeds log bound {bound}")
-    if set(seq.target.edges) != set(canonical_matching(ps).edges):
+    if len(chain) - 1 > bound:
+        raise InvariantViolation(f"length {len(chain) - 1} exceeds log bound {bound}")
+    if chain[-1].edges != canonical_matching(ps).edges:
         raise InvariantViolation("transformation did not reach the canonical matching")
-    return seq
+    return chain
+
+
+def transform_to_canonical(m: Matching) -> TransformationSequence:
+    """A transformation from m to the canonical matching of its points,
+    of length at most ceil(log2 n)."""
+    return TransformationSequence(tuple(_chain_to_canonical(m)))
 
 
 def transform(m1: Matching, m2: Matching) -> TransformationSequence:
     """A transformation between two perfect matchings of one point set,
-    of length at most 2*ceil(log2 n), through the canonical matching."""
+    of length at most 2*ceil(log2 n), through the canonical matching.
+    Each pair of consecutive matchings of the result is checked once."""
     if m1.base != m2.base:
         raise MismatchedVertexSet("matchings live on different point sets")
-    fwd = transform_to_canonical(m1)
-    back = transform_to_canonical(m2)
-    f = list(fwd.matchings)
-    b = list(back.matchings)
+    f = _chain_to_canonical(m1)
+    b = _chain_to_canonical(m2)
     # both chains end at the canonical matching; a shared tail would make
     # the walk double back on itself, so cut it (M = M2 collapses to zero)
     while len(f) > 1 and len(b) > 1 and f[-2] == b[-2]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -251,6 +252,11 @@ class Segment:
     @property
     def ids(self) -> tuple[int, int]:
         return (self.a, self.b)
+
+
+#: Sort key giving ``Segment``'s own ``(a, b)`` order without a Python-level
+#: ``__lt__`` call per comparison.
+segment_order = attrgetter("a", "b")
 
 
 def orientation_test(p: Point, q: Point, r: Point) -> int:
@@ -492,7 +498,7 @@ class Matching:
         return 2 * len(self.edges) == len(self.base)
 
     def sorted_edges(self) -> list[Segment]:
-        return sorted(self.edges)
+        return sorted(self.edges, key=segment_order)
 
 
 def _require_same_base(m1: Matching, m2: Matching) -> PointSet:
@@ -696,6 +702,37 @@ class BoundingBox:
             Fraction(x1 + margin, scale),
             Fraction(y1 + margin, scale),
         )
+
+    def clip_halfplane(self, a: Fraction, b: Fraction, c: Fraction, keep: int):
+        """Intersect with the halfplane sign(a*x + b*y - c) in {0, keep}.
+
+        A vertical or horizontal line cuts a box into a box: the result is a
+        ``BoundingBox``, or None when it has empty interior, and it has the
+        corners of ``polygon().clip_halfplane`` (in the same order, except
+        that for a horizontal line keeping the upper side ``polygon()``
+        starts the same cycle at the lower-left corner).  Any other line
+        gives ``polygon().clip_halfplane(a, b, c, keep)``.
+        """
+        a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
+        if keep not in (1, -1):
+            raise GeomatchError("keep must be +1 or -1")
+        if (a == 0) == (b == 0):
+            return self.polygon().clip_halfplane(a, b, c, keep)
+        xmin, ymin, xmax, ymax = self.xmin, self.ymin, self.xmax, self.ymax
+        # keep * (a*x - c) >= 0 for a vertical line, keep * (b*y - c) >= 0
+        # for a horizontal one
+        if b == 0:
+            if keep * a > 0:
+                xmin = max(xmin, c / a)
+            else:
+                xmax = min(xmax, c / a)
+        elif keep * b > 0:
+            ymin = max(ymin, c / b)
+        else:
+            ymax = min(ymax, c / b)
+        if xmin >= xmax or ymin >= ymax:
+            return None
+        return BoundingBox(xmin, ymin, xmax, ymax)
 
     def polygon(self) -> ConvexPolygon:
         # __post_init__ guarantees xmin < xmax and ymin < ymax, so the four

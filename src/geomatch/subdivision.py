@@ -19,11 +19,27 @@ keeps an integer bounding box of its current extent, and each ray a box of
 the part of it that can still hold the first hit; a blocker whose box misses
 the ray's box is skipped before any cross product is formed.
 
+Unless ``partial``, every node of the subdivision is numbered when it is
+made: the region corners and the in-region matching vertices before any ray
+is placed, each ray terminus when its ray is placed, and each point where a
+wall leaves the region when the walls are clipped (unless a ray of that wall
+already stopped there).  Each feature maps the parameters of its nodes to
+their ids, so its edgelets link its nodes in parameter order, and nodes are
+never found again by their coordinates.  Certificates catch a node that
+should have been merged and was not: at most three edgelets per node,
+exactly one non-convex face, Euler's formula and the cell count.
+
 The cells keep their corners, and the placed rays their termini, as the
 integer node triples of the frame; the ``Fraction`` polygons of
 ``ConvexSubdivision.cells`` and the ``RayExtension`` records of
 ``ExtensionGeometry.rays`` are built on first read, so a caller that only
 needs the dual, or the termini as triples, never pays for them.
+
+``RayExtension.went_to_infinity`` means "stopped on the edge of a
+``BoundingBox`` region": the box stands in for the unbounded plane, and a
+box cut by a vertical or horizontal line (``BoundingBox.clip_halfplane``) is
+a ``BoundingBox`` region too, so the flag is also true on the cut edge.  On a
+``ConvexPolygon`` region it is always false.
 """
 
 from __future__ import annotations
@@ -51,6 +67,7 @@ from .geom_core import (
     PointSet,
     Segment,
     Triple,
+    segment_order,
     segments_cross_coords,
 )
 from .orientation import Multigraph, components
@@ -69,7 +86,8 @@ def both_ways_rays(segments: Sequence[Segment]) -> list[tuple[Segment, int]]:
 
 @dataclass(frozen=True)
 class RayExtension:
-    """One placed ray: where it started, where it stopped."""
+    """One placed ray: where it started, where it stopped, and whether it
+    stopped on the edge of a ``BoundingBox`` region."""
 
     segment: Segment
     from_point: int
@@ -161,8 +179,8 @@ class EndpointRole(Enum):
 class CellPolygons(Sequence):
     """The cells of a subdivision as ``ConvexPolygon``s, built on first read.
 
-    Each cell is held as its counter-clockwise corners, gcd-normalized
-    homogeneous integer triples (X, Y, W) with W > 0, in units of 1/frame;
+    Each cell is held as its counter-clockwise corners, homogeneous integer
+    triples (X, Y, W) with W > 0, in units of 1/frame;
     ``len`` builds nothing, and the first element access builds every
     polygon with ``Fraction`` corners (X / (W * frame), Y / (W * frame)).
     """
@@ -298,13 +316,14 @@ class _Feature:
 
     Points on the carrier line are A + t*(B - A); ``lo..hi`` is the part
     that currently exists, and ``x0..x1`` by ``y0..y1`` an integer box
-    around it.  ``params`` collects every node that ends up on the feature
-    (wall ends, landings of other rays, matching vertices).
+    around it.  ``nodes`` maps the parameter of every node on the feature
+    (wall ends, landings of other rays, matching vertices, region corners)
+    to its node id.
     """
 
     __slots__ = (
         "ax", "ay", "bx", "by", "dx", "dy", "lo", "hi",
-        "x0", "y0", "x1", "y1", "is_boundary", "seg", "params",
+        "x0", "y0", "x1", "y1", "is_boundary", "seg", "nodes",
     )
 
     def __init__(self, a, b, is_boundary, seg=None):
@@ -317,7 +336,7 @@ class _Feature:
         self.y0, self.y1 = (ay, by) if ay < by else (by, ay)
         self.is_boundary = is_boundary
         self.seg = seg
-        self.params: set[tuple[int, int]] = set()
+        self.nodes: dict[tuple[int, int], int] = {}
 
     def line(self) -> tuple[int, int, int]:
         """The carrier line a*x + b*y + c = 0, gcd-normalized, (a, b) > 0
@@ -329,13 +348,10 @@ class _Feature:
             g = -g
         return (a // g, b // g, c // g)
 
-    def node_key(self, t: tuple[int, int]) -> tuple[int, int, int]:
-        """A + t*(B - A) as a gcd-normalized homogeneous integer triple."""
+    def point(self, t: tuple[int, int]) -> tuple[int, int, int]:
+        """A + t*(B - A) as a homogeneous integer triple."""
         tn, td = t
-        x = self.ax * td + tn * (self.bx - self.ax)
-        y = self.ay * td + tn * (self.by - self.ay)
-        g = gcd(x, y, td)
-        return (x // g, y // g, td // g)
+        return (self.ax * td + tn * self.dx, self.ay * td + tn * self.dy, td)
 
     def direction(self) -> tuple[int, int]:
         return (self.dx, self.dy)
@@ -424,7 +440,7 @@ def extend(
 
     # the tables below are keyed by endpoint id (each point is on at most
     # one segment of m), so no Segment is hashed per ray
-    in_segments.sort()
+    in_segments.sort(key=segment_order)
     walls = [_Feature(pts[s.a], pts[s.b], False, s) for s in in_segments]
     wall_at: dict[int, _Feature] = {}
     for f in walls:
@@ -452,6 +468,25 @@ def extend(
         _Feature(reg[i], reg[(i + 1) % len(reg)], True) for i in range(len(reg))
     ]
     features: list[_Feature] = walls + boundary
+
+    # Unless partial, nodes are numbered as they are made: the region
+    # corners and the in-region matching vertices here, each ray terminus
+    # when its ray is placed (node t0 + k for ray k), and each point where a
+    # wall leaves the region when the walls are clipped.  node_pts holds
+    # them as homogeneous integer triples (X, Y, W), W > 0, in frame units.
+    node_pts: list[Triple] = []
+    vertex_node: dict[int, int] = {}
+    if not partial:
+        node_pts = [(x, y, 1) for x, y in reg]
+        for k, g in enumerate(boundary):
+            g.nodes[_ZERO] = k
+            g.nodes[_ONE] = (k + 1) % nreg
+        for f in walls:
+            for endpoint, t in ((f.seg.a, _ZERO), (f.seg.b, _ONE)):
+                if state[endpoint]:
+                    vertex_node[endpoint] = f.nodes[t] = len(node_pts)
+                    node_pts.append((*pts[endpoint], 1))
+    t0 = len(node_pts)
 
     # a ray along the line of another wall or of a region edge is
     # degenerate wherever that feature lies, even behind the ray
@@ -533,16 +568,17 @@ def extend(
             )
         tn, td, g, un, ud = best
         u = _norm(un, ud)
-        if u == g.lo or u == g.hi or u in g.params or (
+        if u == g.lo or u == g.hi or u in g.nodes or (
             not g.is_boundary and (u == _ZERO or u == _ONE)
         ):
             raise DegenerateIncidence(
                 f"ray from {endpoint} stops exactly on an existing vertex"
             )
         if at_b:
-            f.hi = _norm(td + tn, td)
+            end = f.hi = _norm(td + tn, td)
         else:
-            f.lo = _norm(-tn, td)
+            end = f.lo = _norm(-tn, td)
+        g.nodes[u] = f.nodes[end] = t0 + len(placed)
         hx, hy = ox * td + tn * dx, oy * td + tn * dy
         # the wall now reaches the terminus, beyond its old end; widen its
         # box on that side
@@ -554,13 +590,15 @@ def extend(
             f.y1 = -(-hy // td)
         elif dy < 0:
             f.y0 = hy // td
-        g.params.add(u)
         placed.append((seg, endpoint, hx, hy, td, g.is_boundary and clip_is_infinity))
     geometry = ExtensionGeometry(RayExtensions(ps, placed, frame))
     if partial:
         return geometry, None
+    node_pts += [(x, y, w) for _, _, x, y, w, _ in placed]
 
-    # clip every wall to the region and register boundary entry nodes
+    # clip every wall to the region; where a wall leaves it, the node on the
+    # boundary is the wall's own ray terminus if a ray stopped there, else a
+    # new one
     for f in walls:
         dx, dy = f.direction()
         crossings = []
@@ -590,59 +628,36 @@ def extend(
         final_hi = f.hi if _plt(f.hi, c2) else c2
         if not _plt(final_lo, final_hi):
             raise InvariantViolation("wall has empty extent inside the region")
-        if final_lo == c1:
-            g1.params.add(u1)
-        if final_hi == c2:
-            g2.params.add(u2)
-        f.lo, f.hi = final_lo, final_hi
-        f.params.add(final_lo)
-        f.params.add(final_hi)
-        for base_param in (_ZERO, _ONE):
-            if _plt(final_lo, base_param) and _plt(base_param, final_hi):
-                f.params.add(base_param)
+        for end, c, g, u in ((final_lo, c1, g1, u1), (final_hi, c2, g2, u2)):
+            if end == c:
+                nid = g.nodes.get(u)
+                if nid is None:
+                    nid = g.nodes[u] = len(node_pts)
+                    node_pts.append(f.point(c))
+                f.nodes[c] = nid
 
-    for g in boundary:
-        g.params.add(_ZERO)
-        g.params.add(_ONE)
-
-    # build the node/edgelet graph of the finished structure; nodes are
-    # gcd-normalized homogeneous integer triples (X, Y, W) in frame units
-    node_ids: dict[tuple[int, int, int], int] = {}
-    node_pts: list[tuple[int, int, int]] = []
-
-    # dedges 2k and 2k+1 are the two directions of edgelet k
+    # build the node/edgelet graph of the finished structure: every node on
+    # a feature lies within its final extent, so linking each feature's
+    # nodes in parameter order gives its edgelets.  Dedges 2k and 2k+1 are
+    # the two directions of edgelet k.
     dedge_from: list[int] = []
     dedge_dir: list[tuple[int, int]] = []
 
     for f in features:
-        if f.is_boundary:
-            (lo_n, lo_d), (hi_n, hi_d) = _ZERO, _ONE
-        else:
-            (lo_n, lo_d), (hi_n, hi_d) = f.lo, f.hi
-        params = [
-            p for p in f.params
-            if p[0] * lo_d >= lo_n * p[1] and p[0] * hi_d <= hi_n * p[1]
-        ]
+        nodes = f.nodes
+        params = list(nodes)
         _sort_params(params)
-        if f.is_boundary and not params:
-            raise InvariantViolation("boundary edge lost its endpoints")
         d = f.direction()
         back = (-d[0], -d[1])
-        prev = None
-        for t in params:
-            key = f.node_key(t)
-            i = node_ids.get(key)
-            if i is None:
-                i = len(node_pts)
-                node_ids[key] = i
-                node_pts.append(key)
-            if prev is not None:
-                if prev == i:
-                    raise DegenerateIncidence("two structure vertices coincide")
-                dedge_from.append(prev)
-                dedge_from.append(i)
-                dedge_dir.append(d)
-                dedge_dir.append(back)
+        prev = nodes[params[0]]
+        for t in params[1:]:
+            i = nodes[t]
+            if prev == i:
+                raise DegenerateIncidence("two structure vertices coincide")
+            dedge_from.append(prev)
+            dedge_from.append(i)
+            dedge_dir.append(d)
+            dedge_dir.append(back)
             prev = i
 
     outgoing: list[list[int]] = [[] for _ in node_pts]
@@ -753,8 +768,7 @@ def extend(
         for endpoint in s.ids:
             if not state[endpoint]:
                 continue
-            nid = node_ids[(pts[endpoint][0], pts[endpoint][1], 1)]
-            out = outgoing[nid]
+            out = outgoing[vertex_node[endpoint]]
             if len(out) != 2:
                 raise InvariantViolation("matching vertex is not interior to its wall")
             ahead = next(e for e in out if dedge_dir[e] == forward)

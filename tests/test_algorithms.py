@@ -215,6 +215,36 @@ def test_even_cut_random_instances():
         even_cut_sides(m, line, out)
 
 
+def test_even_cut_computes_the_sides_once_and_raises_as_halfplane(monkeypatch):
+    import geomatch.algorithms as algorithms
+
+    calls = []
+    line_sides = algorithms._line_sides
+    monkeypatch.setattr(
+        algorithms, "_line_sides", lambda m, line: calls.append(line) or line_sides(m, line)
+    )
+    m = three_segment_instance()
+    out = even_cut_matching(m, (1, 0, 2))
+    assert calls == [(1, 0, 2)]
+    assert out == Matching(
+        m.base,
+        list(halfplane_matching(m, (1, 0, 2), +1).edges)
+        + list(halfplane_matching(m, (1, 0, 2), -1).edges),
+    )
+    # point 0 lies on x = 0, and x = 9/2 cuts one segment; the first error
+    # is the one the +1 side raises on its own
+    for line in ((1, 0, 0), (1, 0, Fraction(9, 2)), (0, 1, 3)):
+        errors = []
+        for call in (lambda: even_cut_matching(m, line), lambda: halfplane_matching(m, line, +1)):
+            try:
+                call()
+                errors.append(None)
+            except GeomatchError as exc:
+                errors.append((type(exc), str(exc)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] in (VertexOnLine, OddCut)
+
+
 # ---------------------------------------------------------------------------
 # transformations
 
@@ -268,6 +298,25 @@ def test_transform_eight_segment_pairs():
         assert seq.source == m1 and seq.target == m2
         for step in seq.matchings:
             assert step.is_perfect and step.base == m1.base
+
+
+def test_transform_checks_each_output_pair_once(monkeypatch):
+    import geomatch.algorithms as algorithms
+
+    pairs = []
+    check = algorithms.compatible
+    monkeypatch.setattr(
+        algorithms, "compatible", lambda a, b: pairs.append((a, b)) or check(a, b)
+    )
+    for seed in range(4):
+        m1, m2 = random_matching_pair(random.Random(seed), 8)
+        pairs.clear()
+        seq = transform(m1, m2)
+        assert seq.length >= 2
+        assert pairs == list(zip(seq.matchings, seq.matchings[1:]))
+        pairs.clear()
+        seq = transform_to_canonical(m1)
+        assert pairs == list(zip(seq.matchings, seq.matchings[1:]))
 
 
 def test_transform_rejects_mismatched_point_sets():

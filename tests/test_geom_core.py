@@ -469,6 +469,53 @@ def test_bounding_box_around_matches_fraction_formula():
         assert corners == ConvexPolygon(corners).vertices
 
 
+def test_sorted_edges_follow_segment_order():
+    rng = Random(4)
+    ps = random_general_pointset(rng, 40)
+    m = Matching(ps, random_ncpm_edges(ps, rng))
+    assert m.sorted_edges() == sorted(m.edges)
+    assert [s.ids for s in m.sorted_edges()] == sorted(s.ids for s in m.edges)
+
+
+def _rotated_to(vertices, first):
+    k = vertices.index(first)
+    return vertices[k:] + vertices[:k]
+
+
+@pytest.mark.parametrize("keep", [1, -1])
+def test_box_clip_matches_polygon_clip(keep):
+    box = BoundingBox(Fraction(-7, 2), -3, 5, Fraction(9, 4))
+    poly = box.polygon()
+    third = Fraction(1, 3)
+    lines = [(1, 0, c) for c in (-4, Fraction(-7, 2), -1, third, 5, 6)]
+    lines += [(-2, 0, 2 * c) for c in (-1, third)]  # the same lines, negated
+    lines += [(0, 1, c) for c in (-4, -3, third, Fraction(9, 4), 3)]
+    lines += [(0, Fraction(-1, 2), c / -2) for c in (-1, third)]
+    for a, b, c in lines:
+        cut = box.clip_halfplane(a, b, c, keep)
+        ref = poly.clip_halfplane(a, b, c, keep)
+        if ref is None:
+            assert cut is None, (a, b, c)
+            continue
+        assert isinstance(cut, BoundingBox)
+        got = cut.polygon().vertices
+        assert all(isinstance(v, Fraction) for xy in got for v in xy)
+        if a == 0 and b * keep > 0:
+            # cut by a horizontal line keeping the upper side: the same
+            # corners, but polygon() starts at the lower-left one
+            assert got == _rotated_to(ref.vertices, got[0]), (a, b, c)
+        else:
+            assert got == ref.vertices, (a, b, c)
+    # a cut that misses the box keeps all of it, or none of it
+    assert box.clip_halfplane(1, 0, 6, keep) == (box if keep == -1 else None)
+    # an oblique line falls back to the polygon clip
+    oblique = box.clip_halfplane(1, 1, third, keep)
+    assert isinstance(oblique, ConvexPolygon)
+    assert oblique == poly.clip_halfplane(1, 1, third, keep)
+    with pytest.raises(GeomatchError):
+        box.clip_halfplane(1, 0, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # shear
 

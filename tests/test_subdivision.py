@@ -300,6 +300,49 @@ def test_box_pruned_ray_search_in_fraction_clipped_region():
         _assert_replayed(m, region, geo, rays, infinite=False)
 
 
+def test_box_cut_region_extends_as_its_polygon_cut():
+    # a box cut by a vertical or horizontal line is a box, which extend
+    # classifies by integer comparisons; the cells, vertex cells and termini
+    # are those of the same cut made as a ConvexPolygon, and only
+    # went_to_infinity differs: on the box it is true wherever a ray stopped
+    # on the region boundary, the cut edge included
+    rng = Random(41)
+    on_cut = 0
+    for factor in (1, Fraction(1, 3)):
+        for _ in range(5):
+            base = random_general_pointset(rng, 20)
+            ps = PointSet.from_coords([(p.x * factor, p.y * factor) for p in base])
+            m = Matching(ps, random_ncpm_edges(ps, rng), check=False)
+            box = BoundingBox.around(ps)
+            xs = sorted({p.x for p in ps})
+            ys = sorted({p.y for p in ps})
+            for a, b, c in ((1, 0, (xs[9] + xs[10]) / 2), (0, 1, (ys[7] + ys[8]) / 2)):
+                for keep in (1, -1):
+                    cut = box.clip_halfplane(a, b, c, keep)
+                    poly = box.polygon().clip_halfplane(a, b, c, keep)
+                    assert isinstance(cut, BoundingBox)
+                    rays = [
+                        (s, i) for s in m.sorted_edges() for i in s.ids
+                        if box_strictly_contains(cut, ps.coord(i))
+                    ]
+                    geo_box, sub_box = extend(m, cut, rays)
+                    geo_poly, sub_poly = extend(m, poly, rays)
+                    assert sub_box.vertex_cells == sub_poly.vertex_cells
+                    assert [p.vertices for p in sub_box.cells] == [
+                        p.vertices for p in sub_poly.cells
+                    ]
+                    assert geo_box.rays.frame_termini() == geo_poly.rays.frame_termini()
+                    replay = replay_extensions(m, poly, geo_poly)
+                    for r_box, r_poly, (terminus, hit_boundary) in zip(
+                        geo_box.rays, geo_poly.rays, replay
+                    ):
+                        assert r_box.terminus == r_poly.terminus == terminus
+                        assert r_box.went_to_infinity == hit_boundary
+                        assert not r_poly.went_to_infinity
+                        on_cut += hit_boundary and (a * terminus[0] + b * terminus[1] == c)
+    assert on_cut > 0
+
+
 def test_collinear_wall_rule_ignores_where_the_feature_lies():
     # a ray along the line of another wall is degenerate even when that wall
     # lies behind the ray; a wall that receives no ray is not checked
