@@ -6,8 +6,9 @@ anywhere.  A :class:`PointSet` caches its coordinates scaled to a common
 integer grid, which keeps the hot predicates in (arbitrary-precision)
 integer arithmetic instead of `Fraction` arithmetic.  Blockers (matching
 edges, extension rays) live in that grid as homogeneous integer triples, so
-blocker visibility (:func:`crosses_any_blocker`) is integer arithmetic too;
-:func:`segments_cross_coords` stays the reference it must agree with.
+blocker visibility (:func:`crosses_any_blocker`) is integer arithmetic too,
+and hands each touch to :func:`segments_cross_coords`, which keeps the
+touch rules.
 :func:`frame_blocker_table` builds the blocker table from endpoint triples,
 as the constructions hand them over (points of the set as ``(ix, iy, 1)``,
 ray termini as ``extend`` computed them), so no blocker coordinate passes
@@ -118,7 +119,10 @@ def segments_cross_coords(p: Coord, q: Coord, r: Coord, s: Coord) -> bool:
 # relative to the integer line through a candidate edge is one more dot
 # product.  Every sign equals the matching ``orient`` sign of
 # :func:`segments_cross_coords`: scaling a row of the orientation
-# determinant by W > 0, or all points by ``_scale``, keeps its sign.
+# determinant by W > 0, or all points by ``_scale``, keeps its sign.  A
+# touch (some sign zero, no shared endpoint proven) goes to
+# :func:`segments_cross_coords` itself, on the candidate and the blocker
+# scaled to one integer frame, so its touch rules live in one place.
 
 
 def frame_blocker_table(blockers: Iterable[tuple[Triple, Triple]]) -> tuple[tuple, ...]:
@@ -145,37 +149,6 @@ def frame_blocker_table(blockers: Iterable[tuple[Triple, Triple]]) -> tuple[tupl
             S,
         ))
     return tuple(table)
-
-
-def _straddles(u: int, v: int) -> bool:
-    # whether 0 lies in the closed interval spanned by u and v
-    return not ((u > 0 and v > 0) or (u < 0 and v < 0))
-
-
-def _blocker_contact(px, py, qx, qy, v1, v2, v3, v4, R, S) -> bool:
-    # The touch rules of segments_cross_coords, in integers: an endpoint
-    # whose orientation value v is zero touches the other segment iff it
-    # lies in that segment's closed bounding box.
-    (xr, yr, wr), (xs, ys, ws) = R, S
-    P, Q = (px, py, 1), (qx, qy, 1)
-    touch = set()
-    for (x, y), v in (((px, py), v1), ((qx, qy), v2)):
-        if v == 0 and _straddles(xr - x * wr, xs - x * ws) and _straddles(
-            yr - y * wr, ys - y * ws
-        ):
-            touch.add((x, y, 1))
-    for (x, y, w), v in ((R, v3), (S, v4)):
-        if v == 0 and _straddles(x - px * w, x - qx * w) and _straddles(
-            y - py * w, y - qy * w
-        ):
-            touch.add((x, y, w))
-    if not touch:
-        return False
-    if len(touch) == 1:
-        z = touch.pop()
-        return not ((z == P or z == Q) and (z == R or z == S))
-    # Two or more touch points: a collinear overlap of positive length.
-    return True
 
 
 def crosses_any_blocker(p: tuple[int, int], q: tuple[int, int], table: Sequence[tuple]) -> bool:
@@ -208,7 +181,14 @@ def crosses_any_blocker(p: tuple[int, int], q: tuple[int, int], table: Sequence[
             # one endpoint of each on the other's (distinct) line: both
             # are the lines' single common point, a shared endpoint
             continue
-        if _blocker_contact(px, py, qx, qy, v1, v2, v3, v4, R, S):
+        # a touch: the reference predicate decides it on the two segments
+        # scaled by W = wr * ws > 0, which keeps every sign, box test and
+        # point equality
+        (xr, yr, wr), (xs, ys, ws) = R, S
+        W = wr * ws
+        if segments_cross_coords(
+            (px * W, py * W), (qx * W, qy * W), (xr * ws, yr * ws), (xs * wr, ys * wr)
+        ):
             return True
     return False
 
@@ -556,6 +536,11 @@ def validate_general_position(ps: PointSet) -> None:
 # convex polygons, boxes, hulls
 
 
+def _upper(dx, dy) -> bool:
+    # whether direction (dx, dy) lies in the half-open upper half-plane
+    return dy > 0 or (dy == 0 and dx > 0)
+
+
 class ConvexPolygon:
     """A strictly convex polygon; vertices in counter-clockwise order."""
 
@@ -566,14 +551,19 @@ class ConvexPolygon:
         if len(verts) < 3:
             raise GeomatchError("a convex polygon needs at least 3 vertices")
         m = len(verts)
+        # every corner turns left, by less than a half turn, so the edge
+        # directions wind around k >= 1 times and leave the upper half-plane
+        # (dy > 0, or dy == 0 < dx) k times; a convex polygon has k == 1, a
+        # star more
+        lefts = leaves = 0
         for i in range(m):
             ax, ay = verts[i]
             bx, by = verts[(i + 1) % m]
             cx, cy = verts[(i + 2) % m]
-            if orient(ax, ay, bx, by, cx, cy) <= 0:
-                raise GeomatchError(
-                    "polygon vertices are not in strictly convex CCW order"
-                )
+            lefts += orient(ax, ay, bx, by, cx, cy) > 0
+            leaves += _upper(bx - ax, by - ay) and not _upper(cx - bx, cy - by)
+        if lefts < m or leaves != 1:
+            raise GeomatchError("polygon vertices are not in strictly convex CCW order")
         self.vertices = verts
 
     @classmethod
@@ -598,10 +588,6 @@ class ConvexPolygon:
     def __len__(self):
         return len(self.vertices)
 
-    def edges(self) -> list[tuple[Coord, Coord]]:
-        v = self.vertices
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-
     def clip_halfplane(self, a: Fraction, b: Fraction, c: Fraction, keep: int):
         """Intersect with the halfplane sign(a*x + b*y - c) in {0, keep}.
 
@@ -611,65 +597,25 @@ class ConvexPolygon:
         a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
         if keep not in (1, -1):
             raise GeomatchError("keep must be +1 or -1")
-        # Work on integers: the vertices scaled by the lcm D of their
-        # denominators, the line by the lcm L of its own.  Every point is a
-        # homogeneous triple (X, Y, W), W > 0, and the line value
-        # A*X + B*Y - C*W is L*D*W times a*x + b*y - c, so its sign agrees.
         v = self.vertices
         m = len(v)
-        D = math.lcm(*(t.denominator for pt in v for t in pt))
-        L = math.lcm(a.denominator, b.denominator, c.denominator)
-        A, B, C = (t.numerator * (L // t.denominator) for t in (a, b, c))
-        tri = [
-            (x.numerator * (D // x.denominator), y.numerator * (D // y.denominator), D)
-            for x, y in v
-        ]
-        vals = [sign(A * X + B * Y - C * D) * keep for X, Y, _ in tri]
-        out: list[tuple[Coord, tuple[int, int, int]]] = []  # (coord, triple)
+        vals = [sign(a * x + b * y - c) * keep for x, y in v]
+        out: list[Coord] = []
         for i in range(m):
+            (px, py), (qx, qy) = v[i], v[(i + 1) % m]
             sp, sq = vals[i], vals[(i + 1) % m]
             if sp >= 0:
-                out.append((v[i], tri[i]))
+                out.append(v[i])
             if sp * sq < 0:
-                # exact intersection of edge pq with the line, at parameter
-                # t = tn / td along pq
-                PX, PY, _ = tri[i]
-                QX, QY, _ = tri[(i + 1) % m]
-                td = A * (QX - PX) + B * (QY - PY)
-                tn = C * D - A * PX - B * PY
-                if td < 0:
-                    tn, td = -tn, -td
-                X = PX * td + tn * (QX - PX)
-                Y = PY * td + tn * (QY - PY)
-                W = td * D
-                out.append(((Fraction(X, W), Fraction(Y, W)), (X, Y, W)))
-        # drop repeated and collinear vertices
-        dedup: list[tuple[Coord, tuple[int, int, int]]] = []
-        for item in out:
-            if not dedup or item[0] != dedup[-1][0]:
-                dedup.append(item)
-        if len(dedup) > 1 and dedup[0][0] == dedup[-1][0]:
-            dedup.pop()
-        final: list[Coord] = []
-        m2 = len(dedup)
-        for i in range(m2):
-            ax_, ay_, aw = dedup[(i - 1) % m2][1]
-            pt, (bx_, by_, bw) = dedup[i]
-            cx_, cy_, cw = dedup[(i + 1) % m2][1]
-            # the 3x3 determinant of three homogeneous points with positive
-            # weights has the sign of their orientation
-            det = (
-                ax_ * (by_ * cw - bw * cy_)
-                - ay_ * (bx_ * cw - bw * cx_)
-                + aw * (bx_ * cy_ - by_ * cx_)
-            )
-            if det != 0:
-                final.append(pt)
-        if len(final) < 3:
+                # edge pq crosses the line at parameter t, strictly inside
+                t = (c - a * px - b * py) / (a * (qx - px) + b * (qy - py))
+                out.append((px + t * (qx - px), py + t * (qy - py)))
+        # a line meets a strictly convex polygon's boundary in at most two
+        # points or along one edge, so the kept corners are strictly convex
+        # CCW as they stand, and fewer than three leave no interior
+        if len(out) < 3:
             return None
-        # clipping a strictly convex CCW polygon yields one, and the loop
-        # above already removed duplicate / collinear vertices exactly
-        return ConvexPolygon._unchecked(tuple(final))
+        return ConvexPolygon._unchecked(tuple(out))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ the ray's box is skipped before any cross product is formed.
 
 Unless ``partial``, every node of the subdivision is numbered when it is
 made: the region corners and the in-region matching vertices before any ray
-is placed, each ray terminus when its ray is placed, and each point where a
-wall leaves the region when the walls are clipped (unless a ray of that wall
-already stopped there).  Each feature maps the parameters of its nodes to
-their ids, so its edgelets link its nodes in parameter order, and nodes are
-never found again by their coordinates.  Certificates catch a node that
+is placed, each ray terminus when its ray is placed, and then each point
+where a segment with an endpoint outside the region leaves it (every other
+wall end is a ray terminus).  Each feature maps the parameters of its nodes
+to their ids, so its edgelets link its nodes in parameter order, and nodes
+are never found again by their coordinates.  Certificates catch a node that
 should have been merged and was not: at most three edgelets per node,
 exactly one non-convex face, Euler's formula and the cell count.
 
@@ -271,10 +271,6 @@ def _norm(n: int, d: int) -> tuple[int, int]:
     return (n // g, d // g)
 
 
-def _plt(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] * b[1] < b[0] * a[1]
-
-
 def _pcmp(a: tuple[int, int], b: tuple[int, int]) -> int:
     return a[0] * b[1] - b[0] * a[1]
 
@@ -472,8 +468,8 @@ def extend(
     # Unless partial, nodes are numbered as they are made: the region
     # corners and the in-region matching vertices here, each ray terminus
     # when its ray is placed (node t0 + k for ray k), and each point where a
-    # wall leaves the region when the walls are clipped.  node_pts holds
-    # them as homogeneous integer triples (X, Y, W), W > 0, in frame units.
+    # wall leaves the region once the rays are placed.  node_pts holds them
+    # as homogeneous integer triples (X, Y, W), W > 0, in frame units.
     node_pts: list[Triple] = []
     vertex_node: dict[int, int] = {}
     if not partial:
@@ -596,45 +592,29 @@ def extend(
         return geometry, None
     node_pts += [(x, y, w) for _, _, x, y, w, _ in placed]
 
-    # clip every wall to the region; where a wall leaves it, the node on the
-    # boundary is the wall's own ray terminus if a ray stopped there, else a
-    # new one
+    # every in-region endpoint was extended, so a wall ends at a ray
+    # terminus unless that end lies outside the region: then the wall leaves
+    # the region through the interior of an edge that has the outside end on
+    # its outer side, at a new node (a ray landing there would have met the
+    # wall and the edge at once)
     for f in walls:
-        dx, dy = f.direction()
-        crossings = []
-        for ei, g in enumerate(boundary):
-            ex, ey = g.direction()
+        a, b, c = carrier[f]
+        if any(a * x + b * y + c == 0 for x, y in reg):
+            raise DegenerateIncidence("a segment line passes through a region corner")
+        mask = outside[f.seg.a] | outside[f.seg.b]  # one end at most
+        for k, g in enumerate(boundary):
+            if not mask >> k & 1:
+                continue
             fx, fy = f.ax - g.ax, f.ay - g.ay
-            denom = _cross(dx, dy, ex, ey)
-            if denom == 0:
-                continue
-            tn, td = _cross(ex, ey, fx, fy), denom
-            un, ud = _cross(dx, dy, fx, fy), denom
-            if td < 0:
-                tn, td = -tn, -td
-            if ud < 0:
-                un, ud = -un, -ud
-            if un <= 0 or un >= ud:  # not an interior crossing of this edge
-                if un == 0 or un == ud:
-                    raise DegenerateIncidence("a segment line passes through a region corner")
-                continue
-            crossings.append((_norm(tn, td), g, _norm(un, ud)))
-        if len(crossings) != 2:
-            raise InvariantViolation("a wall line must cross the region boundary twice")
-        (c1, g1, u1), (c2, g2, u2) = crossings
-        if _plt(c2, c1):
-            (c1, g1, u1), (c2, g2, u2) = (c2, g2, u2), (c1, g1, u1)
-        final_lo = f.lo if _plt(c1, f.lo) else c1
-        final_hi = f.hi if _plt(f.hi, c2) else c2
-        if not _plt(final_lo, final_hi):
-            raise InvariantViolation("wall has empty extent inside the region")
-        for end, c, g, u in ((final_lo, c1, g1, u1), (final_hi, c2, g2, u2)):
-            if end == c:
-                nid = g.nodes.get(u)
-                if nid is None:
-                    nid = g.nodes[u] = len(node_pts)
-                    node_pts.append(f.point(c))
-                f.nodes[c] = nid
+            d = _cross(f.dx, f.dy, g.dx, g.dy)
+            tn, un = _cross(g.dx, g.dy, fx, fy), _cross(f.dx, f.dy, fx, fy)
+            if d < 0:
+                d, tn, un = -d, -tn, -un
+            if 0 < un < d:
+                t = _norm(tn, d)
+                f.nodes[t] = g.nodes[_norm(un, d)] = len(node_pts)
+                node_pts.append(f.point(t))
+                break
 
     # build the node/edgelet graph of the finished structure: every node on
     # a feature lies within its final extent, so linking each feature's

@@ -337,6 +337,12 @@ def polygon_area2(poly) -> Fraction:
     return total
 
 
+def polygon_edges(poly):
+    """The edges of a ``ConvexPolygon`` as (corner, next corner) pairs."""
+    v = poly.vertices
+    return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+
+
 def polygon_contains(poly, pt, strict: bool = False) -> bool:
     x, y = Fraction(pt[0]), Fraction(pt[1])
     lo = 1 if strict else 0
@@ -414,7 +420,7 @@ def replay_extensions(m, region_poly, geometry):
         # collinear candidates (its own base segment) drop out via denom == 0
         candidates = [(p, q, False) for _s, p, q in base]
         candidates += [(p, q, False) for p, q in placed]
-        candidates += [(p, q, True) for p, q in region_poly.edges()]
+        candidates += [(p, q, True) for p, q in polygon_edges(region_poly)]
         best = None
         best_boundary = None
         for (px, py), (qx, qy), is_bnd in candidates:

@@ -5,7 +5,12 @@ Runs ``transform``, ``four_fifths_matching``, ``crossings_matchings``,
 ``has_disjoint_compatible_pm``, ``enumerate_ncpm`` and ``visibility_graph``
 on fixed seeds: random general-position matchings, axis-parallel and
 convex-hull-connected ones, the odd counterexample families and matchings of
-small integer grids (collinear points, vertical segments).  Each result, or
+small integer grids (collinear points, vertical segments).  On the same
+matchings it records the region geometry that those results hide:
+``subdivision.extend`` (every ray terminus and ``went_to_infinity``, every
+cell corner and ``vertex_cells``) on the box around the points, on the box
+cut by a vertical line and on the box cut by an oblique line, and
+``halfplane_matching`` on each side of that oblique line.  Each result, or
 each ``GeomatchError`` as class and message, is one record; the script
 prints ``<records> <sha256>`` over all of them.  Two trees that print the
 same line give the same outputs and raise the same errors on these inputs,
@@ -33,11 +38,11 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from geomatch import algorithms, oracle  # noqa: E402
+from geomatch import algorithms, oracle, subdivision  # noqa: E402
 from geomatch.algorithms import Flavor  # noqa: E402
 from geomatch.errors import GeomatchError  # noqa: E402
-from geomatch.geom_core import Matching, PointSet, Segment  # noqa: E402
-from helpers import random_ncpm_edges  # noqa: E402
+from geomatch.geom_core import BoundingBox, Matching, PointSet, Segment  # noqa: E402
+from helpers import polygon_contains, random_ncpm_edges  # noqa: E402
 
 SEEDS = range(10)
 
@@ -91,6 +96,25 @@ def instances():
         yield f"grid:{trial}", m, catalog[rng.randrange(len(catalog))]
 
 
+def extension(m: Matching, cut):
+    """``extend`` on the box around the points, or on the box cut by the
+    line ``(a, b, c, keep)``, with a ray beyond every endpoint inside."""
+    region = BoundingBox.around(m.base)
+    if cut is not None:
+        region = region.clip_halfplane(*cut)
+    poly = region.polygon() if isinstance(region, BoundingBox) else region
+    rays = [
+        (s, i) for s in m.sorted_edges() for i in s.ids
+        if polygon_contains(poly, m.base.coord(i), strict=True)
+    ]
+    geo, sub = subdivision.extend(m, region, rays)
+    return [
+        [(r.terminus, r.went_to_infinity) for r in geo.rays],
+        [c.vertices for c in sub.cells],
+        sorted(sub.vertex_cells.items()),
+    ]
+
+
 def outcomes(m: Matching, other):
     def four_fifths():
         r = algorithms.four_fifths_matching(m)
@@ -104,6 +128,17 @@ def outcomes(m: Matching, other):
         "has_disjoint_compatible_pm": lambda: oracle.has_disjoint_compatible_pm(m),
         "visibility_graph": lambda: [oracle.visibility_graph(m, f) for f in (False, True)],
     }
+    # a vertical and a steep oblique line near the middle of the points
+    mid = sorted(p.x for p in m.base)[len(m.base) // 2]
+    vertical = (1, 0, mid + Fraction(1, 3))
+    oblique = (Fraction(2), Fraction(-1, 5), 2 * mid + Fraction(1, 3))
+    calls["extend:box"] = lambda: extension(m, None)
+    for keep in (1, -1):
+        calls[f"extend:vertical:{keep}"] = lambda keep=keep: extension(m, (*vertical, keep))
+        calls[f"extend:oblique:{keep}"] = lambda keep=keep: extension(m, (*oblique, keep))
+        calls[f"halfplane_matching:oblique:{keep}"] = lambda keep=keep: (
+            algorithms.halfplane_matching(m, oblique, keep)
+        )
     if other is not None:
         calls["transform"] = lambda: algorithms.transform(m, other)
     if len(m.base) <= 12:

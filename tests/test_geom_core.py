@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cmp_to_key
 from random import Random
 
 import pytest
@@ -41,6 +42,7 @@ from helpers import (
     brute_union_noncrossing,
     polygon_area2,
     polygon_contains,
+    polygon_edges,
     random_general_pointset,
     random_matching_pair,
     random_ncpm_edges,
@@ -420,6 +422,11 @@ def test_polygon_requires_strict_ccw():
         ConvexPolygon([(0, 0), (0, 1), (1, 1), (1, 0)])  # clockwise
     with pytest.raises(GeomatchError):
         ConvexPolygon([(0, 0), (1, 0), (2, 0), (1, 1)])  # collinear run
+    with pytest.raises(GeomatchError) as ei:
+        # a convex pentagon's corners in star order: every corner turns left
+        ConvexPolygon([(0, 10), (-6, -8), (10, 3), (-10, 3), (6, -8)])
+    assert str(ei.value) == "polygon vertices are not in strictly convex CCW order"
+    ConvexPolygon([(0, 10), (-10, 3), (-6, -8), (6, -8), (10, 3)])
 
 
 def test_polygon_contains():
@@ -427,6 +434,88 @@ def test_polygon_contains():
     assert polygon_contains(square, (2, 2), strict=True)
     assert polygon_contains(square, (0, 2)) and not polygon_contains(square, (0, 2), strict=True)
     assert not polygon_contains(square, (5, 2))
+
+
+def _convex_polygon(points):
+    """The strictly convex CCW polygon on the hull corners of some points,
+    or None when they are collinear."""
+    pts = sorted(set(points))
+    hull = [pts[i] for i in brute_hull_ids(pts)]
+    # a hull point strictly between two others is on an edge, not a corner
+    corners = [
+        p for p in hull
+        if not any(
+            brute_orient(q, p, r) == 0 and min(q, r) < p < max(q, r)
+            for q in hull for r in hull
+        )
+    ]
+    if len(corners) < 3:
+        return None
+    low = min(corners, key=lambda p: (p[1], p[0]))
+    rest = sorted(
+        (p for p in corners if p != low),
+        key=cmp_to_key(lambda p, q: -brute_orient(low, p, q)),
+    )
+    return ConvexPolygon([low] + rest)
+
+
+_grid = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=9
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _grid,
+    st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(2, 5)]),
+    st.sampled_from(["corner", "edge", "two corners", "miss", "any"]),
+    st.integers(0, 100),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+)
+def test_polygon_clip_properties(cells, unit, kind, pick, far):
+    poly = _convex_polygon([(x * unit, y * unit) for x, y in cells])
+    if poly is None:
+        return
+    v = poly.vertices
+    m = len(v)
+    corner = v[pick % m]
+    p, q = {
+        "corner": (corner, (far[0] * unit / 2, far[1] * unit / 2)),
+        "edge": (corner, v[(pick + 1) % m]),
+        "two corners": (corner, v[(pick + 2) % m]),
+        "miss": (None, None),
+        "any": ((Fraction(far[1], 5), Fraction(-far[0], 2)), (Fraction(far[0], 7), unit)),
+    }[kind]
+    if p is None:
+        # a line beside the polygon, normal to the direction far
+        a, b = far if far != (0, 0) else (1, 0)
+        c = max(a * x + b * y for x, y in v) + 1
+    elif p == q:
+        return
+    else:
+        a, b = q[1] - p[1], p[0] - q[0]
+        c = a * p[0] + b * p[1]
+    area = Fraction(0)
+    for keep in (1, -1):
+        side = [keep * (a * x + b * y - c) for x, y in v]
+        got = poly.clip_halfplane(a, b, c, keep)
+        assert (got is None) == (max(side) <= 0)
+        if got is None:
+            continue
+        assert ConvexPolygon(got.vertices).vertices == got.vertices
+        area += polygon_area2(got)
+        for x, y in got.vertices:
+            if (x, y) in v:
+                assert side[v.index((x, y))] >= 0
+            else:
+                assert a * x + b * y == c
+                assert any(
+                    brute_orient(s, t, (x, y)) == 0
+                    and min(s[0], t[0]) <= x <= max(s[0], t[0])
+                    and min(s[1], t[1]) <= y <= max(s[1], t[1])
+                    for s, t in polygon_edges(poly)
+                )
+    assert area == polygon_area2(poly)
 
 
 def test_polygon_halfplane_clip():

@@ -547,3 +547,20 @@ def test_user_box_error_messages():
     with pytest.raises(SegmentOutsideRegionRule) as ei:
         extend(m, BoundingBox(Fraction(1, 2), -1, Fraction(3, 2), 5), [])
     assert str(ei.value) == "Segment(a=0, b=1) crosses the region but has no endpoint inside"
+
+
+def test_corner_rule_holds_for_a_wall_that_never_reaches_the_corner():
+    # the line of segment 0-1 is the box's diagonal, but both rays of 0-1
+    # stop on the other two segments long before either corner; the wall's
+    # line through a corner is still degenerate, on the box and its polygon
+    ps = PointSet.from_coords([(4, 4), (6, 6), (8, 14), (14, 8), (1, 4), (4, 1)])
+    m = Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5)])
+    box = BoundingBox(0, 0, 20, 20)
+    rays = both_ways_rays(m.sorted_edges())
+    geo, _ = extend(m, box, rays, partial=True)
+    diagonal = {r.terminus for r in geo.rays if r.segment == Segment(0, 1)}
+    assert diagonal == {(Fraction(5, 2), Fraction(5, 2)), (11, 11)}
+    for region in (box, box.polygon()):
+        with pytest.raises(DegenerateIncidence) as ei:
+            extend(m, region, rays)
+        assert str(ei.value) == "a segment line passes through a region corner"
