@@ -729,6 +729,33 @@ class Flavor:
     ALL = (GENERAL, AXIS_PARALLEL, CHC)
 
 
+def _ccw_around(ps: PointSet, anchor: int, rest: list[int]) -> list[int]:
+    """``rest`` in counter-clockwise order around the lowest point ``anchor``.
+
+    Every point of ``rest`` lies above the anchor or to its right on its
+    level, so ``-cot`` of its angle, ``(ax - x) / (y - ay)`` (``-inf`` on
+    the level), increases counter-clockwise.  ``int / int`` is correctly
+    rounded, so the float sort is monotone; one cross product per adjacent
+    pair confirms a strict turn, and a float tie, a point collinear with the
+    anchor or a quotient too large for a float falls back to the exact
+    sort of ``rest`` as given.
+    """
+    ix, iy = ps._ix, ps._iy
+    ax, ay = ix[anchor], iy[anchor]
+    try:
+        order = sorted(
+            rest, key=lambda i: (ax - ix[i]) / (iy[i] - ay) if iy[i] != ay else -math.inf
+        )
+    except OverflowError:
+        order = None
+    if order is not None and all(
+        (ix[i] - ax) * (iy[j] - ay) > (iy[i] - ay) * (ix[j] - ax)
+        for i, j in zip(order, order[1:])
+    ):
+        return order
+    return sorted(rest, key=functools.cmp_to_key(lambda i, j: -ps.orient_ids(anchor, i, j)))
+
+
 def _random_ncpm(ps: PointSet, rng: random.Random, ids: Optional[list[int]] = None) -> set[Segment]:
     if ids is None:
         ids = list(ps.ids)
@@ -736,9 +763,9 @@ def _random_ncpm(ps: PointSet, rng: random.Random, ids: Optional[list[int]] = No
         return set()
     if len(ids) == 2:
         return {Segment(ids[0], ids[1])}
-    anchor = min(ids, key=lambda i: (ps.coord(i)[1], ps.coord(i)[0]))
-    rest = [i for i in ids if i != anchor]
-    rest.sort(key=functools.cmp_to_key(lambda i, j: -ps.orient_ids(anchor, i, j)))
+    ix, iy = ps._ix, ps._iy
+    anchor = min(ids, key=lambda i: (iy[i], ix[i]))
+    rest = _ccw_around(ps, anchor, [i for i in ids if i != anchor])
     k = rng.randrange((len(rest) + 1) // 2) * 2
     out = {Segment(anchor, rest[k])}
     out |= _random_ncpm(ps, rng, rest[:k])

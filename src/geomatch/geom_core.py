@@ -257,27 +257,30 @@ class PointSet:
 
     def __init__(self, points: Sequence[Point]):
         pts = tuple(points)
-        seen: dict[Coord, int] = {}
-        for idx, p in enumerate(pts):
+        dens = [p.x.denominator for p in pts] + [p.y.denominator for p in pts]
+        scale = math.lcm(*dens) if dens else 1
+        ix = [p.x.numerator * (scale // p.x.denominator) for p in pts]
+        iy = [p.y.numerator * (scale // p.y.denominator) for p in pts]
+        # equal coordinates scale to equal integers, so the duplicate check
+        # hashes integer pairs, in index order with the id check
+        seen: dict[tuple[int, int], int] = {}
+        for idx, (p, key) in enumerate(zip(pts, zip(ix, iy))):
             if p.id != idx:
                 raise GeomatchError(
                     f"point ids must be dense 0..n-1 (found id {p.id} at index {idx})"
                 )
-            prev = seen.get(p.coord)
-            if prev is not None:
+            prev = seen.setdefault(key, idx)
+            if prev != idx:
                 raise DuplicatePoint(prev, idx)
-            seen[p.coord] = idx
         self.points = pts
-        dens = [p.x.denominator for p in pts] + [p.y.denominator for p in pts]
-        scale = math.lcm(*dens) if dens else 1
         self._scale = scale
-        self._ix = [int(p.x * scale) for p in pts]
-        self._iy = [int(p.y * scale) for p in pts]
+        self._ix = ix
+        self._iy = iy
         self._hash = hash(tuple((p.x, p.y) for p in pts))
 
     @classmethod
     def from_coords(cls, coords: Iterable[tuple]) -> "PointSet":
-        return cls([Point(as_scalar(x), as_scalar(y), i) for i, (x, y) in enumerate(coords)])
+        return cls([Point(x, y, i) for i, (x, y) in enumerate(coords)])
 
     def __len__(self) -> int:
         return len(self.points)
@@ -508,16 +511,35 @@ def disjoint(m1: Matching, m2: Matching) -> bool:
 
 
 def validate_general_position(ps: PointSet) -> None:
-    """Raise CollinearTriple / DuplicatePoint unless no three points are collinear.
+    """Raise CollinearTriple unless no three points are collinear.
 
-    Runs in O(n^2) by hashing the normalised direction from each anchor point
-    to every later point; two equal directions witness a collinear triple.
+    Runs in O(n^2).  From each anchor point ``i`` the later points get the
+    float slope ``dy / dx`` of their direction (``inf`` when vertical).
+    ``int / int`` is correctly rounded, so equal directions give equal
+    floats, and when the anchor's slopes are all distinct no two later
+    points are collinear with it.  Only an anchor with a float collision
+    (or a slope too large for a float) gets the exact pass: it hashes the
+    gcd-normalised integer direction to every later point, and the first
+    repeated direction names the triple ``(i, j, k)``.  A collision between
+    distinct slopes passes that check, so the answer and the triple are
+    those of the exact pass alone.
     """
     ix, iy = ps._ix, ps._iy
     n = len(ps)
+    inf = math.inf
     for i in range(n):
-        seen: dict[tuple[int, int], int] = {}
         xi, yi = ix[i], iy[i]
+        try:
+            keys = [
+                (y - yi) / (x - xi) if x != xi else inf
+                for x, y in zip(ix[i + 1 :], iy[i + 1 :])
+            ]
+        except OverflowError:
+            pass
+        else:
+            if len(set(keys)) == len(keys):
+                continue
+        seen: dict[tuple[int, int], int] = {}
         for j in range(i + 1, n):
             dx = ix[j] - xi
             dy = iy[j] - yi

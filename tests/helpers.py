@@ -134,28 +134,34 @@ def random_general_pointset(rng: Random, n: int, grid: int = 10**6) -> PointSet:
         pts = [(rng.randrange(grid), rng.randrange(grid)) for _ in range(n)]
         if len(set(pts)) < n:
             continue
-        if _has_collinear(pts):
-            continue
-        return PointSet.from_coords(pts)
+        ps = PointSet.from_coords(pts)
+        if naive_collinear_triple(ps) is None:
+            return ps
 
 
-def _has_collinear(pts):
-    n = len(pts)
-    for i in range(n):
-        seen = set()
-        for j in range(i + 1, n):
-            dx = pts[j][0] - pts[i][0]
-            dy = pts[j][1] - pts[i][1]
-            from math import gcd
+def naive_collinear_triple(ps: PointSet):
+    """The collinear triple ``validate_general_position`` must name, or None.
 
-            g = gcd(dx, dy)
+    The exact pass on every anchor, with no float filter: from each point i
+    the gcd-normalised integer direction to every later point j is hashed,
+    and the first repeated direction gives ``(i, j0, j)`` with j0 the first
+    point in that direction.
+    """
+    coords = [ps.coord(i) for i in ps.ids]
+    scale = math.lcm(*(v.denominator for c in coords for v in c)) if coords else 1
+    pts = [(int(x * scale), int(y * scale)) for x, y in coords]
+    for i, (xi, yi) in enumerate(pts):
+        seen: dict[tuple[int, int], int] = {}
+        for j in range(i + 1, len(pts)):
+            dx, dy = pts[j][0] - xi, pts[j][1] - yi
+            g = math.gcd(dx, dy)
             dx, dy = dx // g, dy // g
             if dx < 0 or (dx == 0 and dy < 0):
                 dx, dy = -dx, -dy
             if (dx, dy) in seen:
-                return True
-            seen.add((dx, dy))
-    return False
+                return (i, seen[(dx, dy)], j)
+            seen[(dx, dy)] = j
+    return None
 
 
 def random_ncpm_edges(ps: PointSet, rng: Random, ids=None):

@@ -1,6 +1,9 @@
 """Output-hash dump of the public constructions on fixed instances.
 
-Runs ``transform``, ``four_fifths_matching``, ``crossings_matchings``,
+Records the text of every instance (``fileio.dump_instance`` and the
+coordinates in id order) and ``validate_general_position`` on its points,
+with the triple it names on the grids.  Runs ``transform``,
+``four_fifths_matching``, ``crossings_matchings``,
 ``chc_disjoint_matching``, ``hv_disjoint_matching``,
 ``has_disjoint_compatible_pm``, ``enumerate_ncpm`` and ``visibility_graph``
 on fixed seeds: random general-position matchings, axis-parallel and
@@ -38,10 +41,16 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from geomatch import algorithms, oracle, subdivision  # noqa: E402
+from geomatch import algorithms, fileio, oracle, subdivision  # noqa: E402
 from geomatch.algorithms import Flavor  # noqa: E402
 from geomatch.errors import GeomatchError  # noqa: E402
-from geomatch.geom_core import BoundingBox, Matching, PointSet, Segment  # noqa: E402
+from geomatch.geom_core import (  # noqa: E402
+    BoundingBox,
+    Matching,
+    PointSet,
+    Segment,
+    validate_general_position,
+)
 from helpers import polygon_contains, random_ncpm_edges  # noqa: E402
 
 SEEDS = range(10)
@@ -121,6 +130,8 @@ def outcomes(m: Matching, other):
         return [r.matching, r.n, r.guarantee, r.achieved, r.odd_components, r.colored]
 
     calls = {
+        "instance": lambda: [fileio.dump_instance(m), [p.coord for p in m.base]],
+        "validate_general_position": lambda: validate_general_position(m.base),
         "four_fifths_matching": four_fifths,
         "crossings_matchings": lambda: algorithms.crossings_matchings(m),
         "chc_disjoint_matching": lambda: algorithms.chc_disjoint_matching(m),

@@ -1,8 +1,11 @@
+import functools
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from geomatch import fileio
 from geomatch.algorithms import (
     BLUE,
     GREEN,
@@ -24,6 +27,7 @@ from geomatch.algorithms import (
     transform,
     transform_to_canonical,
     two_trees_search,
+    _ccw_around,
 )
 from geomatch.errors import (
     CollinearTriple,
@@ -653,6 +657,52 @@ def test_gen_random_is_deterministic():
         b = gen_random_matching(4, 12, flavor)
         assert coords_of(a) == coords_of(b)
         assert a.sorted_edges() == b.sorted_edges()
+
+
+def test_gen_random_instances_are_pinned():
+    # the benchmark pools are these outputs; the value was recorded before
+    # the generator's angular sort and the general-position check got their
+    # float filters, which must not change a single instance
+    digest = hashlib.sha256()
+    for flavor in Flavor.ALL:
+        for n in (1, 2, 5, 16, 64):
+            for seed in range(5):
+                text = fileio.dump_instance(gen_random_matching(n, seed, flavor))
+                digest.update(text.encode() + b"|")
+    assert digest.hexdigest() == "67bcf733982cc6ac38ae0c732121aa8c0349d4f1f5cd09117662ef44343d105f"
+
+
+def test_ccw_sort_equals_the_exact_sort(monkeypatch):
+    calls = []
+    exact = PointSet.orient_ids
+    monkeypatch.setattr(
+        PointSet, "orient_ids", lambda ps, i, j, k: calls.append(1) or exact(ps, i, j, k)
+    )
+
+    def check(coords, fallback):
+        ps = PointSet.from_coords(coords)
+        anchor = min(ps.ids, key=lambda i: (ps.coord(i)[1], ps.coord(i)[0]))
+        engaged = False
+        for trial in range(6):
+            rest = [i for i in ps.ids if i != anchor]
+            random.Random(trial).shuffle(rest)
+            want = sorted(rest, key=functools.cmp_to_key(lambda i, j: -exact(ps, anchor, i, j)))
+            calls.clear()
+            assert _ccw_around(ps, anchor, list(rest)) == want
+            engaged |= bool(calls)
+        assert engaged == fallback
+
+    rng = random.Random(3)
+    check([(rng.randrange(10**6), rng.randrange(10**6)) for _ in range(30)], False)
+    # points collinear with the anchor: on its level, and on a ray above it
+    check([(0, 0), (3, 0), (7, 0), (1, 1), (2, 2), (5, 5), (-1, 4), (-2, 8), (4, 1)], True)
+    check([(2, 1), (Fraction(9, 2), 1), (3, 2), (4, 3), (0, 5)], True)
+    # one float key for two directions, -10**18 and -(10**18 + 1): the
+    # stable float sort is right when they come in counter-clockwise order
+    big = 10**18
+    check([(0, 0), (big, 1), (big + 1, 1), (-3, 5)], True)
+    # keys too large for a float
+    check([(0, 0), (-(10**400), 1), (10**400, 1), (1, 1)], True)
 
 
 def test_gen_random_single_segment():

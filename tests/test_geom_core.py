@@ -40,6 +40,7 @@ from helpers import (
     brute_orient,
     brute_segments_cross,
     brute_union_noncrossing,
+    naive_collinear_triple,
     polygon_area2,
     polygon_contains,
     polygon_edges,
@@ -291,6 +292,98 @@ def test_general_position_matches_brute_on_random_sets():
             assert not brute_bad
         except CollinearTriple:
             assert brute_bad
+
+
+def test_pointset_reports_the_first_error_in_index_order():
+    # a bad id before a duplicate, and a duplicate before a bad id
+    with pytest.raises(GeomatchError, match="found id 7 at index 1") as ei:
+        PointSet([Point(0, 0, 0), Point(1, 1, 7), Point(0, 0, 2)])
+    assert not isinstance(ei.value, DuplicatePoint)
+    with pytest.raises(DuplicatePoint) as ei:
+        PointSet([Point(0, 0, 0), Point(1, 1, 1), Point(0, 0, 2), Point(3, 3, 9)])
+    assert (ei.value.i, ei.value.j) == (0, 2)
+
+
+def test_pointset_catches_a_duplicate_spelled_differently():
+    with pytest.raises(DuplicatePoint) as ei:
+        PointSet.from_coords([(Fraction(1, 2), 1), (0, Fraction(1, 3)), ("2/4", "3/3")])
+    assert (ei.value.i, ei.value.j) == (0, 2)
+    ps = PointSet.from_coords([(Fraction(1, 2), 1), ("1/3", 0)])
+    assert (ps._scale, ps._ix, ps._iy) == (6, [3, 2], [6, 0])
+
+
+def library_triple(ps: PointSet):
+    try:
+        validate_general_position(ps)
+    except CollinearTriple as exc:
+        return exc.triple
+    return None
+
+
+def test_general_position_names_the_reference_triple():
+    rng = Random(5)
+    sets = [random_general_pointset(rng, n) for n in (3, 4, 10, 40) for _ in range(3)]
+    for _ in range(150):
+        # small grids: many collinear triples, verticals and horizontals
+        w, h = rng.randrange(2, 7), rng.randrange(2, 7)
+        cells = [(x, y) for x in range(w) for y in range(h)]
+        k = rng.randrange(3, min(len(cells), 12) + 1)
+        sets.append(PointSet.from_coords(rng.sample(cells, k)))
+    bad = 0
+    for ps in sets:
+        for scale in (1, Fraction(1, 3), Fraction(5, 11)):
+            sc = PointSet.from_coords((p.x * scale, p.y * scale) for p in ps)
+            want = naive_collinear_triple(sc)
+            assert library_triple(sc) == want
+            bad += want is not None
+    assert bad > 300
+
+
+def test_general_position_confirms_a_float_slope_collision():
+    # 1 / 10**18 and 1 / (10**18 + 1) are one float but not one slope
+    big = 10**18
+    assert 1 / big == 1 / (big + 1)
+    ps = PointSet.from_coords([(0, 0), (big, 1), (big + 1, 1)])
+    assert library_triple(ps) is None
+    # equal slopes of differences no float holds: each quotient is rounded
+    # once, so the keys are equal (rounding 2**53 + 1 first would break that)
+    odd = 2**53 + 1
+    ps = PointSet.from_coords([(0, 0), (odd, 1), (3 * odd, 3)])
+    assert library_triple(ps) == (0, 1, 2)
+    # a true collinear triple behind the same collision
+    for coords, want in (
+        ([(0, 0), (big, 1), (big + 1, 1), (2 * big + 2, 2)], (0, 2, 3)),
+        ([(0, 0), (big, 1), (big + 1, 1), (2 * big, 2)], (0, 1, 3)),
+        ([(5, 5), (0, 0), (big, 1), (big + 1, 1), (2 * big + 2, 2)], (1, 3, 4)),
+    ):
+        ps = PointSet.from_coords(coords)
+        assert library_triple(ps) == naive_collinear_triple(ps) == want
+
+
+def test_general_position_survives_slopes_beyond_float_range():
+    huge = 10**400
+    with pytest.raises(OverflowError):
+        huge / 1
+    for coords in (
+        [(0, 0), (1, huge), (2, 3 * huge), (huge, 1)],
+        [(0, 0), (1, huge), (2, 2 * huge)],
+        [(huge, huge + 1), (huge + 1, 3), (2, huge), (huge + 2, 2 * huge - 1)],
+        [(Fraction(1, 3), huge), (0, 0), (1, -huge), (2, 2 * huge + 1)],
+    ):
+        ps = PointSet.from_coords(coords)
+        assert library_triple(ps) == naive_collinear_triple(ps)
+    assert library_triple(PointSet.from_coords([(0, 0), (1, huge), (2, 2 * huge)])) == (0, 1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(-2, 3)), min_size=3, max_size=10, unique=True
+    )
+)
+def test_general_position_property_on_small_grids(cells):
+    ps = PointSet.from_coords(cells)
+    assert library_triple(ps) == naive_collinear_triple(ps)
 
 
 # ---------------------------------------------------------------------------
