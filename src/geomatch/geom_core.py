@@ -722,38 +722,45 @@ class HullResult:
     interior_ids: tuple[int, ...]
 
 
+def _hull_split(ps: PointSet, ids: Iterable[int]) -> tuple[list[int], tuple[int, ...]]:
+    """Monotone chain over the scaled integer coordinates: the hull ids in
+    CCW cyclic order, and the ids left strictly inside or on a hull edge in
+    increasing order.  Requires at least 3 points, not all collinear."""
+    idx = sorted(ids)
+    if len(idx) < 3:
+        raise TooFewPoints(f"convex hull needs >= 3 points, got {len(idx)}")
+    ix, iy = ps._ix, ps._iy
+    pts = sorted(idx, key=lambda i: (ix[i], iy[i]))
+    hull: list[int] = []
+    for seq in (pts, reversed(pts)):
+        # lower chain, then upper; every turn that is not strictly left
+        # pops the middle point
+        chain: list[int] = []
+        for k in seq:
+            x, y = ix[k], iy[k]
+            while len(chain) >= 2:
+                i, j = chain[-2], chain[-1]
+                xi, yi = ix[i], iy[i]
+                if (ix[j] - xi) * (y - yi) - (iy[j] - yi) * (x - xi) > 0:
+                    break
+                chain.pop()
+            chain.append(k)
+        hull += chain[:-1]
+    if len(hull) < 3:
+        # every point is on the line of the two chain ends; name them and
+        # the point next to the first end
+        raise CollinearTriple(pts[0], pts[1], pts[-1])
+    hull_set = set(hull)
+    return hull, tuple(i for i in idx if i not in hull_set)
+
+
 def convex_hull(ps: PointSet, ids: Optional[Iterable[int]] = None) -> HullResult:
     """Convex hull by monotone chain over the scaled integer coordinates.
 
     Returns the hull polygon, the cyclic CCW order of hull point ids, and the
     ids left strictly inside.  Requires at least 3 points.
     """
-    idx = sorted(ids) if ids is not None else list(ps.ids)
-    if len(idx) < 3:
-        raise TooFewPoints(f"convex hull needs >= 3 points, got {len(idx)}")
-    ix, iy = ps._ix, ps._iy
-    pts = sorted(idx, key=lambda i: (ix[i], iy[i]))
-
-    def half(seq):
-        chain: list[int] = []
-        for i in seq:
-            while (
-                len(chain) >= 2
-                and ps.orient_ids(chain[-2], chain[-1], i) <= 0
-            ):
-                chain.pop()
-            chain.append(i)
-        return chain
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        # every point is on the line of the two chain ends; name them and
-        # the point next to the first end
-        raise CollinearTriple(pts[0], pts[1], pts[-1])
-    hull_set = set(hull)
-    interior = tuple(i for i in idx if i not in hull_set)
+    hull, interior = _hull_split(ps, ps.ids if ids is None else ids)
     # the chain pops every non-left turn in exact integers, so the hull is
     # already strictly convex and CCW; skip the revalidating constructor
     poly = ConvexPolygon._unchecked(tuple(ps.coord(i) for i in hull))
@@ -769,12 +776,9 @@ def convex_position_order(ps: PointSet, ids: Iterable[int]) -> list[int]:
     idx = list(ids)
     if len(idx) < 3:
         return sorted(idx)
-    hull = convex_hull(ps, idx)
-    if hull.interior_ids:
-        raise NotConvexPosition(
-            f"points {list(hull.interior_ids)} are inside the hull of the rest"
-        )
-    order = list(hull.hull_ids)
+    order, interior = _hull_split(ps, idx)
+    if interior:
+        raise NotConvexPosition(f"points {list(interior)} are inside the hull of the rest")
     k = order.index(min(order))
     return order[k:] + order[:k]
 

@@ -37,25 +37,31 @@ from .orientation import EvenOrientation
 from .subdivision import DualMultigraph
 
 
-def _hull_cycle(ps: PointSet, pts: Sequence[int]) -> list[int]:
+def _convex_batch(
+    ps: PointSet, pts: Sequence[int], mb: Iterable[Segment]
+) -> tuple[list[int], set[tuple[int, int]]]:
+    """The CCW order of an even number of convex-position points, and the
+    hull-edge matching ``mb`` on them as a set of ``(a, b)`` id pairs,
+    ``a < b``, each checked to join hull-consecutive points and to share no
+    point with another."""
     order = convex_position_order(ps, pts)
-    if len(order) % 2 == 1:
-        raise OddCount(f"{len(order)} points cannot be perfectly matched")
-    return order
-
-
-def _check_boundary_matching(order: list[int], mb: frozenset[Segment]) -> None:
     k = len(order)
-    position = {v: i for i, v in enumerate(order)}
-    seen: set[int] = set()
-    for s in mb:
-        if s.a not in position or s.b not in position:
-            raise GeomatchError(f"{s} is not an edge on the given points")
-        if s.a in seen or s.b in seen:
-            raise GeomatchError(f"{s} reuses a point of another boundary edge")
-        seen.update(s.ids)
-        if (position[s.a] - position[s.b]) % k not in (1, k - 1):
-            raise GeomatchError(f"{s} does not join hull-consecutive points")
+    if k % 2 == 1:
+        raise OddCount(f"{k} points cannot be perfectly matched")
+    taken = {(s.a, s.b) for s in mb}
+    if taken:
+        position = {v: i for i, v in enumerate(order)}
+        seen: set[int] = set()
+        for a, b in taken:
+            if a not in position or b not in position:
+                raise GeomatchError(f"{Segment(a, b)} is not an edge on the given points")
+            if a in seen or b in seen:
+                raise GeomatchError(f"{Segment(a, b)} reuses a point of another boundary edge")
+            seen.add(a)
+            seen.add(b)
+            if (position[a] - position[b]) % k not in (1, k - 1):
+                raise GeomatchError(f"{Segment(a, b)} does not join hull-consecutive points")
+    return order, taken
 
 
 def convex_disjoint_matching(
@@ -68,42 +74,37 @@ def convex_disjoint_matching(
     (smallest ids first) and shrink.  With four points left, a pair is only
     taken if the two points it leaves behind are not an mb edge.
     """
-    mb = frozenset(mb)
-    if len(pts) == 2:
+    order, taken = _convex_batch(ps, pts, mb)
+    if len(order) == 2 and taken:
         a, b = pts
-        if mb:
-            raise TwoPointsAlreadyMatched(
-                f"points {a} and {b} are already joined in the given matching"
-            )
-        return Matching(ps, [Segment(a, b)], check=False)
-    if not pts:
-        return Matching(ps, [], check=False)
-    order = _hull_cycle(ps, pts)
-    _check_boundary_matching(order, mb)
+        raise TwoPointsAlreadyMatched(
+            f"points {a} and {b} are already joined in the given matching"
+        )
     chosen: list[Segment] = []
     while len(order) > 2:
         k = len(order)
-        candidates = []
+        best = None
         for i in range(k):
-            v, w = order[i], order[(i + 1) % k]
-            if Segment(v, w) in mb:
+            v, w = order[i], order[i + 1 - k]
+            pair = (v, w) if v < w else (w, v)
+            if pair in taken:
                 continue
             if k == 4:
-                x, y = order[(i + 2) % k], order[(i + 3) % k]
-                if Segment(x, y) in mb:
+                x, y = order[i - 2], order[i - 1]
+                if ((x, y) if x < y else (y, x)) in taken:
                     continue
-            candidates.append((min(v, w), max(v, w), i))
-        if not candidates:
+            if best is None or pair < best:
+                best = pair
+        if best is None:
             raise InvariantViolation("no extendable hull-consecutive pair exists")
-        _, _, i = min(candidates)
-        v, w = order[i], order[(i + 1) % k]
+        v, w = best
         chosen.append(Segment(v, w))
         order = [x for x in order if x != v and x != w]
     if order:
-        last = Segment(order[0], order[1])
-        if last in mb:
+        v, w = order
+        if ((v, w) if v < w else (w, v)) in taken:
             raise InvariantViolation("induction left an already-matched pair")
-        chosen.append(last)
+        chosen.append(Segment(v, w))
     return Matching(ps, chosen, check=False)
 
 
@@ -112,13 +113,7 @@ def convex_compatible_matching(
 ) -> Matching:
     """Perfect matching of convex-position points whose union with the
     hull-edge matching ``mb`` is non-crossing; edges of mb may be reused."""
-    mb = frozenset(mb)
-    if len(pts) == 2:
-        return Matching(ps, [Segment(pts[0], pts[1])], check=False)
-    if not pts:
-        return Matching(ps, [], check=False)
-    order = _hull_cycle(ps, pts)
-    _check_boundary_matching(order, mb)
+    order, _ = _convex_batch(ps, pts, mb)
     return Matching(
         ps,
         [Segment(order[i], order[i + 1]) for i in range(0, len(order), 2)],

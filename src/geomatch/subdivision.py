@@ -25,9 +25,13 @@ is placed, each ray terminus when its ray is placed, and then each point
 where a segment with an endpoint outside the region leaves it (every other
 wall end is a ray terminus).  Each feature maps the parameters of its nodes
 to their ids, so its edgelets link its nodes in parameter order, and nodes
-are never found again by their coordinates.  Certificates catch a node that
-should have been merged and was not: at most three edgelets per node,
-exactly one non-convex face, Euler's formula and the cell count.
+are never found again by their coordinates.  Each node's outgoing edgelets
+are listed as they are linked, and each face is walked once; the walk
+records on the way whether the face is convex, where its corners are and
+whether it passes a node twice.  Certificates catch a node that should have
+been merged and was not: at most three edgelets per node, exactly one
+non-convex face, Euler's formula, no cell passing a node twice, at least
+three corners per cell and the cell count.
 
 The cells keep their corners, and the placed rays their termini, as the
 integer node triples of the frame; the ``Fraction`` polygons of
@@ -241,17 +245,6 @@ class DualMultigraph:
         return Multigraph(self.n, [e.cells for e in self.edges])
 
 
-def endpoint_role(ps, seg: Segment, vertex: int) -> EndpointRole:
-    # the scaled integer coordinates keep every comparison
-    ax, ay = ps.scaled(seg.a)
-    bx, by = ps.scaled(seg.b)
-    if ax == bx:
-        low = seg.a if ay < by else seg.b
-        return EndpointRole.BOTTOM_END if vertex == low else EndpointRole.TOP_END
-    left = seg.a if ax < bx else seg.b
-    return EndpointRole.LEFT_END if vertex == left else EndpointRole.RIGHT_END
-
-
 # ---------------------------------------------------------------------------
 # the engine
 
@@ -307,6 +300,62 @@ def _turn_rank(a: tuple[int, int], vx: int, vy: int) -> int:
     return 1
 
 
+def _walk_faces(
+    dedge_from: list[int],
+    dedge_dir: list[tuple[int, int]],
+    prev_at_node: list[int],
+    n_nodes: int,
+) -> tuple[list[int], list[tuple[bool, bool, list[int]]]]:
+    """One walk per face of a node/edgelet graph, face on the left.
+
+    Dedges 2k and 2k+1 are the two directions of edgelet k, leaving nodes
+    ``dedge_from`` in directions ``dedge_dir``; ``prev_at_node[e]`` is the
+    dedge before e in the counter-clockwise order around its node, so the
+    walk goes from e to the clockwise-next dedge around the head of e.
+    Faces are numbered in the order of their smallest dedge.  Returns the
+    face left of each dedge and, per face, ``(convex, pinched, corners)``:
+    whether the walk turns left or goes straight at every node and never
+    reverses, whether it leaves some node twice, and the nodes where it
+    turns, in walk order from the tail of its smallest dedge.
+    """
+    face_of = [-1] * len(dedge_from)
+    stamp = [-1] * n_nodes  # the last face whose walk left each node
+    faces: list[tuple[bool, bool, list[int]]] = []
+    for e0 in range(len(dedge_from)):
+        if face_of[e0] >= 0:
+            continue
+        fid = len(faces)
+        convex = True
+        pinched = False
+        corners: list[int] = []
+        e = e0
+        ax, ay = dedge_dir[e0]
+        while True:
+            face_of[e] = fid
+            v = dedge_from[e]
+            if stamp[v] == fid:
+                pinched = True
+            stamp[v] = fid
+            e = prev_at_node[e ^ 1]
+            bx, by = dedge_dir[e]
+            turn = ax * by - ay * bx
+            if turn:
+                convex = convex and turn > 0
+                corners.append(dedge_from[e])
+            elif ax * bx + ay * by < 0:
+                convex = False
+            if face_of[e] >= 0:
+                break
+            ax, ay = bx, by
+        if e != e0:
+            raise InvariantViolation("face walk did not close")
+        if turn:
+            # the corner at the tail of e0 is found last and goes first
+            corners.insert(0, corners.pop())
+        faces.append((convex, pinched, corners))
+    return face_of, faces
+
+
 class _Feature:
     """A straight blocker: a wall (segment plus extensions) or a region edge.
 
@@ -348,9 +397,6 @@ class _Feature:
         """A + t*(B - A) as a homogeneous integer triple."""
         tn, td = t
         return (self.ax * td + tn * self.dx, self.ay * td + tn * self.dy, td)
-
-    def direction(self) -> tuple[int, int]:
-        return (self.dx, self.dy)
 
 
 def extend(
@@ -619,43 +665,49 @@ def extend(
     # build the node/edgelet graph of the finished structure: every node on
     # a feature lies within its final extent, so linking each feature's
     # nodes in parameter order gives its edgelets.  Dedges 2k and 2k+1 are
-    # the two directions of edgelet k.
+    # the two directions of edgelet k; outgoing[v] lists the dedges leaving
+    # node v in increasing order.
     dedge_from: list[int] = []
     dedge_dir: list[tuple[int, int]] = []
+    outgoing: list[list[int]] = [[] for _ in node_pts]
 
     for f in features:
         nodes = f.nodes
         params = list(nodes)
         _sort_params(params)
-        d = f.direction()
-        back = (-d[0], -d[1])
+        d = (f.dx, f.dy)
+        back = (-f.dx, -f.dy)
         prev = nodes[params[0]]
         for t in params[1:]:
             i = nodes[t]
             if prev == i:
                 raise DegenerateIncidence("two structure vertices coincide")
+            e = len(dedge_from)
+            outgoing[prev].append(e)
+            outgoing[i].append(e + 1)
             dedge_from.append(prev)
             dedge_from.append(i)
             dedge_dir.append(d)
             dedge_dir.append(back)
             prev = i
 
-    outgoing: list[list[int]] = [[] for _ in node_pts]
-    for e in range(len(dedge_from)):
-        outgoing[dedge_from[e]].append(e)
-    # rotation system: the outgoing dedges of each node in counter-clockwise
-    # cyclic order.  A node meets at most three edgelets (a corner or a
-    # matching vertex two, a ray landing or a wall leaving the region
-    # three; any more would need two rays or walls through one point, which
-    # the ray search rejects), so the order needs no sort.
+    # rotation system: prev_at_node[e] is the dedge before e in the
+    # counter-clockwise cyclic order of the dedges leaving its node.  A node
+    # meets at most three edgelets (a corner or a matching vertex two, a ray
+    # landing or a wall leaving the region three; any more would need two
+    # rays or walls through one point, which the ray search rejects), so the
+    # order needs no sort.
     prev_at_node = [0] * len(dedge_from)
     for out in outgoing:
         if len(out) == 2:
             # two edgelets are in cyclic order either way; only a pair
             # leaving in the same direction is degenerate
-            (ax, ay), (bx, by) = dedge_dir[out[0]], dedge_dir[out[1]]
+            a, b = out
+            (ax, ay), (bx, by) = dedge_dir[a], dedge_dir[b]
             if ax * by == ay * bx and ax * bx + ay * by > 0:
                 raise DegenerateIncidence("two collinear edgelets leave one vertex")
+            prev_at_node[a] = b
+            prev_at_node[b] = a
         elif len(out) == 3:
             a, b, c = out
             da, (bx, by), (cx, cy) = dedge_dir[a], dedge_dir[b], dedge_dir[c]
@@ -669,70 +721,38 @@ def extend(
             else:
                 b_first = rb < rc
             if not b_first:
-                out[1], out[2] = c, b
+                b, c = c, b
+            # cyclic order a, b, c
+            prev_at_node[a] = c
+            prev_at_node[b] = a
+            prev_at_node[c] = b
+        elif len(out) == 1:
+            prev_at_node[out[0]] = out[0]
         elif len(out) > 3:
             raise InvariantViolation("a structure vertex meets more than three edgelets")
-        for k, e in enumerate(out):
-            prev_at_node[e] = out[k - 1]
 
-    face_of: list[Optional[int]] = [None] * len(dedge_from)
-    face_cycles: list[list[int]] = []  # cycles of dedges, face on the left
-    for e0 in range(len(dedge_from)):
-        if face_of[e0] is not None:
-            continue
-        fid = len(face_cycles)
-        cycle = []
-        e = e0
-        while face_of[e] is None:
-            face_of[e] = fid
-            cycle.append(e)
-            # clockwise-next around the head of e keeps the face on the left
-            e = prev_at_node[e ^ 1]
-        if e != e0:
-            raise InvariantViolation("face walk did not close")
-        face_cycles.append(cycle)
+    face_of, faces = _walk_faces(dedge_from, dedge_dir, prev_at_node, len(node_pts))
 
-    # Certificates, all in integers.  An interior cell walk turns left or
-    # goes straight at every node and never reverses; any walk around the
-    # outside of a connected piece must turn right somewhere (total turning
-    # -2pi) or reverse (at a pendant), so "exactly one non-convex face"
-    # certifies connectivity, and Euler's formula cross-checks it.
-    def is_convex_walk(cycle: list[int]) -> bool:
-        prev = cycle[-1]
-        for e in cycle:
-            (ax, ay), (bx, by) = dedge_dir[prev], dedge_dir[e]
-            turn = ax * by - ay * bx
-            if turn < 0 or (turn == 0 and ax * bx + ay * by < 0):
-                return False
-            prev = e
-        return True
-
-    convex_face = [is_convex_walk(c) for c in face_cycles]
-    if sum(not ok for ok in convex_face) != 1:
+    # Certificates, all in integers.  Any walk around the outside of a
+    # connected piece must turn right somewhere (total turning -2pi) or
+    # reverse (at a pendant), so "exactly one non-convex face" certifies
+    # connectivity, and Euler's formula cross-checks it.
+    if sum(not convex for convex, _, _ in faces) != 1:
         raise InvariantViolation("subdivision structure is not connected")
-    outer_face = convex_face.index(False)
-    if len(face_cycles) != len(dedge_from) // 2 - len(node_pts) + 2:
+    if len(faces) != len(dedge_from) // 2 - len(node_pts) + 2:
         raise InvariantViolation("subdivision structure is not connected")
 
-    cell_index: dict[int, int] = {}
+    cell_index = [-1] * len(faces)
     cells: list[tuple[tuple[int, int, int], ...]] = []
-    for fid, cycle in enumerate(face_cycles):
-        if fid == outer_face:
+    for fid, (convex, pinched, corners) in enumerate(faces):
+        if not convex:  # the outer face
             continue
-        heads = [dedge_from[e] for e in cycle]
-        if len(set(heads)) != len(heads):
+        if pinched:
             raise InvariantViolation("a traced cell pinches at a vertex")
-        corners = []
-        prev = cycle[-1]
-        for e in cycle:
-            (ax, ay), (bx, by) = dedge_dir[prev], dedge_dir[e]
-            if ax * by - ay * bx != 0:
-                corners.append(node_pts[dedge_from[e]])
-            prev = e
         if len(corners) < 3:
             raise InvariantViolation("traced cell has fewer than 3 corners")
-        cells.append(tuple(corners))
-        cell_index[fid] = len(cells) - 1
+        cell_index[fid] = len(cells)
+        cells.append(tuple([node_pts[v] for v in corners]))
 
     if len(cells) != len(in_segments) + 1:
         both_in = sum(state[s.a] & state[s.b] for s in in_segments)
@@ -740,19 +760,23 @@ def extend(
             f"{len(cells)} cells for {len(in_segments) - both_in} + {both_in} extended segments"
         )
 
+    # the two dedges leaving a matching vertex run along its wall, one
+    # each way; the cell left of the one pointing away from the wall's
+    # coordinate-wise smaller end is the vertex's left cell
     vertex_cells: dict[int, tuple[int, int]] = {}
     for s, f in zip(in_segments, walls):
-        forward = f.direction()
+        forward = (f.dx, f.dy)
         if pts[s.a] > pts[s.b]:
-            forward = (-forward[0], -forward[1])
+            forward = (-f.dx, -f.dy)
         for endpoint in s.ids:
             if not state[endpoint]:
                 continue
             out = outgoing[vertex_node[endpoint]]
             if len(out) != 2:
                 raise InvariantViolation("matching vertex is not interior to its wall")
-            ahead = next(e for e in out if dedge_dir[e] == forward)
-            behind = next(e for e in out if dedge_dir[e] != forward)
+            ahead, behind = out
+            if dedge_dir[ahead] != forward:
+                ahead, behind = behind, ahead
             left = cell_index[face_of[ahead]]
             right = cell_index[face_of[behind]]
             if left == right:
@@ -766,19 +790,25 @@ def extend(
 def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:
     """One vertex per cell, one edge per in-region matching vertex."""
     edges = []
-    seg_of = {i: s for s in m.edges for i in s.ids}
-    for v in sorted(sub.vertex_cells):
+    seg_of: dict[int, Segment] = {}
+    for s in m.edges:
+        seg_of[s.a] = seg_of[s.b] = s
+    # a vertex is its segment's left (bottom, when vertical) end when it
+    # has the smaller x (y); the point set's scaled integers keep the order
+    ix, iy = m.base._ix, m.base._iy
+    vertex_cells = sub.vertex_cells
+    for v in sorted(vertex_cells):
         seg = seg_of.get(v)
         if seg is None:
             raise InvariantViolation(f"subdivision vertex {v} is unmatched in M")
-        edges.append(
-            DualEdge(
-                cells=sub.vertex_cells[v],
-                vertex=v,
-                segment=seg,
-                role=endpoint_role(m.base, seg, v),
-            )
-        )
+        a, b = seg.a, seg.b
+        if ix[a] == ix[b]:
+            low = (v == a) == (iy[a] < iy[b])
+            role = EndpointRole.BOTTOM_END if low else EndpointRole.TOP_END
+        else:
+            left = (v == a) == (ix[a] < ix[b])
+            role = EndpointRole.LEFT_END if left else EndpointRole.RIGHT_END
+        edges.append(DualEdge(cells=vertex_cells[v], vertex=v, segment=seg, role=role))
     dual = DualMultigraph(len(sub.cells), tuple(edges))
     if len(components(dual.graph())) != 1:
         raise InvariantViolation("dual multigraph is not connected")

@@ -10,7 +10,15 @@ from fractions import Fraction
 from random import Random
 from typing import Optional
 
-from geomatch.errors import GeomatchError, OddCount, TooLarge
+from geomatch.errors import (
+    CollinearTriple,
+    GeomatchError,
+    InvariantViolation,
+    NotConvexPosition,
+    OddCount,
+    TooLarge,
+    TwoPointsAlreadyMatched,
+)
 from geomatch.geom_core import (
     Matching,
     Point,
@@ -319,6 +327,113 @@ def brute_pm_exists(n: int, pairs) -> bool:
         return False
 
     return n % 2 == 0 and rec(frozenset(range(n)))
+
+
+# ---------------------------------------------------------------------------
+# convex position and the per-cell matchings
+
+
+def gift_wrap_order(ps: PointSet, ids) -> list[int]:
+    """Reference for ``convex_position_order``: the CCW order of ``ids``
+    from the smallest, by gift wrapping on ``brute_orient`` of the
+    coordinates, with the library's errors.
+
+    A point i is a hull vertex when, for some other point j, every further
+    point is strictly left of the line from i through j or on it beyond i;
+    all points collinear name the first two and the last in (x, y) order.
+    """
+    idx = list(ids)
+    if len(idx) < 3:
+        return sorted(idx)
+    at = {i: ps.coord(i) for i in idx}
+    by_xy = sorted(idx, key=lambda i: at[i])
+    if all(brute_orient(at[by_xy[0]], at[by_xy[-1]], at[i]) == 0 for i in idx):
+        raise CollinearTriple(by_xy[0], by_xy[1], by_xy[-1])
+
+    def beyond(i: int, j: int, k: int) -> bool:
+        (ix, iy), (jx, jy), (kx, ky) = at[i], at[j], at[k]
+        side = brute_orient(at[i], at[j], at[k])
+        return side > 0 or (side == 0 and (jx - ix) * (kx - ix) + (jy - iy) * (ky - iy) > 0)
+
+    def inside(i: int) -> bool:
+        return not any(
+            all(beyond(i, j, k) for k in idx if k not in (i, j)) for j in idx if j != i
+        )
+
+    interior = sorted(i for i in idx if inside(i))
+    if interior:
+        raise NotConvexPosition(f"points {interior} are inside the hull of the rest")
+    order = [min(idx)]
+    while len(order) < len(idx):
+        cur = order[-1]
+        (nxt,) = [
+            w for w in idx
+            if w != cur and all(brute_orient(at[cur], at[w], at[x]) > 0 for x in idx if x not in (cur, w))
+        ]
+        order.append(nxt)
+    return order
+
+
+def _naive_convex_batch(ps: PointSet, pts, mb) -> tuple[list[int], frozenset]:
+    order = gift_wrap_order(ps, pts)
+    if len(order) % 2 == 1:
+        raise OddCount(f"{len(order)} points cannot be perfectly matched")
+    mb = frozenset(mb)
+    k = len(order)
+    position = {v: i for i, v in enumerate(order)}
+    seen: set[int] = set()
+    for s in mb:
+        if s.a not in position or s.b not in position:
+            raise GeomatchError(f"{s} is not an edge on the given points")
+        if s.a in seen or s.b in seen:
+            raise GeomatchError(f"{s} reuses a point of another boundary edge")
+        seen.update(s.ids)
+        if (position[s.a] - position[s.b]) % k not in (1, k - 1):
+            raise GeomatchError(f"{s} does not join hull-consecutive points")
+    return order, mb
+
+
+def naive_convex_disjoint_matching(ps: PointSet, pts, mb=()) -> Matching:
+    """Reference for ``convex_disjoint_matching``: the induction on
+    ``Segment``s, on the gift-wrapping order, for every batch size."""
+    order, mb = _naive_convex_batch(ps, pts, mb)
+    if len(order) == 2 and mb:
+        a, b = pts
+        raise TwoPointsAlreadyMatched(
+            f"points {a} and {b} are already joined in the given matching"
+        )
+    chosen: list[Segment] = []
+    while len(order) > 2:
+        k = len(order)
+        candidates = []
+        for i in range(k):
+            v, w = order[i], order[(i + 1) % k]
+            if Segment(v, w) in mb:
+                continue
+            if k == 4:
+                x, y = order[(i + 2) % k], order[(i + 3) % k]
+                if Segment(x, y) in mb:
+                    continue
+            candidates.append((min(v, w), max(v, w), i))
+        if not candidates:
+            raise InvariantViolation("no extendable hull-consecutive pair exists")
+        _, _, i = min(candidates)
+        v, w = order[i], order[(i + 1) % k]
+        chosen.append(Segment(v, w))
+        order = [x for x in order if x != v and x != w]
+    if order:
+        last = Segment(order[0], order[1])
+        if last in mb:
+            raise InvariantViolation("induction left an already-matched pair")
+        chosen.append(last)
+    return Matching(ps, chosen, check=False)
+
+
+def naive_convex_compatible_matching(ps: PointSet, pts, mb=()) -> Matching:
+    """Reference for ``convex_compatible_matching``: hull-consecutive pairs
+    from the smallest id, after the same checks as the disjoint one."""
+    order, _ = _naive_convex_batch(ps, pts, mb)
+    return Matching(ps, [Segment(order[i], order[i + 1]) for i in range(0, len(order), 2)], check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,15 @@ which is how a refactor shows that it changed no behaviour::
     python tests/output_dump.py               # the instances as generated
     python tests/output_dump.py --scale 1/3   # every coordinate times 1/3
     python tests/output_dump.py --records     # one record per line as well
+    python tests/output_dump.py --check       # exit 1 unless the line is pinned
 
-A scale whose denominator does not divide the coordinates gives point sets
-whose integer frame (``PointSet._scale``) is greater than one.  Pytest does
-not collect this file.
+``output_dump.expected`` pins the line for scale 1 and for scale 1/3, each
+after its scale; ``--check`` compares the printed line with the one pinned
+for its scale.  A change that alters an output on purpose updates that file
+and says which records moved.  A scale whose denominator does not divide
+the coordinates gives point sets whose integer frame (``PointSet._scale``)
+is greater than one.  Pytest does not collect this file;
+``test_output_dump.py`` checks the line for scale 1.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from geomatch.geom_core import (  # noqa: E402
 from helpers import polygon_contains, random_ncpm_edges  # noqa: E402
 
 SEEDS = range(10)
+EXPECTED = Path(__file__).with_name("output_dump.expected")
 
 
 def plain(obj):
@@ -171,21 +177,45 @@ def records(scale: Fraction):
             yield f"{name} {call} {got!r}"
 
 
+def summary(scale: Fraction, show: bool = False) -> str:
+    """``<records> <sha256>`` over every record at ``scale``; with ``show``
+    each record is printed as well."""
+    digest = hashlib.sha256()
+    count = 0
+    for rec in records(scale):
+        if show:
+            print(rec)
+        digest.update(rec.encode() + b"\n")
+        count += 1
+    return f"{count} {digest.hexdigest()}"
+
+
+def expected(scale: Fraction) -> str | None:
+    """The line pinned for ``scale`` in ``output_dump.expected``, if any."""
+    for line in EXPECTED.read_text().splitlines():
+        key, _, pinned = line.partition(" ")
+        if key and not key.startswith("#") and Fraction(key) == scale:
+            return pinned
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--scale", type=Fraction, default=Fraction(1),
                         help="multiply every coordinate by this rational first")
     parser.add_argument("--records", action="store_true",
                         help="print every record before the summary line")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 unless the line equals the one pinned for this scale")
     args = parser.parse_args(argv)
-    digest = hashlib.sha256()
-    count = 0
-    for rec in records(args.scale):
-        if args.records:
-            print(rec)
-        digest.update(rec.encode() + b"\n")
-        count += 1
-    print(count, digest.hexdigest())
+    line = summary(args.scale, args.records)
+    print(line)
+    if args.check:
+        pinned = expected(args.scale)
+        if line != pinned:
+            want = "no line" if pinned is None else repr(pinned)
+            print(f"error: {EXPECTED.name} pins {want} for scale {args.scale}", file=sys.stderr)
+            return 1
     return 0
 
 

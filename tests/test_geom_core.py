@@ -40,6 +40,7 @@ from helpers import (
     brute_orient,
     brute_segments_cross,
     brute_union_noncrossing,
+    gift_wrap_order,
     naive_collinear_triple,
     polygon_area2,
     polygon_contains,
@@ -504,6 +505,38 @@ def test_convex_position_order_rejects_interior_point():
         convex_position_order(ps, [0, 1, 2, 3, 4])
     order = convex_position_order(ps, [0, 1, 2, 3])
     assert order[0] == 0 and set(order) == {0, 1, 2, 3}
+
+
+def test_convex_position_order_equals_gift_wrapping():
+    # random sets (mostly with interior points), points on a parabola (in
+    # convex position), small-grid subsets (collinear triples, points on
+    # hull edges) and points on one line, as shuffled id lists
+    rng = Random(31)
+    kinds = set()
+    for trial in range(160):
+        k = rng.randrange(13)
+        if trial % 4 == 0:
+            ps = random_general_pointset(rng, k, grid=1000)
+        elif trial % 4 == 1:
+            ps = PointSet.from_coords((x, x * x) for x in rng.sample(range(-30, 31), k))
+        elif trial % 4 == 2:
+            cells = [(x, y) for x in range(4) for y in range(3)]
+            ps = PointSet.from_coords(rng.sample(cells, k))
+        else:
+            ps = PointSet.from_coords((x, 2 * x + 1) for x in rng.sample(range(-30, 31), k))
+        ids = list(ps.ids)
+        rng.shuffle(ids)
+        try:
+            want = gift_wrap_order(ps, ids)
+        except GeomatchError as exc:
+            want = (type(exc).__name__, str(exc))
+        try:
+            got = convex_position_order(ps, ids)
+        except GeomatchError as exc:
+            got = (type(exc).__name__, str(exc))
+        assert got == want, (ps, ids)
+        kinds.add(got[0] if isinstance(got, tuple) else "order")
+    assert kinds == {"order", "NotConvexPosition", "CollinearTriple"}
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,14 @@ from geomatch.oracle import enumerate_ncpm, has_disjoint_compatible_pm
 from geomatch.orientation import EvenOrientation, even_orientation
 from geomatch.subdivision import both_ways_rays, dual_multigraph, extend
 
-from helpers import frame_blockers, naive_constrained_matching, random_general_pointset
+from helpers import (
+    frame_blockers,
+    gift_wrap_order,
+    naive_constrained_matching,
+    naive_convex_compatible_matching,
+    naive_convex_disjoint_matching,
+    random_general_pointset,
+)
 
 
 def square() -> PointSet:
@@ -121,6 +128,90 @@ def test_convex_disjoint_random_boundary_matchings():
         if mb:
             base = Matching(ps, mb)
             assert disjoint(base, out) and compatible(base, out)
+
+
+def test_convex_disjoint_four_point_guard_keeps_the_last_pair_free():
+    # with {2-3} given, the lowest pair 0-1 would leave exactly 2 and 3
+    ps = square()
+    out = convex_disjoint_matching(ps, [0, 1, 2, 3], [Segment(2, 3)])
+    assert set(out.edges) == {Segment(0, 3), Segment(1, 2)}
+
+
+def test_convex_matchings_check_mb_on_two_and_zero_points():
+    ps = square()
+    for match in (convex_disjoint_matching, convex_compatible_matching):
+        with pytest.raises(GeomatchError, match="is not an edge on the given points") as ei:
+            match(ps, [0, 1], [Segment(2, 3)])
+        assert type(ei.value) is GeomatchError
+        with pytest.raises(GeomatchError, match="is not an edge on the given points"):
+            match(ps, [], [Segment(0, 1)])
+    with pytest.raises(TwoPointsAlreadyMatched, match="points 1 and 0 are already joined"):
+        convex_disjoint_matching(ps, [1, 0], [Segment(0, 1)])
+    assert set(convex_compatible_matching(ps, [1, 0], [Segment(0, 1)]).edges) == {Segment(0, 1)}
+    assert len(convex_disjoint_matching(ps, [], [])) == 0
+
+
+def random_convex_batch(rng: random.Random):
+    """A point set and a shuffled batch of 0-12 of its ids, with a boundary
+    matching for it.  The batch is in convex position (on a parabola)
+    unless one of its points is moved inside or onto the hull of the rest,
+    or every point is put on one line; the matching is a random set of
+    disjoint hull-consecutive pairs, sometimes with a random extra segment
+    (a diagonal, a pair off the batch or one reusing a point)."""
+    k = rng.randrange(13)
+    xs = rng.sample(range(-40, 41), k + 3)
+    coords = [(6 * x, 6 * x * x) for x in xs]
+    batch = rng.sample(range(k + 3), k)
+    kind = rng.random()
+    if kind < 0.1 and k >= 4:
+        a, b, c = (xs[i] for i in batch[:3])
+        coords[batch[-1]] = (2 * (a + b + c), 2 * (a * a + b * b + c * c))
+    elif kind < 0.2 and k >= 3:
+        a, b = (xs[i] for i in batch[:2])
+        coords[batch[-1]] = (3 * (a + b), 3 * (a * a + b * b))
+    elif kind < 0.25:
+        coords = [(x, 2 * x + 1) for x in xs]
+    ps = PointSet.from_coords(coords)
+    try:
+        order = gift_wrap_order(ps, batch)
+    except GeomatchError:
+        order = sorted(batch)
+    mb = []
+    for i in rng.sample(range(len(order)), len(order)):
+        v, w = order[i], order[(i + 1) % len(order)]
+        if v != w and rng.random() < 0.5 and not any(v in s.ids or w in s.ids for s in mb):
+            mb.append(Segment(v, w))
+    if rng.random() < 0.3:
+        v, w = rng.sample(range(k + 3), 2)
+        mb.append(Segment(v, w))
+    rng.shuffle(mb)
+    return ps, batch, mb
+
+
+def outcome(call, *args):
+    """A matching as its sorted id pairs, or an error as class and message."""
+    try:
+        return sorted(s.ids for s in call(*args).edges)
+    except GeomatchError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_convex_matchings_equal_the_references():
+    rng = random.Random(1729)
+    seen = set()
+    for _ in range(200):
+        ps, batch, mb = random_convex_batch(rng)
+        for call, naive in (
+            (convex_disjoint_matching, naive_convex_disjoint_matching),
+            (convex_compatible_matching, naive_convex_compatible_matching),
+        ):
+            got = outcome(call, ps, batch, mb)
+            assert got == outcome(naive, ps, batch, mb), (ps, batch, mb)
+            seen.add(got[0] if isinstance(got, tuple) else "ok")
+    assert seen == {
+        "ok", "GeomatchError", "OddCount", "NotConvexPosition", "CollinearTriple",
+        "TwoPointsAlreadyMatched",
+    }
 
 
 def test_convex_compatible_pairs_consecutively():

@@ -1,5 +1,6 @@
 """Extension engine: ray stops, cell structure, dual multigraph."""
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -420,6 +421,38 @@ def test_lazy_cells_are_checked_polygons_tiling_the_region(monkeypatch):
                 assert polygon_contains(cells[i], pt)
                 assert not polygon_contains(cells[i], pt, strict=True)
         assert len(built) == dual.n  # built once, then kept
+
+
+# ---------------------------------------------------------------------------
+# the face walk
+
+
+def test_face_walk_records_convexity_corners_and_pinches():
+    # a bowtie: triangles 0-1-2 and 0-3-4 meet at node 0, so the walk
+    # around the outside leaves node 0 twice, and turns right at 2, 1, 4, 3
+    at = [(0, 0), (2, -1), (2, 1), (-2, 1), (-2, -1)]
+    dedge_from, dedge_dir = [], []
+    for a, b in [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]:
+        (ax, ay), (bx, by) = at[a], at[b]
+        dedge_from += (a, b)
+        dedge_dir += ((bx - ax, by - ay), (ax - bx, ay - by))
+    # the dedges leaving each node, counter-clockwise by angle
+    prev_at_node = [0] * len(dedge_from)
+    for v in range(len(at)):
+        out = sorted(
+            (e for e in range(len(dedge_from)) if dedge_from[e] == v),
+            key=lambda e: math.atan2(dedge_dir[e][1], dedge_dir[e][0]),
+        )
+        for k, e in enumerate(out):
+            prev_at_node[e] = out[k - 1]
+    face_of, faces = subdivision._walk_faces(dedge_from, dedge_dir, prev_at_node, len(at))
+    # faces in the order of their smallest dedge; corners from its tail
+    assert faces == [
+        (True, False, [0, 1, 2]),
+        (False, True, [1, 0, 4, 3, 0, 2]),
+        (True, False, [0, 3, 4]),
+    ]
+    assert face_of == [0, 1, 0, 1, 0, 1, 2, 1, 2, 1, 2, 1]
 
 
 # ---------------------------------------------------------------------------
