@@ -127,12 +127,12 @@ class ColoredDual:
         palette = set(self.colors)
         if not (palette <= {RED, GREEN} or palette <= {RED, BLUE}):
             raise GeomatchError(f"unsupported palette {sorted(palette)}")
-        per_segment: dict[Segment, set[str]] = {}
+        per_segment: dict[tuple[int, int], set[str]] = {}
         for e, c in zip(self.dual.edges, self.colors):
-            per_segment.setdefault(e.segment, set()).add(c)
-        for seg, cs in per_segment.items():
+            per_segment.setdefault((e.segment.a, e.segment.b), set()).add(c)
+        for ids, cs in per_segment.items():
             if len(cs) != 2:
-                raise InvariantViolation(f"both edges of {seg} are colored {cs.pop()}")
+                raise InvariantViolation(f"both edges of {Segment(*ids)} are colored {cs.pop()}")
 
     def edge_ids(self, color: str) -> list[int]:
         return [i for i, c in enumerate(self.colors) if c == color]

@@ -19,11 +19,13 @@ keeps an integer bounding box of its current extent, and each ray a box of
 the part of it that can still hold the first hit; a blocker whose box misses
 the ray's box is skipped before any cross product is formed.
 
-Unless ``partial``, every node of the subdivision is numbered when it is
-made: the region corners and the in-region matching vertices before any ray
-is placed, each ray terminus when its ray is placed, and then each point
-where a segment with an endpoint outside the region leaves it (every other
-wall end is a ray terminus).  Each feature maps the parameters of its nodes
+``extend`` runs in three stages.  The set-up (``_Scene``) puts the points
+and the region in one integer frame.  The ray kernel (``_shoot``) places the
+rays, the same whether or not a subdivision follows; ray k's terminus is
+node k.  Unless ``partial``, the builder (``_subdivide``) then numbers the
+region corners, the in-region matching vertices and each point where a
+segment with an endpoint outside the region leaves it (every other wall end
+is a ray terminus).  Each feature maps the parameters of its nodes
 to their ids, so its edgelets link its nodes in parameter order, and nodes
 are never found again by their coordinates.  Each node's outgoing edgelets
 are listed as they are linked, and each face is walked once; the walk
@@ -100,49 +102,32 @@ class RayExtension:
     went_to_infinity: bool
 
 
-class RayExtensions(Sequence):
-    """The placed rays as ``RayExtension`` records, built on first read.
+class _LazyTuple(Sequence):
+    """A tuple that the subclass's ``_build`` makes on first element access
+    from integer data: a point held as (X, Y, W), W > 0, is built with the
+    ``Fraction`` coordinates (X / (W * frame), Y / (W * frame)).  ``len``
+    builds nothing; equality, hashing and repr are those of the tuple."""
 
-    Each ray is held as its segment, endpoint, terminus and boundary flag,
-    the terminus as the integer triple (X, Y, W), W > 0, of the point
-    (X / (W * frame), Y / (W * frame)).  ``len`` builds nothing, and the
-    first element access builds every record with ``Fraction`` coordinates;
-    equality, hashing and repr are those of the tuple of records.
-    :meth:`frame_termini` hands the termini to internal callers without
-    building any ``Fraction``.
-    """
+    __slots__ = ("_raw", "_frame", "_items")
 
-    __slots__ = ("_ps", "_placed", "_frame", "_records")
-
-    def __init__(self, ps: PointSet, placed: Sequence[tuple], frame: int):
-        self._ps = ps
-        self._placed = placed  # (segment, endpoint, X, Y, W, went_to_infinity)
+    def __init__(self, raw: Sequence[tuple], frame: int):
+        self._raw = raw
         self._frame = frame
-        self._records: Optional[tuple[RayExtension, ...]] = None
+        self._items: Optional[tuple] = None
 
-    def _built(self) -> tuple[RayExtension, ...]:
-        if self._records is None:
-            coord, frame = self._ps.coord, self._frame
-            self._records = tuple(
-                RayExtension(
-                    segment=seg,
-                    from_point=endpoint,
-                    origin=coord(endpoint),
-                    terminus=(Fraction(x, w * frame), Fraction(y, w * frame)),
-                    went_to_infinity=infinite,
-                )
-                for seg, endpoint, x, y, w, infinite in self._placed
-            )
-        return self._records
+    def _built(self) -> tuple:
+        if self._items is None:
+            self._items = self._build()
+        return self._items
 
     def __len__(self) -> int:
-        return len(self._placed)
+        return len(self._raw)
 
     def __getitem__(self, i):
         return self._built()[i]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, RayExtensions):
+        if isinstance(other, _LazyTuple):
             other = other._built()
         return self._built() == other
 
@@ -152,12 +137,38 @@ class RayExtensions(Sequence):
     def __repr__(self) -> str:
         return repr(self._built())
 
+
+class RayExtensions(_LazyTuple):
+    """The placed rays as ``RayExtension`` records, each held as
+    ``(segment, endpoint, X, Y, W, went_to_infinity)``.  :meth:`frame_termini`
+    hands the termini to internal callers without building any ``Fraction``.
+    """
+
+    __slots__ = ("_ps",)
+
+    def __init__(self, ps: PointSet, placed: Sequence[tuple], frame: int):
+        super().__init__(placed, frame)
+        self._ps = ps
+
+    def _build(self) -> tuple[RayExtension, ...]:
+        coord, frame = self._ps.coord, self._frame
+        return tuple(
+            RayExtension(
+                segment=seg,
+                from_point=endpoint,
+                origin=coord(endpoint),
+                terminus=(Fraction(x, w * frame), Fraction(y, w * frame)),
+                went_to_infinity=infinite,
+            )
+            for seg, endpoint, x, y, w, infinite in self._raw
+        )
+
     def frame_termini(self) -> list[Triple]:
         """The termini in the point set's integer frame (coordinates times
         ``ps._scale``): gcd-normalized triples (X, Y, W), W > 0, in ray order."""
         mult = self._frame // self._ps._scale
         out = []
-        for _, _, x, y, w, _ in self._placed:
+        for _, _, x, y, w, _ in self._raw:
             w *= mult
             g = gcd(x, y, w)
             out.append((x // g, y // g, w // g))
@@ -180,37 +191,22 @@ class EndpointRole(Enum):
     TOP_END = "top"
 
 
-class CellPolygons(Sequence):
-    """The cells of a subdivision as ``ConvexPolygon``s, built on first read.
+class CellPolygons(_LazyTuple):
+    """The cells of a subdivision as ``ConvexPolygon``s, each held as its
+    counter-clockwise corners (X, Y, W)."""
 
-    Each cell is held as its counter-clockwise corners, homogeneous integer
-    triples (X, Y, W) with W > 0, in units of 1/frame;
-    ``len`` builds nothing, and the first element access builds every
-    polygon with ``Fraction`` corners (X / (W * frame), Y / (W * frame)).
-    """
+    __slots__ = ()
 
-    __slots__ = ("_corners", "_frame", "_polygons")
-
-    def __init__(self, corners: Sequence[tuple[tuple[int, int, int], ...]], frame: int):
-        self._corners = corners
-        self._frame = frame
-        self._polygons: Optional[tuple[ConvexPolygon, ...]] = None
-
-    def __len__(self) -> int:
-        return len(self._corners)
-
-    def __getitem__(self, i):
-        if self._polygons is None:
-            frame = self._frame
-            # the face walk certified each corner list as a strictly convex
-            # CCW cycle, so the revalidating constructor is skipped
-            self._polygons = tuple(
-                ConvexPolygon._unchecked(
-                    tuple((Fraction(x, w * frame), Fraction(y, w * frame)) for x, y, w in cell)
-                )
-                for cell in self._corners
+    def _build(self) -> tuple[ConvexPolygon, ...]:
+        frame = self._frame
+        # the face walk certified each corner list as a strictly convex
+        # CCW cycle, so the revalidating constructor is skipped
+        return tuple(
+            ConvexPolygon._unchecked(
+                tuple((Fraction(x, w * frame), Fraction(y, w * frame)) for x, y, w in cell)
             )
-        return self._polygons[i]
+            for cell in self._raw
+        )
 
 
 @dataclass(frozen=True)
@@ -218,10 +214,8 @@ class ConvexSubdivision:
     """Convex cells covering the region; each in-region matching vertex lies
     on the common boundary of exactly two of them (left cell listed first,
     looking along the segment from its coordinate-wise smaller endpoint).
-
-    ``cells`` keeps the corners as integer node triples and builds the
-    ``Fraction`` polygons on first element access (see ``CellPolygons``);
-    its length is the cell count and costs nothing.
+    ``cells`` builds its polygons on first element access; subdivisions
+    with equal cells and equal vertex cells are equal.
     """
 
     cells: CellPolygons
@@ -357,41 +351,34 @@ def _walk_faces(
 
 
 class _Feature:
-    """A straight blocker: a wall (segment plus extensions) or a region edge.
+    """A straight blocker: a wall (segment ``seg`` plus extensions) or a
+    region edge (``seg`` None).
 
-    Points on the carrier line are A + t*(B - A); ``lo..hi`` is the part
-    that currently exists, and ``x0..x1`` by ``y0..y1`` an integer box
-    around it.  ``nodes`` maps the parameter of every node on the feature
-    (wall ends, landings of other rays, matching vertices, region corners)
-    to its node id.
+    Points on the carrier line are A + t*(B - A); ``line`` is that line as
+    (a, b, c) with a*x + b*y + c = 0, gcd-normalized and (a, b) > 0
+    lexicographically, so that equal lines give equal triples.  ``lo..hi``
+    is the part that currently exists, and ``x0..x1`` by ``y0..y1`` an
+    integer box around it.  ``nodes`` maps the parameter of every node on
+    the feature to its node id.
     """
 
-    __slots__ = (
-        "ax", "ay", "bx", "by", "dx", "dy", "lo", "hi",
-        "x0", "y0", "x1", "y1", "is_boundary", "seg", "nodes",
-    )
+    __slots__ = ("ax", "ay", "dx", "dy", "line", "lo", "hi", "x0", "y0", "x1", "y1", "seg", "nodes")
 
-    def __init__(self, a, b, is_boundary, seg=None):
+    def __init__(self, a, b, seg=None):
         ax, ay = self.ax, self.ay = a
-        bx, by = self.bx, self.by = b
-        self.dx, self.dy = bx - ax, by - ay
+        bx, by = b
+        dx, dy = self.dx, self.dy = bx - ax, by - ay
+        c = dx * ay - dy * ax
+        g = gcd(dy, dx, c)
+        if dy < 0 or (dy == 0 and dx > 0):
+            g = -g
+        self.line = (dy // g, -dx // g, c // g)
         self.lo = _ZERO
         self.hi = _ONE
         self.x0, self.x1 = (ax, bx) if ax < bx else (bx, ax)
         self.y0, self.y1 = (ay, by) if ay < by else (by, ay)
-        self.is_boundary = is_boundary
         self.seg = seg
         self.nodes: dict[tuple[int, int], int] = {}
-
-    def line(self) -> tuple[int, int, int]:
-        """The carrier line a*x + b*y + c = 0, gcd-normalized, (a, b) > 0
-        lexicographically, so that equal lines give equal triples."""
-        a, b = self.dy, -self.dx
-        c = self.dx * self.ay - self.dy * self.ax
-        g = gcd(a, b, c)
-        if a < 0 or (a == 0 and b < 0):
-            g = -g
-        return (a // g, b // g, c // g)
 
     def point(self, t: tuple[int, int]) -> tuple[int, int, int]:
         """A + t*(B - A) as a homogeneous integer triple."""
@@ -399,141 +386,98 @@ class _Feature:
         return (self.ax * td + tn * self.dx, self.ay * td + tn * self.dy, td)
 
 
-def extend(
-    m: Matching,
-    region: Region,
-    rays: Sequence[tuple[Segment, int]],
-    partial: bool = False,
-):
-    """Place the rays inside the region, in list order.
+class _Scene:
+    """The set-up of ``extend``: the points (``pts``) and region corners
+    (``reg``) in one integer frame, each point's ``outside`` mask (bit k set
+    when it lies strictly outside region edge k), the walls in
+    ``segment_order`` with ``wall_at`` keyed by endpoint, and the region
+    edges (``boundary``)."""
 
-    Each ray is a ``(segment, endpoint)`` pair that extends a segment of m
-    beyond one of its endpoints inside the region; no ray may repeat.
-    Returns (ExtensionGeometry, ConvexSubdivision), with the placed rays in
-    the order given.  Unless ``partial``, the rays must extend every
-    segment meeting the region beyond each of its endpoints inside it;
-    with ``partial=True`` only the ray geometry is computed and the
-    subdivision slot is None.
-    """
-    ps = m.base
-    region_poly = region.polygon() if isinstance(region, BoundingBox) else region
-    if not isinstance(region_poly, ConvexPolygon):
-        raise GeomatchError("region must be a ConvexPolygon or BoundingBox")
-    clip_is_infinity = isinstance(region, BoundingBox)
+    def __init__(self, m: Matching, region: Region):
+        ps = m.base
+        region_poly = region.polygon() if isinstance(region, BoundingBox) else region
+        if not isinstance(region_poly, ConvexPolygon):
+            raise GeomatchError("region must be a ConvexPolygon or BoundingBox")
+        self.clip_is_infinity = clip_is_infinity = isinstance(region, BoundingBox)
 
-    # a shared integer frame for points and region vertices, built on the
-    # point set's cached scaling
-    denoms = [region_poly.vertices[i][j].denominator for i in range(len(region_poly)) for j in (0, 1)]
-    frame = lcm(ps._scale, *denoms)
-    mult = frame // ps._scale
-    pts = {i: (ps._ix[i] * mult, ps._iy[i] * mult) for s in m.edges for i in s.ids}
-    reg = [
-        (x.numerator * (frame // x.denominator), y.numerator * (frame // y.denominator))
-        for x, y in region_poly.vertices
-    ]
-    nreg = len(reg)
+        # a shared integer frame for points and region vertices, built on
+        # the point set's cached scaling
+        denoms = [region_poly.vertices[i][j].denominator for i in range(len(region_poly)) for j in (0, 1)]
+        self.frame = frame = lcm(ps._scale, *denoms)
+        mult = frame // ps._scale
+        self.pts = pts = {i: (ps._ix[i] * mult, ps._iy[i] * mult) for s in m.edges for i in s.ids}
+        self.reg = reg = [
+            (x.numerator * (frame // x.denominator), y.numerator * (frame // y.denominator))
+            for x, y in region_poly.vertices
+        ]
+        nreg = len(reg)
 
-    # classify segments by how many endpoints are inside the region; a
-    # point's mask has bit k set when it lies strictly outside region edge k
-    if clip_is_infinity:
-        # the box's edges are bottom, right, top, left (polygon() order), so
-        # four integer comparisons give the same bits
-        (x0, y0), (x1, y1) = reg[0], reg[2]
+        # classify segments by how many endpoints are inside the region
+        if clip_is_infinity:
+            # the box's edges are bottom, right, top, left (polygon() order),
+            # so four integer comparisons give the same bits
+            (x0, y0), (x1, y1) = reg[0], reg[2]
 
-        def outside_mask(i: int) -> int:
-            px, py = pts[i]
-            mask = (py < y0) | (px > x1) << 1 | (py > y1) << 2 | (px < x0) << 3
-            if not mask and (py == y0 or px == x1 or py == y1 or px == x0):
-                raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
-            return mask
+            def outside_mask(i: int) -> int:
+                px, py = pts[i]
+                mask = (py < y0) | (px > x1) << 1 | (py > y1) << 2 | (px < x0) << 3
+                if not mask and (py == y0 or px == x1 or py == y1 or px == x0):
+                    raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
+                return mask
 
-    else:
+        else:
 
-        def outside_mask(i: int) -> int:
-            px, py = pts[i]
-            on_edge = False
-            mask = 0
-            for k in range(nreg):
-                ax, ay = reg[k]
-                bx, by = reg[(k + 1) % nreg]
-                s = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-                if s < 0:
-                    mask |= 1 << k
-                elif s == 0:
-                    on_edge = True
-            if on_edge and not mask:
-                raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
-            return mask
+            def outside_mask(i: int) -> int:
+                px, py = pts[i]
+                on_edge = False
+                mask = 0
+                for k in range(nreg):
+                    ax, ay = reg[k]
+                    bx, by = reg[(k + 1) % nreg]
+                    s = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+                    if s < 0:
+                        mask |= 1 << k
+                    elif s == 0:
+                        on_edge = True
+                if on_edge and not mask:
+                    raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
+                return mask
 
-    outside = {i: outside_mask(i) for s in m.edges for i in s.ids}
-    state = {i: int(not mask) for i, mask in outside.items()}
-    in_segments: list[Segment] = []
-    for s in m.edges:
-        if state[s.a] or state[s.b]:
-            in_segments.append(s)
-        elif not outside[s.a] & outside[s.b]:
-            # no edge line has the whole segment strictly on its outer side
-            for i in range(len(reg)):
-                r, t = reg[i], reg[(i + 1) % len(reg)]
-                if segments_cross_coords(pts[s.a], pts[s.b], r, t):
-                    raise SegmentOutsideRegionRule(
-                        f"{s} crosses the region but has no endpoint inside"
-                    )
+        self.outside = outside = {i: outside_mask(i) for s in m.edges for i in s.ids}
+        in_segments: list[Segment] = []
+        for s in m.edges:
+            if not outside[s.a] or not outside[s.b]:
+                in_segments.append(s)
+            elif not outside[s.a] & outside[s.b]:
+                # no edge line has the whole segment strictly on its outer side
+                for i in range(nreg):
+                    r, t = reg[i], reg[(i + 1) % nreg]
+                    if segments_cross_coords(pts[s.a], pts[s.b], r, t):
+                        raise SegmentOutsideRegionRule(
+                            f"{s} crosses the region but has no endpoint inside"
+                        )
 
-    # the tables below are keyed by endpoint id (each point is on at most
-    # one segment of m), so no Segment is hashed per ray
-    in_segments.sort(key=segment_order)
-    walls = [_Feature(pts[s.a], pts[s.b], False, s) for s in in_segments]
-    wall_at: dict[int, _Feature] = {}
-    for f in walls:
-        wall_at[f.seg.a] = wall_at[f.seg.b] = f
-
-    # validate the rays: each leaves an in-region endpoint of its segment,
-    # at most once
-    given: set[int] = set()
-    for seg, e in rays:
-        f = wall_at.get(seg.a)
-        if f is None or f.seg.b != seg.b:
-            raise GeomatchError(f"ray from {seg}, which is not in the region")
-        # also rejects a point that is not on seg
-        if (e != seg.a and e != seg.b) or not state[e]:
-            raise GeomatchError(f"{e} is not an endpoint of {seg} inside the region")
-        if e in given:
-            raise GeomatchError(f"{seg} extended twice beyond {e}")
-        given.add(e)
-    if not partial:
-        for s in in_segments:
-            if (state[s.a] and s.a not in given) or (state[s.b] and s.b not in given):
-                raise GeomatchError(f"the rays do not fully extend {s}")
-
-    boundary = [
-        _Feature(reg[i], reg[(i + 1) % len(reg)], True) for i in range(len(reg))
-    ]
-    features: list[_Feature] = walls + boundary
-
-    # Unless partial, nodes are numbered as they are made: the region
-    # corners and the in-region matching vertices here, each ray terminus
-    # when its ray is placed (node t0 + k for ray k), and each point where a
-    # wall leaves the region once the rays are placed.  node_pts holds them
-    # as homogeneous integer triples (X, Y, W), W > 0, in frame units.
-    node_pts: list[Triple] = []
-    vertex_node: dict[int, int] = {}
-    if not partial:
-        node_pts = [(x, y, 1) for x, y in reg]
-        for k, g in enumerate(boundary):
-            g.nodes[_ZERO] = k
-            g.nodes[_ONE] = (k + 1) % nreg
+        # the tables below are keyed by endpoint id (each point is on at
+        # most one segment of m), so no Segment is hashed per ray
+        in_segments.sort(key=segment_order)
+        self.walls = walls = [_Feature(pts[s.a], pts[s.b], s) for s in in_segments]
+        self.wall_at = wall_at = {}
         for f in walls:
-            for endpoint, t in ((f.seg.a, _ZERO), (f.seg.b, _ONE)):
-                if state[endpoint]:
-                    vertex_node[endpoint] = f.nodes[t] = len(node_pts)
-                    node_pts.append((*pts[endpoint], 1))
-    t0 = len(node_pts)
+            wall_at[f.seg.a] = wall_at[f.seg.b] = f
+        self.boundary = boundary = [_Feature(reg[i], reg[(i + 1) % nreg]) for i in range(nreg)]
+        self.features = walls + boundary
+
+
+def _shoot(scene: _Scene, rays: Sequence[tuple[Segment, int]]) -> list[tuple]:
+    """Place validated rays in list order, each stopping at the first
+    feature it meets, where its terminus becomes node k (for ray k) on both
+    features.  Returns ``(segment, endpoint, X, Y, W, went_to_infinity)``
+    per ray, the terminus a homogeneous integer triple in frame units."""
+    pts, wall_at, features, reg = scene.pts, scene.wall_at, scene.features, scene.reg
 
     # a ray along the line of another wall or of a region edge is
     # degenerate wherever that feature lies, even behind the ray
-    carrier = {g: g.line() for g in features}
-    line_count = Counter(carrier.values())
+    line_count = Counter(g.line for g in features)
 
     # the region's integer box bounds every ray's search
     rx0, rx1 = min(x for x, _ in reg), max(x for x, _ in reg)
@@ -542,7 +486,7 @@ def extend(
     placed: list[tuple] = []
     for seg, endpoint in rays:
         f = wall_at[endpoint]
-        if line_count[carrier[f]] > 1:
+        if line_count[f.line] > 1:
             raise DegenerateIncidence(
                 f"ray from {endpoint} is collinear with another feature"
             )
@@ -553,13 +497,13 @@ def extend(
             dx, dy = -dx, -dy
         # integer box of the part of the ray that can still hold the first
         # hit: the quadrant ahead of the origin inside the region box, cut
-        # back to the best hit so far
+        # back to the best hit (hx/td, hy/td) so far
         bx0, bx1 = (ox, rx1) if dx > 0 else (rx0, ox) if dx < 0 else (ox, ox)
         by0, by1 = (oy, ry1) if dy > 0 else (ry0, oy) if dy < 0 else (oy, oy)
-        best = None  # (tn, td, feature, un, ud)
+        best = None  # (tn, td, feature, un)
         tie = False
         # the hottest loop of extend, so the cross products are inlined: the
-        # ray meets g at ray parameter tn/td >= 0 and g parameter un/ud, which
+        # ray meets g at ray parameter tn/td >= 0 and g parameter un/td, which
         # must lie in g's current extent lo..hi.  The box test is strict, so
         # a feature through the origin or through the best hit is still
         # tested and the degeneracy checks below see it.
@@ -580,16 +524,15 @@ def extend(
                 un = dx * fy - dy * fx
             if tn < 0:
                 continue
-            ud = td
             lo, hi = g.lo, g.hi
-            if un * lo[1] < lo[0] * ud or un * hi[1] > hi[0] * ud:
+            if un * lo[1] < lo[0] * td or un * hi[1] > hi[0] * td:
                 continue
             if tn == 0:
                 raise DegenerateIncidence(
                     f"a blocker passes through matching vertex {endpoint}"
                 )
             if best is None or tn * best[1] < best[0] * td:
-                best = (tn, td, g, un, ud)
+                best = (tn, td, g, un)
                 tie = False
                 hx, hy = ox * td + tn * dx, oy * td + tn * dy
                 if dx > 0:
@@ -608,11 +551,11 @@ def extend(
             raise DegenerateIncidence(
                 f"ray from {endpoint} meets two blockers at the same point"
             )
-        tn, td, g, un, ud = best
-        u = _norm(un, ud)
-        if u == g.lo or u == g.hi or u in g.nodes or (
-            not g.is_boundary and (u == _ZERO or u == _ONE)
-        ):
+        tn, td, g, un = best
+        u = _norm(un, td)
+        # a region corner is its edge's 0 or 1, and a segment end its wall's;
+        # every other node on g is an earlier terminus
+        if u == _ZERO or u == _ONE or u in g.nodes:
             raise DegenerateIncidence(
                 f"ray from {endpoint} stops exactly on an existing vertex"
             )
@@ -620,23 +563,34 @@ def extend(
             end = f.hi = _norm(td + tn, td)
         else:
             end = f.lo = _norm(-tn, td)
-        g.nodes[u] = f.nodes[end] = t0 + len(placed)
-        hx, hy = ox * td + tn * dx, oy * td + tn * dy
-        # the wall now reaches the terminus, beyond its old end; widen its
-        # box on that side
-        if dx > 0:
-            f.x1 = -(-hx // td)
-        elif dx < 0:
-            f.x0 = hx // td
-        if dy > 0:
-            f.y1 = -(-hy // td)
-        elif dy < 0:
-            f.y0 = hy // td
-        placed.append((seg, endpoint, hx, hy, td, g.is_boundary and clip_is_infinity))
-    geometry = ExtensionGeometry(RayExtensions(ps, placed, frame))
-    if partial:
-        return geometry, None
-    node_pts += [(x, y, w) for _, _, x, y, w, _ in placed]
+        g.nodes[u] = f.nodes[end] = len(placed)
+        # the wall now reaches the terminus: its box takes in the ray's
+        # search box, which was cut back to the box of origin and terminus
+        f.x0, f.x1 = min(f.x0, bx0), max(f.x1, bx1)
+        f.y0, f.y1 = min(f.y0, by0), max(f.y1, by1)
+        placed.append((seg, endpoint, hx, hy, td, g.seg is None and scene.clip_is_infinity))
+    return placed
+
+
+def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
+    """Number the nodes of the fully extended walls, link them into
+    edgelets, walk the faces and certify them as the region's convex cells."""
+    reg, walls, boundary, outside = scene.reg, scene.walls, scene.boundary, scene.outside
+
+    # ray k's terminus is node k; after the termini come the region corners,
+    # the in-region matching vertices and the points where a wall leaves the
+    # region.  node_pts holds them as homogeneous integer triples (X, Y, W),
+    # W > 0, in frame units.
+    node_pts: list[Triple] = [(x, y, w) for _, _, x, y, w, _ in placed]
+    for k, g in enumerate(boundary):
+        g.nodes[_ZERO] = len(node_pts) + k
+        g.nodes[_ONE] = len(node_pts) + (k + 1) % len(reg)
+    node_pts += [(x, y, 1) for x, y in reg]
+    for f in walls:
+        for endpoint, t in ((f.seg.a, _ZERO), (f.seg.b, _ONE)):
+            if not outside[endpoint]:
+                f.nodes[t] = len(node_pts)
+                node_pts.append((*scene.pts[endpoint], 1))
 
     # every in-region endpoint was extended, so a wall ends at a ray
     # terminus unless that end lies outside the region: then the wall leaves
@@ -644,7 +598,7 @@ def extend(
     # its outer side, at a new node (a ray landing there would have met the
     # wall and the edge at once)
     for f in walls:
-        a, b, c = carrier[f]
+        a, b, c = f.line
         if any(a * x + b * y + c == 0 for x, y in reg):
             raise DegenerateIncidence("a segment line passes through a region corner")
         mask = outside[f.seg.a] | outside[f.seg.b]  # one end at most
@@ -671,7 +625,7 @@ def extend(
     dedge_dir: list[tuple[int, int]] = []
     outgoing: list[list[int]] = [[] for _ in node_pts]
 
-    for f in features:
+    for f in scene.features:
         nodes = f.nodes
         params = list(nodes)
         _sort_params(params)
@@ -754,24 +708,24 @@ def extend(
         cell_index[fid] = len(cells)
         cells.append(tuple([node_pts[v] for v in corners]))
 
-    if len(cells) != len(in_segments) + 1:
-        both_in = sum(state[s.a] & state[s.b] for s in in_segments)
+    if len(cells) != len(walls) + 1:
+        both_in = sum(not outside[f.seg.a] | outside[f.seg.b] for f in walls)
         raise InvariantViolation(
-            f"{len(cells)} cells for {len(in_segments) - both_in} + {both_in} extended segments"
+            f"{len(cells)} cells for {len(walls) - both_in} + {both_in} extended segments"
         )
 
     # the two dedges leaving a matching vertex run along its wall, one
     # each way; the cell left of the one pointing away from the wall's
     # coordinate-wise smaller end is the vertex's left cell
     vertex_cells: dict[int, tuple[int, int]] = {}
-    for s, f in zip(in_segments, walls):
+    for f in walls:
         forward = (f.dx, f.dy)
-        if pts[s.a] > pts[s.b]:
+        if forward < (0, 0):
             forward = (-f.dx, -f.dy)
-        for endpoint in s.ids:
-            if not state[endpoint]:
+        for endpoint, t in ((f.seg.a, _ZERO), (f.seg.b, _ONE)):
+            if outside[endpoint]:
                 continue
-            out = outgoing[vertex_node[endpoint]]
+            out = outgoing[f.nodes[t]]
             if len(out) != 2:
                 raise InvariantViolation("matching vertex is not interior to its wall")
             ahead, behind = out
@@ -783,8 +737,52 @@ def extend(
                 raise InvariantViolation("matching vertex sees only one cell")
             vertex_cells[endpoint] = (left, right)
 
-    sub = ConvexSubdivision(CellPolygons(cells, frame), vertex_cells)
-    return geometry, sub
+    return ConvexSubdivision(CellPolygons(cells, scene.frame), vertex_cells)
+
+
+def extend(
+    m: Matching,
+    region: Region,
+    rays: Sequence[tuple[Segment, int]],
+    partial: bool = False,
+):
+    """Place the rays inside the region, in list order.
+
+    Each ray is a ``(segment, endpoint)`` pair that extends a segment of m
+    beyond one of its endpoints inside the region; no ray may repeat.
+    Returns (ExtensionGeometry, ConvexSubdivision), with the placed rays in
+    the order given.  Unless ``partial``, the rays must extend every
+    segment meeting the region beyond each of its endpoints inside it;
+    with ``partial=True`` only the ray geometry is computed and the
+    subdivision slot is None.
+    """
+    scene = _Scene(m, region)
+    wall_at, outside = scene.wall_at, scene.outside
+
+    # validate the rays: each leaves an in-region endpoint of its segment,
+    # at most once
+    given: set[int] = set()
+    for seg, e in rays:
+        f = wall_at.get(seg.a)
+        if f is None or f.seg.b != seg.b:
+            raise GeomatchError(f"ray from {seg}, which is not in the region")
+        # also rejects a point that is not on seg
+        if (e != seg.a and e != seg.b) or outside[e]:
+            raise GeomatchError(f"{e} is not an endpoint of {seg} inside the region")
+        if e in given:
+            raise GeomatchError(f"{seg} extended twice beyond {e}")
+        given.add(e)
+    if not partial:
+        for f in scene.walls:
+            s = f.seg
+            if (not outside[s.a] and s.a not in given) or (not outside[s.b] and s.b not in given):
+                raise GeomatchError(f"the rays do not fully extend {s}")
+
+    placed = _shoot(scene, rays)
+    geometry = ExtensionGeometry(RayExtensions(m.base, placed, scene.frame))
+    if partial:
+        return geometry, None
+    return geometry, _subdivide(scene, placed)
 
 
 def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:

@@ -24,7 +24,7 @@ which is how a refactor shows that it changed no behaviour::
     python tests/output_dump.py --records     # one record per line as well
     python tests/output_dump.py --check       # exit 1 unless the line is pinned
 
-``output_dump.expected`` pins the line for scale 1 and for scale 1/3, each
+``output_dump.expected`` pins the line for scales 1, 1/3 and 5/11, each
 after its scale; ``--check`` compares the printed line with the one pinned
 for its scale.  A change that alters an output on purpose updates that file
 and says which records moved.  A scale whose denominator does not divide

@@ -405,8 +405,19 @@ def test_colored_dual_validation():
         ColoredDual(colored.dual, colored.colors[:-1])
     with pytest.raises(GeomatchError):
         ColoredDual(colored.dual, (GREEN, BLUE) * (len(colored.colors) // 2))
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation) as ei:
         ColoredDual(colored.dual, (RED,) * len(colored.colors))
+    assert str(ei.value) == f"both edges of {colored.dual.edges[0].segment} are colored red"
+    # one segment's two edges in one color: that segment is named
+    for seg in {e.segment for e in colored.dual.edges}:
+        first = next(i for i, e in enumerate(colored.dual.edges) if e.segment == seg)
+        colors = tuple(
+            colored.colors[first] if e.segment == seg else c
+            for e, c in zip(colored.dual.edges, colored.colors)
+        )
+        with pytest.raises(InvariantViolation) as ei:
+            ColoredDual(colored.dual, colors)
+        assert str(ei.value) == f"both edges of {seg} are colored {colored.colors[first]}"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from geomatch.errors import (
     GeomatchError,
     SegmentOutsideRegionRule,
 )
-from geomatch import subdivision
+from geomatch import oracle, subdivision
 from geomatch.geom_core import (
     BoundingBox,
     ConvexPolygon,
@@ -597,3 +597,93 @@ def test_corner_rule_holds_for_a_wall_that_never_reaches_the_corner():
         with pytest.raises(DegenerateIncidence) as ei:
             extend(m, region, rays)
         assert str(ei.value) == "a segment line passes through a region corner"
+
+
+# ---------------------------------------------------------------------------
+# the ray kernel has no mode, and equal extensions are equal
+
+
+def _mode_cases():
+    """(m, region, rays) with a ray beyond every endpoint inside the region:
+    random general, axis-parallel and small-grid matchings (the grids have
+    collinear points, vertical segments and ray ties), each also scaled by
+    1/3, on the box around the points and on that box cut by an oblique
+    line."""
+    matchings = []
+    for seed in range(6):
+        matchings.append(gen_random_matching(4 + seed, seed))
+        matchings.append(gen_random_matching(3 + seed, seed, Flavor.AXIS_PARALLEL))
+    rng = Random(17)
+    for _ in range(30):
+        n = rng.choice([4, 6, 8])
+        cells = sorted({(rng.randrange(6), rng.randrange(5)) for _ in range(3 * n)})
+        ps = PointSet.from_coords(rng.sample(cells, min(n, len(cells)) // 2 * 2))
+        catalog = oracle.enumerate_ncpm(ps)
+        matchings.append(catalog[rng.randrange(len(catalog))])
+    for m in matchings:
+        for factor in (1, Fraction(1, 3)):
+            ps = PointSet.from_coords([(p.x * factor, p.y * factor) for p in m.base])
+            m = Matching(ps, m.edges, check=False)
+            box = BoundingBox.around(ps)
+            mid = sorted(p.x for p in ps)[len(ps) // 2]
+            cut = box.polygon().clip_halfplane(
+                Fraction(2), Fraction(-1, 5), 2 * mid + Fraction(1, 3), keep=1
+            )
+            for region in (box, cut):
+                poly = region.polygon() if isinstance(region, BoundingBox) else region
+                yield m, region, [
+                    (s, i) for s in m.sorted_edges() for i in s.ids
+                    if polygon_contains(poly, ps.coord(i), strict=True)
+                ]
+
+
+# what only the subdivision builder, after the last ray, can raise
+_BUILDER_ERRORS = {
+    "a segment line passes through a region corner",
+    "two structure vertices coincide",
+    "two collinear edgelets leave one vertex",
+}
+
+
+def _geometry_or_error(m, region, rays, partial):
+    try:
+        return extend(m, region, rays, partial=partial)[0]
+    except GeomatchError as exc:
+        return type(exc), str(exc)
+
+
+def test_ray_kernel_is_the_same_with_and_without_the_builder():
+    seen = set()
+    for m, region, rays in _mode_cases():
+        full = _geometry_or_error(m, region, rays, False)
+        part = _geometry_or_error(m, region, rays, True)
+        if isinstance(part, tuple):
+            # set-up, ray validation or the kernel: raised either way
+            assert part == full
+            seen.add("kernel error")
+        elif isinstance(full, tuple):
+            assert full[0] is DegenerateIncidence and full[1] in _BUILDER_ERRORS
+            seen.add("builder error")
+        else:
+            assert part.rays == full.rays
+            assert part.rays.frame_termini() == full.rays.frame_termini()
+            seen.add("ok")
+    assert seen == {"ok", "kernel error", "builder error"}
+
+
+def test_equal_extensions_give_equal_subdivisions():
+    subs = []
+    for m, region, rays in _frame_cases():
+        if len(rays) < 2 * len(m.edges) and isinstance(region, BoundingBox):
+            continue  # rays from one end only: not a full extension
+        geo1, sub1 = extend(m, region, rays)
+        geo2, sub2 = extend(m, region, rays)
+        assert geo1 == geo2
+        assert sub1.cells == sub2.cells and hash(sub1.cells) == hash(sub2.cells)
+        assert sub1 == sub2
+        assert sub1.cells == tuple(sub2.cells)
+        assert repr(sub1.cells) == repr(tuple(sub2.cells))
+        subs.append(sub1)
+    # different instances and regions give different cells
+    assert len(subs) == 8
+    assert all(a != b for i, a in enumerate(subs) for b in subs[:i])
