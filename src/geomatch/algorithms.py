@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 from .errors import (
     DegenerateIncidence,
@@ -212,13 +212,29 @@ def halfplane_matching(
     """
     if keep not in (1, -1):
         raise GeomatchError("halfplane selector must be +1 or -1")
-    return _halfplane_side(m, _line_sides(m, line), line, keep, within)
+    return _halfplane_side(m, _line_sides(m, line), keep, _line_clip(m.base, line, within))
+
+
+def _line_clip(
+    ps: PointSet, line: Line, within: Optional[Region]
+) -> Callable[[int], Optional[Region]]:
+    """The kept side of the line within the region (by default the box
+    around ``ps``), as a function of ``keep``."""
+    a, b, c = (as_scalar(v) for v in line)
+
+    def clip(keep: int) -> Optional[Region]:
+        region = BoundingBox.around(ps) if within is None else within
+        return region.clip_halfplane(a, b, c, keep)
+
+    return clip
 
 
 def _halfplane_side(
-    m: Matching, sides: dict[int, int], line: Line, keep: int, within: Optional[Region]
+    m: Matching, sides: dict[int, int], keep: int, clip: Callable[[int], Optional[Region]]
 ) -> Matching:
-    """``halfplane_matching`` once the sides of the line are known."""
+    """``halfplane_matching`` once the sides of the line are known;
+    ``clip(keep)`` gives the region on the kept side, or None when empty,
+    and is called only when more than two points lie on that side."""
     ps = m.base
     inside = [i for i, s in sides.items() if s == keep]
     if not inside:
@@ -231,10 +247,7 @@ def _halfplane_side(
         # other point touched that edge, which a matching rules out.
         return Matching(ps, [Segment(inside[0], inside[1])], check=False)
 
-    a, b, c = (as_scalar(v) for v in line)
-    if within is None:
-        within = BoundingBox.around(ps)
-    region = within.clip_halfplane(a, b, c, keep)
+    region = clip(keep)
     if region is None:
         raise InvariantViolation("the bounding box misses the kept halfplane")
     rays = [(e, i) for e in m.sorted_edges() for i in e.ids if sides[i] == keep]
@@ -251,8 +264,9 @@ def even_cut_matching(
 ) -> Matching:
     """Match both sides of the line; the union never crosses the line."""
     sides = _line_sides(m, line)
-    left = _halfplane_side(m, sides, line, +1, within)
-    right = _halfplane_side(m, sides, line, -1, within)
+    clip = _line_clip(m.base, line, within)
+    left = _halfplane_side(m, sides, +1, clip)
+    right = _halfplane_side(m, sides, -1, clip)
     # each side is non-crossing on its own and the open halfplanes are
     # disjoint, so the union needs no crossing re-check
     return Matching(m.base, list(left.edges) + list(right.edges), check=False)
@@ -261,32 +275,46 @@ def even_cut_matching(
 def _canonical_steps(
     ps: PointSet,
     ids: list[int],
-    edges: list[Segment],
-    within: Region,
+    edges: Collection[Segment],
+    within: BoundingBox,
 ) -> list[frozenset[Segment]]:
     """Edge sets from ``edges`` to the canonical matching of ``ids``.
 
     One even-cut step at the median, then both halves advance in lockstep
-    (the vertical line keeps them from ever interacting).
+    (the vertical line keeps them from ever interacting).  ``within`` is
+    the box around all of ``ps``.  The step is ``even_cut_matching`` on the
+    line x = cx, in the point set's integer frame: cx lies halfway between
+    the k-th and the (k+1)-th point by x, which differ, so no point is on
+    the line and the k (even) points left of it leave an even cut.
     """
     n_seg = len(ids) // 2
     if n_seg <= 1:
         return [frozenset(edges)]
-    by_x = sorted(ids, key=lambda i: ps._ix[i])
+    ix = ps._ix
+    by_x = sorted(ids, key=ix.__getitem__)
     k = 2 * (n_seg // 2)
-    cx = Fraction(ps.coord(by_x[k - 1])[0] + ps.coord(by_x[k])[0], 2)
-    line: Line = (Fraction(1), Fraction(0), cx)
-    step = even_cut_matching(Matching(ps, edges, check=False), line, within)
-    left_ids, right_ids = by_x[:k], by_x[k:]
-    left_set = set(left_ids)
-    left_edges = [e for e in step.edges if e.a in left_set]
-    right_edges = [e for e in step.edges if e.a not in left_set]
-    lseq = _canonical_steps(ps, left_ids, left_edges, within)
-    rseq = _canonical_steps(ps, right_ids, right_edges, within)
+    mid2 = ix[by_x[k - 1]] + ix[by_x[k]]  # 2 * cx in frame units
+    sides = {i: 1 if 2 * ix[i] > mid2 else -1 for i in sorted(ids)}
+    cut = sum(sides[e.a] != sides[e.b] for e in edges)
+    if cut % 2 == 1:
+        raise OddCut(cut)
+    cx = Fraction(mid2, 2 * ps._scale)
+
+    def clip(keep: int) -> BoundingBox:
+        # within.clip_halfplane(1, 0, cx, keep), with cx strictly inside
+        if keep > 0:
+            return BoundingBox(cx, within.ymin, within.xmax, within.ymax)
+        return BoundingBox(within.xmin, within.ymin, cx, within.ymax)
+
+    m = Matching(ps, edges, check=False)
+    right = _halfplane_side(m, sides, +1, clip).edges
+    left = _halfplane_side(m, sides, -1, clip).edges
+    lseq = _canonical_steps(ps, by_x[:k], left, within)
+    rseq = _canonical_steps(ps, by_x[k:], right, within)
     depth = max(len(lseq), len(rseq))
     lseq += [lseq[-1]] * (depth - len(lseq))
     rseq += [rseq[-1]] * (depth - len(rseq))
-    return [frozenset(edges)] + [l | r for l, r in zip(lseq, rseq)]
+    return [m.edges] + [l | r for l, r in zip(lseq, rseq)]
 
 
 def _collapse(steps: Sequence[frozenset[Segment]]) -> list[frozenset[Segment]]:

@@ -821,4 +821,6 @@ def shear_points(ps: PointSet, K: Optional[Fraction] = None) -> tuple[PointSet, 
 
 
 def distinct_x(ps: PointSet) -> bool:
-    return len({p.x for p in ps.points}) == len(ps)
+    """Whether no two points share an x-coordinate (compared on the integer
+    frame, where equal coordinates scale to equal integers)."""
+    return len(set(ps._ix)) == len(ps)

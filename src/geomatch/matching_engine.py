@@ -74,6 +74,11 @@ def convex_disjoint_matching(
     (smallest ids first) and shrink.  With four points left, a pair is only
     taken if the two points it leaves behind are not an mb edge.
     """
+    return Matching(ps, _disjoint_cell(ps, pts, mb), check=False)
+
+
+def _disjoint_cell(ps: PointSet, pts: Sequence[int], mb: Iterable[Segment]) -> list[Segment]:
+    """The edges of ``convex_disjoint_matching``."""
     order, taken = _convex_batch(ps, pts, mb)
     if len(order) == 2 and taken:
         a, b = pts
@@ -105,7 +110,7 @@ def convex_disjoint_matching(
         if ((v, w) if v < w else (w, v)) in taken:
             raise InvariantViolation("induction left an already-matched pair")
         chosen.append(Segment(v, w))
-    return Matching(ps, chosen, check=False)
+    return chosen
 
 
 def convex_compatible_matching(
@@ -113,12 +118,13 @@ def convex_compatible_matching(
 ) -> Matching:
     """Perfect matching of convex-position points whose union with the
     hull-edge matching ``mb`` is non-crossing; edges of mb may be reused."""
+    return Matching(ps, _compatible_cell(ps, pts, mb), check=False)
+
+
+def _compatible_cell(ps: PointSet, pts: Sequence[int], mb: Iterable[Segment]) -> list[Segment]:
+    """The edges of ``convex_compatible_matching``."""
     order, _ = _convex_batch(ps, pts, mb)
-    return Matching(
-        ps,
-        [Segment(order[i], order[i + 1]) for i in range(0, len(order), 2)],
-        check=False,
-    )
+    return [Segment(order[i], order[i + 1]) for i in range(0, len(order), 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +302,9 @@ def assemble_from_orientation(
                 raise SameSegmentIndegreeTwo(
                     f"cell {y} received exactly the two endpoints of {induced[0]}"
                 )
-            cell_matching = convex_disjoint_matching(ps, batch, induced)
+            edges += _disjoint_cell(ps, batch, induced)
         else:
-            cell_matching = convex_compatible_matching(ps, batch, induced)
-        edges.extend(cell_matching.edges)
+            edges += _compatible_cell(ps, batch, induced)
     if 2 * len(edges) != len(assignment.vertex_cell):
         raise InvariantViolation("assembled matching does not cover every vertex")
     return Matching(ps, edges, check=False)

@@ -22,7 +22,7 @@ class Multigraph:
     Parallel edges are allowed, loops are not.
     """
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
@@ -34,16 +34,23 @@ class Multigraph:
                 raise GeomatchError(f"edge ({u},{v}) outside vertex range")
             es.append((u, v))
         self.edges = tuple(es)
+        self._adj: Optional[list[list[tuple[int, int]]]] = None
 
     def __repr__(self):
         return f"Multigraph({self.n} vertices, {len(self.edges)} edges)"
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per vertex: list of (edge id, other endpoint), sorted by edge id."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for eid, (u, v) in enumerate(self.edges):
-            adj[u].append((eid, v))
-            adj[v].append((eid, u))
+        """Per vertex: list of (edge id, other endpoint), sorted by edge id.
+
+        Built on the first call; every later call returns the same lists,
+        which callers read and never change.
+        """
+        adj = self._adj
+        if adj is None:
+            adj = self._adj = [[] for _ in range(self.n)]
+            for eid, (u, v) in enumerate(self.edges):
+                adj[u].append((eid, v))
+                adj[v].append((eid, u))
         return adj
 
 

@@ -13,8 +13,8 @@ in-region matching vertex.
 All arithmetic is exact.  Rays are compared by cross-multiplied integers in
 a scaled frame, so no rounding ever decides a blocking order; a tie (two
 blockers at the identical point, a ray through an existing vertex, or a ray
-along the line of another segment or of a region edge) is a degeneracy and
-raises DegenerateIncidence rather than being perturbed away.  Every blocker
+along the line of another segment) is a degeneracy and raises
+DegenerateIncidence rather than being perturbed away.  Every blocker
 keeps an integer bounding box of its current extent, and each ray a box of
 the part of it that can still hold the first hit; a blocker whose box misses
 the ray's box is skipped before any cross product is formed.
@@ -236,7 +236,13 @@ class DualMultigraph:
     edges: tuple[DualEdge, ...]
 
     def graph(self) -> Multigraph:
-        return Multigraph(self.n, [e.cells for e in self.edges])
+        """The cells and edges as a ``Multigraph``, built on the first call
+        and kept outside the fields, so equality, hash and repr ignore it."""
+        g = self.__dict__.get("_graph")
+        if g is None:
+            g = Multigraph(self.n, [e.cells for e in self.edges])
+            object.__setattr__(self, "_graph", g)
+        return g
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +360,11 @@ class _Feature:
     """A straight blocker: a wall (segment ``seg`` plus extensions) or a
     region edge (``seg`` None).
 
-    Points on the carrier line are A + t*(B - A); ``line`` is that line as
-    (a, b, c) with a*x + b*y + c = 0, gcd-normalized and (a, b) > 0
-    lexicographically, so that equal lines give equal triples.  ``lo..hi``
+    Points on the carrier line are A + t*(B - A); for a wall, ``line`` is
+    that line as (a, b, c) with a*x + b*y + c = 0, gcd-normalized and
+    (a, b) > 0 lexicographically, so that equal lines give equal triples (a
+    region edge never needs it: a wall has an endpoint strictly inside the
+    region, so its line is never an edge's line).  ``lo..hi``
     is the part that currently exists, and ``x0..x1`` by ``y0..y1`` an
     integer box around it.  ``nodes`` maps the parameter of every node on
     the feature to its node id.
@@ -368,11 +376,12 @@ class _Feature:
         ax, ay = self.ax, self.ay = a
         bx, by = b
         dx, dy = self.dx, self.dy = bx - ax, by - ay
-        c = dx * ay - dy * ax
-        g = gcd(dy, dx, c)
-        if dy < 0 or (dy == 0 and dx > 0):
-            g = -g
-        self.line = (dy // g, -dx // g, c // g)
+        if seg is not None:
+            c = dx * ay - dy * ax
+            g = gcd(dy, dx, c)
+            if dy < 0 or (dy == 0 and dx > 0):
+                g = -g
+            self.line = (dy // g, -dx // g, c // g)
         self.lo = _ZERO
         self.hi = _ONE
         self.x0, self.x1 = (ax, bx) if ax < bx else (bx, ax)
@@ -395,55 +404,62 @@ class _Scene:
 
     def __init__(self, m: Matching, region: Region):
         ps = m.base
-        region_poly = region.polygon() if isinstance(region, BoundingBox) else region
-        if not isinstance(region_poly, ConvexPolygon):
+        ix, iy = ps._ix, ps._iy
+        self.clip_is_infinity = isinstance(region, BoundingBox)
+        self.pts = pts = {}
+        self.outside = outside = {}
+        # a shared integer frame for points and region corners, built on the
+        # point set's cached scaling; points are scaled and classified in
+        # the order of m's edges, so the first point found on the boundary
+        # is the one reported
+        if self.clip_is_infinity:
+            xmin, ymin, xmax, ymax = region.xmin, region.ymin, region.xmax, region.ymax
+            self.frame = frame = lcm(
+                ps._scale, xmin.denominator, ymin.denominator, xmax.denominator, ymax.denominator
+            )
+            x0 = xmin.numerator * (frame // xmin.denominator)
+            y0 = ymin.numerator * (frame // ymin.denominator)
+            x1 = xmax.numerator * (frame // xmax.denominator)
+            y1 = ymax.numerator * (frame // ymax.denominator)
+            # the corners in polygon() order, so the edges are bottom,
+            # right, top, left and four integer comparisons give the bits
+            self.reg = reg = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+            mult = frame // ps._scale
+            for s in m.edges:
+                for i in (s.a, s.b):
+                    px, py = pts[i] = (ix[i] * mult, iy[i] * mult)
+                    mask = (py < y0) | (px > x1) << 1 | (py > y1) << 2 | (px < x0) << 3
+                    if not mask and (py == y0 or px == x1 or py == y1 or px == x0):
+                        raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
+                    outside[i] = mask
+        elif isinstance(region, ConvexPolygon):
+            corners = region.vertices
+            self.frame = frame = lcm(ps._scale, *(v.denominator for xy in corners for v in xy))
+            self.reg = reg = [
+                (x.numerator * (frame // x.denominator), y.numerator * (frame // y.denominator))
+                for x, y in corners
+            ]
+            mult = frame // ps._scale
+            edges = list(zip(reg, reg[1:] + reg[:1]))
+            for s in m.edges:
+                for i in (s.a, s.b):
+                    px, py = pts[i] = (ix[i] * mult, iy[i] * mult)
+                    on_edge = False
+                    mask = 0
+                    for k, ((ax, ay), (bx, by)) in enumerate(edges):
+                        side = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+                        if side < 0:
+                            mask |= 1 << k
+                        elif side == 0:
+                            on_edge = True
+                    if on_edge and not mask:
+                        raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
+                    outside[i] = mask
+        else:
             raise GeomatchError("region must be a ConvexPolygon or BoundingBox")
-        self.clip_is_infinity = clip_is_infinity = isinstance(region, BoundingBox)
-
-        # a shared integer frame for points and region vertices, built on
-        # the point set's cached scaling
-        denoms = [region_poly.vertices[i][j].denominator for i in range(len(region_poly)) for j in (0, 1)]
-        self.frame = frame = lcm(ps._scale, *denoms)
-        mult = frame // ps._scale
-        self.pts = pts = {i: (ps._ix[i] * mult, ps._iy[i] * mult) for s in m.edges for i in s.ids}
-        self.reg = reg = [
-            (x.numerator * (frame // x.denominator), y.numerator * (frame // y.denominator))
-            for x, y in region_poly.vertices
-        ]
         nreg = len(reg)
 
         # classify segments by how many endpoints are inside the region
-        if clip_is_infinity:
-            # the box's edges are bottom, right, top, left (polygon() order),
-            # so four integer comparisons give the same bits
-            (x0, y0), (x1, y1) = reg[0], reg[2]
-
-            def outside_mask(i: int) -> int:
-                px, py = pts[i]
-                mask = (py < y0) | (px > x1) << 1 | (py > y1) << 2 | (px < x0) << 3
-                if not mask and (py == y0 or px == x1 or py == y1 or px == x0):
-                    raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
-                return mask
-
-        else:
-
-            def outside_mask(i: int) -> int:
-                px, py = pts[i]
-                on_edge = False
-                mask = 0
-                for k in range(nreg):
-                    ax, ay = reg[k]
-                    bx, by = reg[(k + 1) % nreg]
-                    s = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-                    if s < 0:
-                        mask |= 1 << k
-                    elif s == 0:
-                        on_edge = True
-                if on_edge and not mask:
-                    raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
-                return mask
-
-        self.outside = outside = {i: outside_mask(i) for s in m.edges for i in s.ids}
         in_segments: list[Segment] = []
         for s in m.edges:
             if not outside[s.a] or not outside[s.b]:
@@ -475,9 +491,9 @@ def _shoot(scene: _Scene, rays: Sequence[tuple[Segment, int]]) -> list[tuple]:
     per ray, the terminus a homogeneous integer triple in frame units."""
     pts, wall_at, features, reg = scene.pts, scene.wall_at, scene.features, scene.reg
 
-    # a ray along the line of another wall or of a region edge is
-    # degenerate wherever that feature lies, even behind the ray
-    line_count = Counter(g.line for g in features)
+    # a ray along the line of another wall is degenerate wherever that wall
+    # lies, even behind the ray; no wall's line is a region edge's line
+    line_count = Counter(g.line for g in scene.walls)
 
     # the region's integer box bounds every ray's search
     rx0, rx1 = min(x for x, _ in reg), max(x for x, _ in reg)

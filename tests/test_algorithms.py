@@ -249,6 +249,53 @@ def test_even_cut_computes_the_sides_once_and_raises_as_halfplane(monkeypatch):
         assert errors[0][0] in (VertexOnLine, OddCut)
 
 
+def test_integer_cuts_agree_with_the_public_cut(monkeypatch):
+    # transform cuts on the integer frame without the public path; at every
+    # cut the sides must be those of _line_sides on the line x = cx, the
+    # cut boxes those of clip_halfplane, and the two halves those of
+    # even_cut_matching
+    import geomatch.algorithms as algorithms
+
+    calls = []
+    side = algorithms._halfplane_side
+
+    def recording(m, sides, keep, clip):
+        out = side(m, sides, keep, clip)
+        calls.append((m, sides, keep, clip, out))
+        return out
+
+    monkeypatch.setattr(algorithms, "_halfplane_side", recording)
+    rng = random.Random(41)
+    cuts = 0
+    for scale in (1, Fraction(1, 3), Fraction(5, 11)):
+        for n in (2, 3, 4, 6, 8):
+            raw = random_general_pointset(rng, 2 * n, grid=1000)
+            ps = PointSet.from_coords((p.x * scale, p.y * scale) for p in raw)
+            if len({p.x for p in ps}) < len(ps):
+                continue
+            m = Matching(ps, random_ncpm_edges(ps, rng))
+            calls.clear()
+            transform_to_canonical(m)
+            recorded = list(calls)
+            within = BoundingBox.around(ps)
+            assert len(recorded) % 2 == 0
+            for (mp, sides, kp, clip, plus), (mm, sm, km, _, minus) in zip(
+                recorded[::2], recorded[1::2]
+            ):
+                assert mp is mm and sides is sm and (kp, km) == (1, -1)
+                xs = sorted(ps.coord(i)[0] for i in mp.matched_ids)
+                k = 2 * (len(xs) // 4)
+                line = (1, 0, (xs[k - 1] + xs[k]) / 2)
+                assert list(sides.items()) == list(algorithms._line_sides(mp, line).items())
+                for keep in (1, -1):
+                    assert clip(keep) == within.clip_halfplane(*line, keep)
+                public = even_cut_matching(mp, line, within)
+                assert Matching(ps, list(plus.edges) + list(minus.edges)) == public
+                assert plus.edges == {e for e in public.edges if sides[e.a] == 1}
+                cuts += 1
+    assert cuts >= 20
+
+
 # ---------------------------------------------------------------------------
 # transformations
 

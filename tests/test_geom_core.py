@@ -751,6 +751,22 @@ def test_shear_breaks_x_ties_and_preserves_structure():
         assert ps.orient_ids(i, j, k) == sheared.orient_ids(i, j, k)
 
 
+def test_distinct_x_agrees_with_the_fraction_coordinates():
+    # distinct_x compares the integer frame; it must agree with the x
+    # coordinates themselves at any scale, with and without ties
+    rng = Random(8)
+    seen = set()
+    for scale in (1, Fraction(1, 3), Fraction(5, 11)):
+        for _ in range(30):
+            n = rng.randrange(1, 9)
+            coords = list({(rng.randrange(6), rng.randrange(40)) for _ in range(n)})
+            ps = PointSet.from_coords((x * scale, y * scale) for x, y in coords)
+            expected = len({p.x for p in ps}) == len(ps)
+            assert distinct_x(ps) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
 @settings(max_examples=50)
 @given(st.lists(point, min_size=3, max_size=8, unique=True))
 def test_shear_preserves_orientation_signs(pts):

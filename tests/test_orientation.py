@@ -40,6 +40,35 @@ def test_multigraph_rejects_loops():
         Multigraph(3, [(1, 1)])
 
 
+def _fresh_adjacency(g):
+    adj = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        adj[u].append((eid, v))
+        adj[v].append((eid, u))
+    return adj
+
+
+def test_adjacency_is_built_once_and_shared():
+    # components and even_orientation read one cached adjacency; their
+    # results must be those on a graph that never built it, in any order
+    rng = Random(77)
+    for _ in range(200):
+        g = random_multigraph(rng, max_n=9, max_m=14)
+        adj = g.adjacency()
+        assert adj == _fresh_adjacency(g)
+        assert g.adjacency() is adj and all(a is b for a, b in zip(g.adjacency(), adj))
+        orient = even_orientation(g)
+        comps = components(g)
+        fresh = Multigraph(g.n, g.edges)
+        fresh_comps = components(fresh)
+        fresh_orient = even_orientation(fresh)
+        assert comps == fresh_comps == components(g)
+        assert (orient is None) == (fresh_orient is None)
+        if orient is not None:
+            assert orient.heads == fresh_orient.heads == even_orientation(g).heads
+        assert g.adjacency() is adj and adj == _fresh_adjacency(g)
+
+
 def test_parallel_pair_both_heads_agree():
     g = Multigraph(2, [(0, 1), (0, 1)])
     o = even_orientation(g)

@@ -1,5 +1,6 @@
 """Extension engine: ray stops, cell structure, dual multigraph."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from random import Random
@@ -84,6 +85,23 @@ def test_mixed_region_counts():
     dual = dual_multigraph(sub, m)
     assert dual.n == 3 and len(dual.edges) == 3
     assert len(components(dual.graph())) == 1
+
+
+def test_dual_graph_is_built_once_outside_the_fields():
+    ps = PointSet.from_coords([(2, 2), (4, 5), (7, 3), (13, 4)])
+    m = Matching(ps, [Segment(0, 1), Segment(2, 3)])
+    region = ConvexPolygon([(0, 0), (10, 0), (10, 10), (0, 10)])
+    rays = [(Segment(0, 1), 0), (Segment(0, 1), 1), (Segment(2, 3), 2)]
+    one = dual_multigraph(extend(m, region, rays)[1], m)
+    two = dual_multigraph(extend(m, region, rays)[1], m)
+    bare = subdivision.DualMultigraph(one.n, one.edges)  # graph() never called
+    g = one.graph()
+    assert one.graph() is g and g.edges == tuple(e.cells for e in one.edges)
+    assert g.adjacency() is g.adjacency()
+    assert one == two == bare and hash(one) == hash(two) == hash(bare)
+    assert repr(one) == repr(bare)
+    assert [f.name for f in dataclasses.fields(one)] == ["n", "edges"]
+    assert bare.graph() is not g and bare.graph().edges == g.edges
 
 
 def test_segment_crossing_region_without_endpoint_inside():
@@ -357,6 +375,26 @@ def test_collinear_wall_rule_ignores_where_the_feature_lies():
         extend(m, box, [(s23, 3)], partial=True)
     geo, sub = extend(m, box, [], partial=True)
     assert geo.rays == () and sub is None
+
+
+def test_two_collinear_walls_name_the_ray():
+    # the walls' lines are compared gcd-normalized, so walls of different
+    # lengths and directions on one oblique line are collinear; region
+    # edges carry no line, and the error names the ray's endpoint
+    for scale in (1, Fraction(1, 3)):
+        ps = PointSet.from_coords(
+            [(x * scale, y * scale) for x, y in ((1, 2), (0, 0), (3, 6), (5, 10), (7, 1), (9, 2))]
+        )
+        s01, s23, s45 = Segment(0, 1), Segment(2, 3), Segment(4, 5)
+        m = Matching(ps, [s01, s23, s45])
+        box = BoundingBox.around(ps)
+        for region in (box, box.polygon()):
+            for ray in ((s01, 1), (s23, 3), (s01, 0)):
+                with pytest.raises(DegenerateIncidence) as ei:
+                    extend(m, region, [(s45, 4), ray], partial=True)
+                assert str(ei.value) == f"ray from {ray[1]} is collinear with another feature"
+            geo, _ = extend(m, region, [(s45, 4), (s45, 5)], partial=True)
+            assert len(geo.rays) == 2
 
 
 def test_parameters_closer_than_float_resolution():
