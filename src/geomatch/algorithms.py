@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .errors import (
     DegenerateIncidence,
@@ -212,29 +212,22 @@ def halfplane_matching(
     """
     if keep not in (1, -1):
         raise GeomatchError("halfplane selector must be +1 or -1")
-    return _halfplane_side(m, _line_sides(m, line), keep, _line_clip(m.base, line, within))
-
-
-def _line_clip(
-    ps: PointSet, line: Line, within: Optional[Region]
-) -> Callable[[int], Optional[Region]]:
-    """The kept side of the line within the region (by default the box
-    around ``ps``), as a function of ``keep``."""
+    sides = _line_sides(m, line)
+    if not sides:
+        # nothing to match, and an empty point set has no bounding box
+        return Matching(m.base, [], check=False)
     a, b, c = (as_scalar(v) for v in line)
-
-    def clip(keep: int) -> Optional[Region]:
-        region = BoundingBox.around(ps) if within is None else within
-        return region.clip_halfplane(a, b, c, keep)
-
-    return clip
+    region = BoundingBox.around(m.base) if within is None else within
+    return _halfplane_side(m, sides, keep, region.clip_halfplane(a, b, c, keep))
 
 
 def _halfplane_side(
-    m: Matching, sides: dict[int, int], keep: int, clip: Callable[[int], Optional[Region]]
+    m: Matching, sides: dict[int, int], keep: int, region: Optional[Region]
 ) -> Matching:
     """``halfplane_matching`` once the sides of the line are known;
-    ``clip(keep)`` gives the region on the kept side, or None when empty,
-    and is called only when more than two points lie on that side."""
+    ``region`` is the kept side of the line within the bounding region, or
+    None when that is empty, and is read only when more than two points
+    lie on the kept side."""
     ps = m.base
     inside = [i for i, s in sides.items() if s == keep]
     if not inside:
@@ -247,7 +240,6 @@ def _halfplane_side(
         # other point touched that edge, which a matching rules out.
         return Matching(ps, [Segment(inside[0], inside[1])], check=False)
 
-    region = clip(keep)
     if region is None:
         raise InvariantViolation("the bounding box misses the kept halfplane")
     rays = [(e, i) for e in m.sorted_edges() for i in e.ids if sides[i] == keep]
@@ -264,9 +256,13 @@ def even_cut_matching(
 ) -> Matching:
     """Match both sides of the line; the union never crosses the line."""
     sides = _line_sides(m, line)
-    clip = _line_clip(m.base, line, within)
-    left = _halfplane_side(m, sides, +1, clip)
-    right = _halfplane_side(m, sides, -1, clip)
+    if not sides:
+        # nothing to match, and an empty point set has no bounding box
+        return Matching(m.base, [], check=False)
+    a, b, c = (as_scalar(v) for v in line)
+    region = BoundingBox.around(m.base) if within is None else within
+    left = _halfplane_side(m, sides, +1, region.clip_halfplane(a, b, c, +1))
+    right = _halfplane_side(m, sides, -1, region.clip_halfplane(a, b, c, -1))
     # each side is non-crossing on its own and the open halfplanes are
     # disjoint, so the union needs no crossing re-check
     return Matching(m.base, list(left.edges) + list(right.edges), check=False)
@@ -294,21 +290,15 @@ def _canonical_steps(
     by_x = sorted(ids, key=ix.__getitem__)
     k = 2 * (n_seg // 2)
     mid2 = ix[by_x[k - 1]] + ix[by_x[k]]  # 2 * cx in frame units
-    sides = {i: 1 if 2 * ix[i] > mid2 else -1 for i in sorted(ids)}
-    cut = sum(sides[e.a] != sides[e.b] for e in edges)
-    if cut % 2 == 1:
-        raise OddCut(cut)
-    cx = Fraction(mid2, 2 * ps._scale)
-
-    def clip(keep: int) -> BoundingBox:
-        # within.clip_halfplane(1, 0, cx, keep), with cx strictly inside
-        if keep > 0:
-            return BoundingBox(cx, within.ymin, within.xmax, within.ymax)
-        return BoundingBox(within.xmin, within.ymin, cx, within.ymax)
-
     m = Matching(ps, edges, check=False)
-    right = _halfplane_side(m, sides, +1, clip).edges
-    left = _halfplane_side(m, sides, -1, clip).edges
+    sides = _line_sides(m, (2 * ps._scale, 0, mid2))
+    # the cut boxes are within.clip_halfplane(1, 0, cx, keep), built only
+    # for a side of more than two points
+    cx = Fraction(mid2, 2 * ps._scale)
+    right_box = BoundingBox(cx, within.ymin, within.xmax, within.ymax) if len(ids) - k > 2 else None
+    left_box = BoundingBox(within.xmin, within.ymin, cx, within.ymax) if k > 2 else None
+    right = _halfplane_side(m, sides, +1, right_box).edges
+    left = _halfplane_side(m, sides, -1, left_box).edges
     lseq = _canonical_steps(ps, by_x[:k], left, within)
     rseq = _canonical_steps(ps, by_x[k:], right, within)
     depth = max(len(lseq), len(rseq))

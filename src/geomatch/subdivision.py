@@ -404,15 +404,14 @@ class _Scene:
 
     def __init__(self, m: Matching, region: Region):
         ps = m.base
-        ix, iy = ps._ix, ps._iy
         self.clip_is_infinity = isinstance(region, BoundingBox)
-        self.pts = pts = {}
-        self.outside = outside = {}
         # a shared integer frame for points and region corners, built on the
-        # point set's cached scaling; points are scaled and classified in
-        # the order of m's edges, so the first point found on the boundary
-        # is the one reported
+        # point set's cached scaling; points are classified in the order of
+        # m's edges, so the first point found on the boundary is the one
+        # reported
         if self.clip_is_infinity:
+            # the frame and corners come from the box's fields, and each
+            # point is scaled and classified in one pass
             xmin, ymin, xmax, ymax = region.xmin, region.ymin, region.xmax, region.ymax
             self.frame = frame = lcm(
                 ps._scale, xmin.denominator, ymin.denominator, xmax.denominator, ymax.denominator
@@ -425,6 +424,9 @@ class _Scene:
             # right, top, left and four integer comparisons give the bits
             self.reg = reg = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
             mult = frame // ps._scale
+            ix, iy = ps._ix, ps._iy
+            self.pts = pts = {}
+            self.outside = outside = {}
             for s in m.edges:
                 for i in (s.a, s.b):
                     px, py = pts[i] = (ix[i] * mult, iy[i] * mult)
@@ -432,32 +434,37 @@ class _Scene:
                     if not mask and (py == y0 or px == x1 or py == y1 or px == x0):
                         raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
                     outside[i] = mask
-        elif isinstance(region, ConvexPolygon):
-            corners = region.vertices
-            self.frame = frame = lcm(ps._scale, *(v.denominator for xy in corners for v in xy))
+            nreg = 4
+        else:
+            if not isinstance(region, ConvexPolygon):
+                raise GeomatchError("region must be a ConvexPolygon or BoundingBox")
+            denoms = [region.vertices[i][j].denominator for i in range(len(region)) for j in (0, 1)]
+            self.frame = frame = lcm(ps._scale, *denoms)
+            mult = frame // ps._scale
+            self.pts = pts = {i: (ps._ix[i] * mult, ps._iy[i] * mult) for s in m.edges for i in s.ids}
             self.reg = reg = [
                 (x.numerator * (frame // x.denominator), y.numerator * (frame // y.denominator))
-                for x, y in corners
+                for x, y in region.vertices
             ]
-            mult = frame // ps._scale
-            edges = list(zip(reg, reg[1:] + reg[:1]))
-            for s in m.edges:
-                for i in (s.a, s.b):
-                    px, py = pts[i] = (ix[i] * mult, iy[i] * mult)
-                    on_edge = False
-                    mask = 0
-                    for k, ((ax, ay), (bx, by)) in enumerate(edges):
-                        side = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-                        if side < 0:
-                            mask |= 1 << k
-                        elif side == 0:
-                            on_edge = True
-                    if on_edge and not mask:
-                        raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
-                    outside[i] = mask
-        else:
-            raise GeomatchError("region must be a ConvexPolygon or BoundingBox")
-        nreg = len(reg)
+            nreg = len(reg)
+
+            def outside_mask(i: int) -> int:
+                px, py = pts[i]
+                on_edge = False
+                mask = 0
+                for k in range(nreg):
+                    ax, ay = reg[k]
+                    bx, by = reg[(k + 1) % nreg]
+                    s = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+                    if s < 0:
+                        mask |= 1 << k
+                    elif s == 0:
+                        on_edge = True
+                if on_edge and not mask:
+                    raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
+                return mask
+
+            self.outside = outside = {i: outside_mask(i) for s in m.edges for i in s.ids}
 
         # classify segments by how many endpoints are inside the region
         in_segments: list[Segment] = []

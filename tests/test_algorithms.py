@@ -249,19 +249,24 @@ def test_even_cut_computes_the_sides_once_and_raises_as_halfplane(monkeypatch):
         assert errors[0][0] in (VertexOnLine, OddCut)
 
 
+def test_cuts_of_an_empty_point_set_are_empty():
+    m = Matching(PointSet.from_coords([]), [])
+    assert halfplane_matching(m, (1, 0, 0), +1) == m
+    assert even_cut_matching(m, (1, 0, 0)) == m
+
+
 def test_integer_cuts_agree_with_the_public_cut(monkeypatch):
     # transform cuts on the integer frame without the public path; at every
-    # cut the sides must be those of _line_sides on the line x = cx, the
-    # cut boxes those of clip_halfplane, and the two halves those of
-    # even_cut_matching
+    # cut the boxes must be those of clip_halfplane on the line x = cx
+    # (where built), and the two halves those of even_cut_matching
     import geomatch.algorithms as algorithms
 
     calls = []
     side = algorithms._halfplane_side
 
-    def recording(m, sides, keep, clip):
-        out = side(m, sides, keep, clip)
-        calls.append((m, sides, keep, clip, out))
+    def recording(m, sides, keep, region):
+        out = side(m, sides, keep, region)
+        calls.append((m, sides, keep, region, out))
         return out
 
     monkeypatch.setattr(algorithms, "_halfplane_side", recording)
@@ -279,16 +284,18 @@ def test_integer_cuts_agree_with_the_public_cut(monkeypatch):
             recorded = list(calls)
             within = BoundingBox.around(ps)
             assert len(recorded) % 2 == 0
-            for (mp, sides, kp, clip, plus), (mm, sm, km, _, minus) in zip(
+            for (mp, sides, kp, rp, plus), (mm, sm, km, rm, minus) in zip(
                 recorded[::2], recorded[1::2]
             ):
                 assert mp is mm and sides is sm and (kp, km) == (1, -1)
                 xs = sorted(ps.coord(i)[0] for i in mp.matched_ids)
                 k = 2 * (len(xs) // 4)
                 line = (1, 0, (xs[k - 1] + xs[k]) / 2)
-                assert list(sides.items()) == list(algorithms._line_sides(mp, line).items())
-                for keep in (1, -1):
-                    assert clip(keep) == within.clip_halfplane(*line, keep)
+                for keep, region in ((1, rp), (-1, rm)):
+                    if sum(s == keep for s in sides.values()) > 2:
+                        assert region == within.clip_halfplane(*line, keep)
+                    else:
+                        assert region is None
                 public = even_cut_matching(mp, line, within)
                 assert Matching(ps, list(plus.edges) + list(minus.edges)) == public
                 assert plus.edges == {e for e in public.edges if sides[e.a] == 1}
