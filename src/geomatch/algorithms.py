@@ -44,7 +44,6 @@ from .geom_core import (
     compatible,
     convex_hull,
     distinct_x,
-    sign,
     validate_general_position,
 )
 from .oracle import visibility_graph
@@ -184,12 +183,20 @@ def _line_sides(m: Matching, line: Line) -> dict[int, int]:
     OddCut if an odd number of m's edges cross it."""
     a, b, c = (Fraction(v) for v in line)
     den = math.lcm(a.denominator, b.denominator, c.denominator)
-    ia, ib, ic = int(a * den), int(b * den), int(c * den)
-    ix, iy, scale = m.base._ix, m.base._iy, m.base._scale
-    sides = {i: sign(ia * ix[i] + ib * iy[i] - ic * scale) for i in sorted(m.matched_ids)}
-    for i, s in sides.items():
-        if s == 0:
+    return _frame_line_sides(m, int(a * den), int(b * den), int(c * den) * m.base._scale)
+
+
+def _frame_line_sides(m: Matching, ia: int, ib: int, ic: int) -> dict[int, int]:
+    """``_line_sides`` for the line ia*X + ib*Y = ic on the point set's
+    integer frame (X, Y are the coordinates times its scale)."""
+    ix, iy = m.base._ix, m.base._iy
+    sides = {}
+    # each point is on at most one edge, so no id repeats
+    for i in sorted([i for e in m.edges for i in (e.a, e.b)]):
+        v = ia * ix[i] + ib * iy[i] - ic
+        if v == 0:
             raise VertexOnLine(f"point {i} lies on the cut line")
+        sides[i] = 1 if v > 0 else -1
     cut = sum(sides[e.a] != sides[e.b] for e in m.edges)
     if cut % 2 == 1:
         raise OddCut(cut)
@@ -291,7 +298,7 @@ def _canonical_steps(
     k = 2 * (n_seg // 2)
     mid2 = ix[by_x[k - 1]] + ix[by_x[k]]  # 2 * cx in frame units
     m = Matching(ps, edges, check=False)
-    sides = _line_sides(m, (2 * ps._scale, 0, mid2))
+    sides = _frame_line_sides(m, 2, 0, mid2)
     # the cut boxes are within.clip_halfplane(1, 0, cx, keep), built only
     # for a side of more than two points
     cx = Fraction(mid2, 2 * ps._scale)
