@@ -183,21 +183,27 @@ def _line_sides(m: Matching, line: Line) -> dict[int, int]:
     OddCut if an odd number of m's edges cross it."""
     a, b, c = (Fraction(v) for v in line)
     den = math.lcm(a.denominator, b.denominator, c.denominator)
-    return _frame_line_sides(m, int(a * den), int(b * den), int(c * den) * m.base._scale)
+    ps = m.base
+    return _frame_line_sides(
+        ps, m.edges, int(a * den), int(b * den), int(c * den) * ps._scale
+    )
 
 
-def _frame_line_sides(m: Matching, ia: int, ib: int, ic: int) -> dict[int, int]:
-    """``_line_sides`` for the line ia*X + ib*Y = ic on the point set's
-    integer frame (X, Y are the coordinates times its scale)."""
-    ix, iy = m.base._ix, m.base._iy
+def _frame_line_sides(
+    ps: PointSet, edges: Collection[Segment], ia: int, ib: int, ic: int
+) -> dict[int, int]:
+    """``_line_sides`` for the edges of a matching on ``ps`` and the line
+    ia*X + ib*Y = ic on its integer frame (X, Y are the coordinates times
+    its scale)."""
+    ix, iy = ps._ix, ps._iy
     sides = {}
     # each point is on at most one edge, so no id repeats
-    for i in sorted([i for e in m.edges for i in (e.a, e.b)]):
+    for i in sorted([i for e in edges for i in (e.a, e.b)]):
         v = ia * ix[i] + ib * iy[i] - ic
         if v == 0:
             raise VertexOnLine(f"point {i} lies on the cut line")
         sides[i] = 1 if v > 0 else -1
-    cut = sum(sides[e.a] != sides[e.b] for e in m.edges)
+    cut = sum(sides[e.a] != sides[e.b] for e in edges)
     if cut % 2 == 1:
         raise OddCut(cut)
     return sides
@@ -225,27 +231,28 @@ def halfplane_matching(
         return Matching(m.base, [], check=False)
     a, b, c = (as_scalar(v) for v in line)
     region = BoundingBox.around(m.base) if within is None else within
-    return _halfplane_side(m, sides, keep, region.clip_halfplane(a, b, c, keep))
+    edges = _halfplane_side(m, sides, keep, region.clip_halfplane(a, b, c, keep))
+    return Matching(m.base, edges, check=False)
 
 
 def _halfplane_side(
-    m: Matching, sides: dict[int, int], keep: int, region: Optional[Region]
-) -> Matching:
-    """``halfplane_matching`` once the sides of the line are known;
-    ``region`` is the kept side of the line within the bounding region, or
-    None when that is empty, and is read only when more than two points
-    lie on the kept side."""
-    ps = m.base
+    m: Optional[Matching], sides: dict[int, int], keep: int, region: Optional[Region]
+) -> Collection[Segment]:
+    """The edges of ``halfplane_matching`` once the sides of the line are
+    known; ``region`` is the kept side of the line within the bounding
+    region, or None when that is empty.  ``m`` and ``region`` are read only
+    when more than two points lie on the kept side, and ``m`` may be None
+    when no more than two do."""
     inside = [i for i, s in sides.items() if s == keep]
     if not inside:
-        return Matching(ps, [], check=False)
+        return []
     if len(inside) == 2:
         # Two points have a single perfect matching, the one the extension
         # below would assemble, and it is compatible with m: edges of m on
         # the far side lie in the other open halfplane, and an edge leaving
         # the side from one of the two points could only overlap it if the
         # other point touched that edge, which a matching rules out.
-        return Matching(ps, [Segment(inside[0], inside[1])], check=False)
+        return [Segment(inside[0], inside[1])]
 
     if region is None:
         raise InvariantViolation("the bounding box misses the kept halfplane")
@@ -255,7 +262,7 @@ def _halfplane_side(
     orientation = even_orientation(dual.graph())
     if orientation is None:
         raise InvariantViolation("dual of a halfplane extension must orient evenly")
-    return assemble_from_orientation(m, dual, orientation, require_disjoint=False)
+    return assemble_from_orientation(m, dual, orientation, require_disjoint=False).edges
 
 
 def even_cut_matching(
@@ -272,7 +279,7 @@ def even_cut_matching(
     right = _halfplane_side(m, sides, -1, region.clip_halfplane(a, b, c, -1))
     # each side is non-crossing on its own and the open halfplanes are
     # disjoint, so the union needs no crossing re-check
-    return Matching(m.base, list(left.edges) + list(right.edges), check=False)
+    return Matching(m.base, [*left, *right], check=False)
 
 
 def _canonical_steps(
@@ -297,21 +304,26 @@ def _canonical_steps(
     by_x = sorted(ids, key=ix.__getitem__)
     k = 2 * (n_seg // 2)
     mid2 = ix[by_x[k - 1]] + ix[by_x[k]]  # 2 * cx in frame units
-    m = Matching(ps, edges, check=False)
-    sides = _frame_line_sides(m, 2, 0, mid2)
-    # the cut boxes are within.clip_halfplane(1, 0, cx, keep), built only
-    # for a side of more than two points
-    cx = Fraction(mid2, 2 * ps._scale)
-    right_box = BoundingBox(cx, within.ymin, within.xmax, within.ymax) if len(ids) - k > 2 else None
-    left_box = BoundingBox(within.xmin, within.ymin, cx, within.ymax) if k > 2 else None
-    right = _halfplane_side(m, sides, +1, right_box).edges
-    left = _halfplane_side(m, sides, -1, left_box).edges
+    step = frozenset(edges)
+    sides = _frame_line_sides(ps, step, 2, 0, mid2)
+    # the cut boxes are within.clip_halfplane(1, 0, cx, keep), and the cut's
+    # Matching is m with these edges, built only for a side of more than two
+    # points (the right side, of len(ids) - k >= k points, is the larger)
+    m = right_box = left_box = None
+    if len(ids) - k > 2:
+        m = Matching(ps, step, check=False)
+        cx = Fraction(mid2, 2 * ps._scale)
+        right_box = BoundingBox(cx, within.ymin, within.xmax, within.ymax)
+        if k > 2:
+            left_box = BoundingBox(within.xmin, within.ymin, cx, within.ymax)
+    right = _halfplane_side(m, sides, +1, right_box)
+    left = _halfplane_side(m, sides, -1, left_box)
     lseq = _canonical_steps(ps, by_x[:k], left, within)
     rseq = _canonical_steps(ps, by_x[k:], right, within)
     depth = max(len(lseq), len(rseq))
     lseq += [lseq[-1]] * (depth - len(lseq))
     rseq += [rseq[-1]] * (depth - len(rseq))
-    return [m.edges] + [l | r for l, r in zip(lseq, rseq)]
+    return [step] + [l | r for l, r in zip(lseq, rseq)]
 
 
 def _collapse(steps: Sequence[frozenset[Segment]]) -> list[frozenset[Segment]]:

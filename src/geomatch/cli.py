@@ -25,7 +25,7 @@ from .geom_core import (
     shear_points,
     validate_general_position,
 )
-from .oracle import transformation_distance
+from .oracle import has_disjoint_compatible_pm, transformation_distance
 from .orientation import Multigraph, components
 
 ORACLE_POINT_LIMIT = 12
@@ -142,6 +142,28 @@ def _verify_output(m: Matching, out: Matching, need_disjoint: bool = True) -> No
         raise InvariantViolation("output shares a segment with the input")
 
 
+def _oracle_check(args, m: Matching, out: Matching | None) -> None:
+    """With ``--oracle``, print whether ``m`` has a disjoint compatible
+    perfect matching, by exhaustive search on at most ORACLE_POINT_LIMIT
+    points.  An output ``out`` that is one, where the search finds none, is
+    an internal error."""
+    if not args.oracle:
+        return
+    n = len(m.base)
+    if n > ORACLE_POINT_LIMIT:
+        print(f"oracle: skipped ({n} points > {ORACLE_POINT_LIMIT})")
+        return
+    found, _ = has_disjoint_compatible_pm(m)
+    if found:
+        print("oracle: a disjoint compatible perfect matching exists")
+        return
+    if out is not None and out.is_perfect and disjoint(m, out) and compatible(m, out):
+        raise InvariantViolation(
+            "oracle found no disjoint compatible perfect matching, but the output is one"
+        )
+    print("oracle: no disjoint compatible perfect matching exists")
+
+
 def _run_hv(args) -> int:
     m = fileio.load_instance(args.input)
     out, colored = algorithms.hv_disjoint_matching(m)
@@ -155,9 +177,10 @@ def _run_hv(args) -> int:
         if args.verify:
             _verify_output(m, out)
             print("verify: perfect, disjoint, compatible")
-        if args.out:
-            fileio.save_instance(out, args.out)
-            print(f"wrote matching to {args.out}")
+    _oracle_check(args, m, out)
+    if out is not None and args.out:
+        fileio.save_instance(out, args.out)
+        print(f"wrote matching to {args.out}")
     if args.svg:
         _render_input_svg(m, args.svg)
     return 0
@@ -170,6 +193,7 @@ def _run_chc(args) -> int:
     if args.verify:
         _verify_output(m, out)
         print("verify: perfect, disjoint, compatible")
+    _oracle_check(args, m, out)
     if args.out:
         fileio.save_instance(out, args.out)
         print(f"wrote matching to {args.out}")
@@ -189,6 +213,7 @@ def _run_four_fifths(args) -> int:
         if not (disjoint(m, rep.matching) and compatible(m, rep.matching)):
             raise InvariantViolation("output must be disjoint and compatible")
         print("verify: disjoint, compatible, size >= guarantee")
+    _oracle_check(args, m, rep.matching)
     if args.out:
         fileio.save_instance(rep.matching, args.out)
         print(f"wrote matching to {args.out}")
@@ -266,7 +291,13 @@ _RUNNERS = {
 }
 
 
+#: runners with no ``--oracle`` cross-check
+_WITHOUT_ORACLE = ("crossings", "two-trees-search")
+
+
 def cmd_run(args) -> int:
+    if args.oracle and args.algorithm in _WITHOUT_ORACLE:
+        raise GeomatchError(f"--oracle has no cross-check for {args.algorithm}")
     return _RUNNERS[args.algorithm](args)
 
 
@@ -341,7 +372,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the produced matching / sequence here")
     p.add_argument("--svg", help="write an SVG rendering here")
     p.add_argument("--verify", action="store_true", help="re-check all predicates")
-    p.add_argument("--oracle", action="store_true", help="brute-force cross-check")
+    p.add_argument(
+        "--oracle",
+        action="store_true",
+        help="brute-force cross-check (transform, hv, chc, four-fifths)",
+    )
     p.add_argument("--shear", action="store_true", help="shear away tied x-coordinates")
     p.add_argument("--max-orders", type=int, default=24, help="two-trees-search budget")
     p.set_defaults(func=cmd_run)

@@ -324,47 +324,51 @@ class PointSet:
 
     def segments_cross_ids(self, a: int, b: int, c: int, d: int) -> bool:
         """Fast exact crossing test between segments (a,b) and (c,d) by id."""
-        if a == c or a == d or b == c or b == d:
-            if {a, b} == {c, d}:
-                return True  # identical segments overlap everywhere
-            # Sharing exactly one endpoint: a crossing would need a collinear
-            # overlap, i.e. three collinear input points.
-            shared = a if a in (c, d) else b
-            e1 = b if shared == a else a
-            e2 = d if shared == c else c
-            if self.orient_ids(shared, e1, e2) != 0:
-                return False
-            ix, iy = self._ix, self._iy
-            # Collinear: overlap iff e1 and e2 lie on the same side of shared.
-            dot = (ix[e1] - ix[shared]) * (ix[e2] - ix[shared]) + (
-                iy[e1] - iy[shared]
-            ) * (iy[e2] - iy[shared])
-            return dot > 0
         ix, iy = self._ix, self._iy
-        ax, ay, bx, by = ix[a], iy[a], ix[b], iy[b]
-        cx, cy, dx, dy = ix[c], iy[c], ix[d], iy[d]
-        # Sign first: the four orientation determinants of
-        # segments_cross_coords, inlined.  Both ends strictly on one side of
-        # the other segment's line rule out any shared point.
-        ex, ey = dx - cx, dy - cy
-        d1 = ex * (ay - cy) - ey * (ax - cx)
-        d2 = ex * (by - cy) - ey * (bx - cx)
-        if d1 * d2 > 0:
-            return False
-        fx, fy = bx - ax, by - ay
-        d3 = fx * (cy - ay) - fy * (cx - ax)
-        d4 = fx * (dy - ay) - fy * (dx - ax)
-        if d3 * d4 > 0:
-            return False
-        # Four distinct points give zero, one or four zero determinants (two
-        # zeros would put two of the points on both lines, which then
-        # coincide).  With none zero this is a proper crossing; with one, say
-        # a on line cd, c and d lie strictly on either side of line ab, so a
-        # is inside segment cd.  Only four collinear points need the touch
-        # rules.
-        if d1 or d2 or d3 or d4:
-            return True
-        return segments_cross_coords((ax, ay), (bx, by), (cx, cy), (dx, dy))
+        # Segments sharing an endpoint o cross only if they are identical or
+        # overlap along one line: their other ends p and q are collinear
+        # with o (zero cross product) and on the same side of it (positive
+        # dot product), which needs three collinear input points.
+        if a == c:
+            if b == d:
+                return True
+            o, p, q = a, b, d
+        elif a == d:
+            if b == c:
+                return True
+            o, p, q = a, b, c
+        elif b == c:
+            o, p, q = b, a, d
+        elif b == d:
+            o, p, q = b, a, c
+        else:
+            ax, ay, bx, by = ix[a], iy[a], ix[b], iy[b]
+            cx, cy, dx, dy = ix[c], iy[c], ix[d], iy[d]
+            # Sign first: the four orientation determinants of
+            # segments_cross_coords, inlined.  Both ends strictly on one side
+            # of the other segment's line rule out any shared point.
+            ex, ey = dx - cx, dy - cy
+            d1 = ex * (ay - cy) - ey * (ax - cx)
+            d2 = ex * (by - cy) - ey * (bx - cx)
+            if d1 * d2 > 0:
+                return False
+            fx, fy = bx - ax, by - ay
+            d3 = fx * (cy - ay) - fy * (cx - ax)
+            d4 = fx * (dy - ay) - fy * (dx - ax)
+            if d3 * d4 > 0:
+                return False
+            # Four distinct points give zero, one or four zero determinants
+            # (two zeros would put two of the points on both lines, which
+            # then coincide).  With none zero this is a proper crossing; with
+            # one, say a on line cd, c and d lie strictly on either side of
+            # line ab, so a is inside segment cd.  Only four collinear points
+            # need the touch rules.
+            if d1 or d2 or d3 or d4:
+                return True
+            return segments_cross_coords((ax, ay), (bx, by), (cx, cy), (dx, dy))
+        ox, oy = ix[o], iy[o]
+        px, py, qx, qy = ix[p] - ox, iy[p] - oy, ix[q] - ox, iy[q] - oy
+        return px * qy == py * qx and px * qx + py * qy > 0
 
     def _edge_boxes(self, edges: Sequence[Segment]):
         ix, iy = self._ix, self._iy
@@ -413,7 +417,7 @@ class PointSet:
                     break
                 if xb2 < xa1 or yb1 < ya2 or yb2 < ya1:
                     continue
-                if s1 == s2:
+                if s1.a == s2.a and s1.b == s2.b:
                     continue
                 if self.segments_cross_ids(s1.a, s1.b, s2.a, s2.b):
                     return s1, s2

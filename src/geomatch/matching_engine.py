@@ -254,7 +254,10 @@ class CellAssignment:
 def assignment_from_orientation(
     dual: DualMultigraph, orientation: EvenOrientation
 ) -> CellAssignment:
-    if orientation.graph.edges != tuple(e.cells for e in dual.edges):
+    # an orientation of the dual's own graph() belongs to it; any other
+    # graph must have the dual's edges, in order
+    graph = orientation.graph
+    if graph is not dual.graph() and graph.edges != tuple(e.cells for e in dual.edges):
         raise GeomatchError("orientation does not belong to this dual multigraph")
     vertex_cell: dict[int, int] = {}
     cell_vertices: dict[int, list[int]] = {y: [] for y in range(dual.n)}

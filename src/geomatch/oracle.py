@@ -13,9 +13,15 @@ id, so each matching is reached exactly once and the catalog, or the first
 witness, comes out in a fixed order.  Within one call the search memoises
 whether a pair may be used at all (not an edge of ``m`` and crossing none of
 them) and whether a candidate pair crosses an already chosen one, so no
-crossing test is repeated across backtracks.  The edges of ``m`` are boxed
-once per call in integers, and a pair is only tested against an edge whose
-box meets its own.  Segments are only built for the matchings returned.
+crossing test is repeated across backtracks.  One closure per call,
+``_blocked_test``, holds the edges of ``m`` boxed in integers and tests a
+pair only against an edge whose box meets its own; the search's usable-pair
+test and ``visibility_graph`` both use it.  About a third of the crossing
+tests that remain share an endpoint (a candidate against the ``m`` edges at
+its own ends, or against a chosen pair it touches) and almost never cross;
+``PointSet.segments_cross_ids`` answers those with one integer cross product
+and, only for collinear ends, one dot product.  Segments are only built for
+the matchings returned.
 The plain backtracking versions, with a crossing test at every step, are
 kept in ``tests/helpers.py`` as the reference these are tested against.
 """
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import MismatchedVertexSet, OddCount, TooLarge, Unreachable
 from .geom_core import Matching, PointSet, Segment, compatible, disjoint
@@ -36,29 +42,37 @@ DISTANCE_LIMIT = 12  # points, for BFS over the catalog
 MatchingCatalog = list[Matching]
 
 
-def _mates(ps: PointSet, m_edges: Iterable[Segment]) -> tuple[list[int], list[tuple]]:
-    """Each point's partner in ``m_edges`` (-1 if none), and the edges with
-    their integer boxes (``PointSet._edge_boxes``)."""
+def _mates(ps: PointSet, m_edges: Iterable[Segment]) -> list[int]:
+    """Each point's partner in ``m_edges`` (-1 if none)."""
     mate = [-1] * len(ps)
     for s in m_edges:
         mate[s.a], mate[s.b] = s.b, s.a
-    return mate, ps._edge_boxes(m_edges)
+    return mate
 
 
-def _blocked(ps: PointSet, boxes: list[tuple], u: int, v: int) -> bool:
-    """Whether segment uv crosses a boxed edge other than uv itself; an edge
-    whose box misses uv's box shares no point with it."""
+def _blocked_test(ps: PointSet, m_edges: Iterable[Segment]) -> Callable[[int, int], bool]:
+    """``blocked(u, v)``: whether segment uv crosses an edge of ``m_edges``
+    other than uv itself.  The edges are boxed once in integers
+    (``PointSet._edge_boxes``); an edge whose box misses uv's shares no
+    point with it, so only the others reach ``segments_cross_ids``."""
     ix, iy = ps._ix, ps._iy
-    xu, xv, yu, yv = ix[u], ix[v], iy[u], iy[v]
-    x0, x1 = (xu, xv) if xu < xv else (xv, xu)
-    y0, y1 = (yu, yv) if yu < yv else (yv, yu)
-    for xlo, xhi, ylo, yhi, s in boxes:
-        if xhi < x0 or x1 < xlo or yhi < y0 or y1 < ylo:
-            continue
-        c, d = s.a, s.b
-        if (c != u or d != v) and ps.segments_cross_ids(u, v, c, d):
-            return True
-    return False
+    cross = ps.segments_cross_ids
+    edges = [
+        (xlo, xhi, ylo, yhi, s.a, s.b) for xlo, xhi, ylo, yhi, s in ps._edge_boxes(m_edges)
+    ]
+
+    def blocked(u: int, v: int) -> bool:
+        xu, xv, yu, yv = ix[u], ix[v], iy[u], iy[v]
+        x0, x1 = (xu, xv) if xu < xv else (xv, xu)
+        y0, y1 = (yu, yv) if yu < yv else (yv, yu)
+        for xlo, xhi, ylo, yhi, c, d in edges:
+            if xhi < x0 or x1 < xlo or yhi < y0 or y1 < ylo:
+                continue
+            if (c != u or d != v) and cross(u, v, c, d):
+                return True
+        return False
+
+    return blocked
 
 
 def _search(ps: PointSet, m_edges: list[Segment], first_only: bool) -> list[list[Segment]]:
@@ -66,13 +80,14 @@ def _search(ps: PointSet, m_edges: list[Segment], first_only: bool) -> list[list
     cross no edge of, ``m_edges``, in search order; only the first if
     ``first_only``.  ``len(ps)`` must be even."""
     n = len(ps)
-    mate, boxes = _mates(ps, m_edges)
+    mate = _mates(ps, m_edges)
+    blocked = _blocked_test(ps, m_edges)
     # partners by increasing id: the tails of one shared list, never sorted
     by_id = [(b, 1 << b) for b in range(n)]
     rows = [by_id[a + 1 :] for a in range(n)]
 
     def usable(a: int, b: int) -> bool:
-        return mate[a] != b and not _blocked(ps, boxes, a, b)
+        return mate[a] != b and not blocked(a, b)
 
     return _match_search(range(n), rows, usable, ps.segments_cross_ids, first_only)
 
@@ -164,12 +179,13 @@ def visibility_graph(m: Matching, minus_m: bool = False) -> VisibilityGraph:
     itself); with ``minus_m``, m's own edges are removed as well."""
     ps = m.base
     n = len(ps)
-    mate, boxes = _mates(ps, m.edges)
+    mate = _mates(ps, m.edges)
+    blocked = _blocked_test(ps, m.edges)
     pairs = set()
     for u in range(n):
         for v in range(u + 1, n):
             if minus_m and mate[u] == v:
                 continue
-            if not _blocked(ps, boxes, u, v):
+            if not blocked(u, v):
                 pairs.add((u, v))
     return VisibilityGraph(n, frozenset(pairs))

@@ -258,7 +258,9 @@ def test_cuts_of_an_empty_point_set_are_empty():
 def test_integer_cuts_agree_with_the_public_cut(monkeypatch):
     # transform cuts on the integer frame without the public path; at every
     # cut the boxes must be those of clip_halfplane on the line x = cx
-    # (where built), and the two halves those of even_cut_matching
+    # (where built), and the two halves those of even_cut_matching.  The
+    # cut's Matching is built only when a side holds more than two points;
+    # otherwise each side's two points are matched to each other
     import geomatch.algorithms as algorithms
 
     calls = []
@@ -271,7 +273,7 @@ def test_integer_cuts_agree_with_the_public_cut(monkeypatch):
 
     monkeypatch.setattr(algorithms, "_halfplane_side", recording)
     rng = random.Random(41)
-    cuts = 0
+    cuts = small = 0
     for scale in (1, Fraction(1, 3), Fraction(5, 11)):
         for n in (2, 3, 4, 6, 8):
             raw = random_general_pointset(rng, 2 * n, grid=1000)
@@ -288,19 +290,28 @@ def test_integer_cuts_agree_with_the_public_cut(monkeypatch):
                 recorded[::2], recorded[1::2]
             ):
                 assert mp is mm and sides is sm and (kp, km) == (1, -1)
-                xs = sorted(ps.coord(i)[0] for i in mp.matched_ids)
+                xs = sorted(ps.coord(i)[0] for i in sides)
                 k = 2 * (len(xs) // 4)
                 line = (1, 0, (xs[k - 1] + xs[k]) / 2)
+                on = {keep: [i for i, s in sides.items() if s == keep] for keep in (1, -1)}
                 for keep, region in ((1, rp), (-1, rm)):
-                    if sum(s == keep for s in sides.values()) > 2:
+                    if len(on[keep]) > 2:
                         assert region == within.clip_halfplane(*line, keep)
                     else:
                         assert region is None
-                public = even_cut_matching(mp, line, within)
-                assert Matching(ps, list(plus.edges) + list(minus.edges)) == public
-                assert plus.edges == {e for e in public.edges if sides[e.a] == 1}
+                got = Matching(ps, [*plus, *minus])
+                assert (mp is None) == (max(len(on[1]), len(on[-1])) <= 2)
+                if mp is None:
+                    assert len(on[1]) == len(on[-1]) == 2
+                    assert got.edges == {Segment(*on[1]), Segment(*on[-1])}
+                    small += 1
+                else:
+                    assert mp.matched_ids == set(sides)
+                    public = even_cut_matching(mp, line, within)
+                    assert got == public
+                    assert set(plus) == {e for e in public.edges if sides[e.a] == 1}
                 cuts += 1
-    assert cuts >= 20
+    assert cuts >= 20 and small >= 5
 
 
 # ---------------------------------------------------------------------------

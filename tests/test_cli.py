@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from xml.etree import ElementTree
 
@@ -9,7 +10,7 @@ from geomatch.algorithms import TransformationSequence, gen_random_matching, tra
 from geomatch.cli import main
 from geomatch.errors import ParseError
 from geomatch.geom_core import Matching, PointSet, Segment
-from geomatch.oracle import enumerate_ncpm
+from geomatch.oracle import enumerate_ncpm, has_disjoint_compatible_pm
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +201,76 @@ def test_cli_hv_and_four_fifths(tmp_path, capsys):
     ff_in = write_instance(tmp_path, "ff.txt", gen_random_matching(10, 3))
     assert main(["run", "four-fifths", ff_in, "--verify"]) == 0
     assert "guarantee 8" in capsys.readouterr().out
+
+
+def test_cli_oracle_answers_for_four_fifths_hv_and_chc(tmp_path, capsys):
+    # 6 segments are 12 points, at the oracle's limit: it runs and agrees
+    # with a perfect disjoint compatible output
+    cases = [
+        ("four-fifths", gen_random_matching(6, 1)),
+        ("hv", gen_random_matching(4, 3, "axis-parallel")),
+        ("chc", gen_random_matching(4, 1, "chc")),
+    ]
+    for algorithm, m in cases:
+        inst = write_instance(tmp_path, f"{algorithm}.txt", m)
+        assert main(["run", algorithm, inst, "--verify", "--oracle"]) == 0
+        out = capsys.readouterr().out
+        assert "oracle: a disjoint compatible perfect matching exists" in out, algorithm
+
+
+def test_cli_oracle_answers_for_an_odd_hv_matching(tmp_path, capsys):
+    # an odd matching gets no perfect output from hv, but the oracle still
+    # answers for it
+    m = gen_random_matching(3, 4, "axis-parallel")
+    found, _ = has_disjoint_compatible_pm(m)
+    inst = write_instance(tmp_path, "hv3.txt", m)
+    assert main(["run", "hv", inst, "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert "no perfect partner" in out
+    answer = "a disjoint compatible" if found else "no disjoint compatible"
+    assert f"oracle: {answer} perfect matching exists" in out
+
+
+def test_cli_oracle_is_skipped_past_its_point_limit(tmp_path, capsys):
+    inst = write_instance(tmp_path, "ff.txt", gen_random_matching(8, 2))
+    assert main(["run", "four-fifths", inst, "--oracle"]) == 0
+    assert "oracle: skipped (16 points > 12)" in capsys.readouterr().out
+
+
+def test_cli_oracle_disagreeing_with_a_perfect_output_is_an_internal_error(
+    tmp_path, capsys, monkeypatch
+):
+    import geomatch.cli as cli
+
+    monkeypatch.setattr(cli, "has_disjoint_compatible_pm", lambda m: (False, None))
+    inst = write_instance(tmp_path, "chc.txt", gen_random_matching(4, 1, "chc"))
+    assert main(["run", "chc", inst, "--oracle"]) == 3
+    assert "oracle found no disjoint compatible perfect matching" in capsys.readouterr().err
+
+
+def test_cli_oracle_reports_no_witness_when_the_output_is_not_perfect(
+    tmp_path, capsys, monkeypatch
+):
+    import geomatch.algorithms as algorithms
+    import geomatch.cli as cli
+
+    m = gen_random_matching(4, 5)
+    half = Matching(m.base, [], check=False)
+    report = algorithms.four_fifths_matching(m)
+    monkeypatch.setattr(cli, "has_disjoint_compatible_pm", lambda m: (False, None))
+    monkeypatch.setattr(
+        algorithms, "four_fifths_matching", lambda m: replace(report, matching=half)
+    )
+    inst = write_instance(tmp_path, "ff.txt", m)
+    assert main(["run", "four-fifths", inst, "--oracle"]) == 0
+    assert "oracle: no disjoint compatible perfect matching exists" in capsys.readouterr().out
+
+
+def test_cli_oracle_flag_is_rejected_where_there_is_no_cross_check(tmp_path, capsys):
+    inst = write_instance(tmp_path, "c.txt", gen_random_matching(4, 19))
+    for algorithm in ("crossings", "two-trees-search"):
+        assert main(["run", algorithm, inst, "--oracle"]) == 1
+        assert f"--oracle has no cross-check for {algorithm}" in capsys.readouterr().err
 
 
 def test_cli_crossings_writes_both_halves(tmp_path):

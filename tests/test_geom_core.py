@@ -156,6 +156,20 @@ def test_segments_cross_ids_exhaustive_on_small_grid():
                 assert ps.segments_cross_ids(a, b, c, d) == want, (unit, a, b, c, d)
 
 
+def test_first_crossing_between_skips_shared_edges_only():
+    ps = PointSet.from_coords([(0, 0), (2, 2), (0, 2), (2, 0), (5, 0), (6, 3), (3, 3)])
+    shared = [Segment(4, 5)]
+    # equal segments built apart are skipped; a crossing pair is not, nor
+    # an overlap of two segments with one common endpoint
+    assert ps.first_crossing_between(shared, [Segment(5, 4)]) is None
+    got = ps.first_crossing_between(shared + [Segment(0, 1)], [Segment(4, 5), Segment(2, 3)])
+    assert got == (Segment(0, 1), Segment(2, 3))
+    assert ps.first_crossing_between([Segment(0, 1)], [Segment(0, 6)]) == (
+        Segment(0, 1),
+        Segment(0, 6),
+    )
+
+
 # ---------------------------------------------------------------------------
 # blockers in the integer frame
 

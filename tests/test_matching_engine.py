@@ -431,6 +431,17 @@ def test_assemble_rejects_foreign_orientation():
         assignment_from_orientation(dual, EvenOrientation(other, (0,)))
 
 
+def test_assignment_accepts_an_equal_graph_that_is_not_the_duals_own():
+    from geomatch.orientation import Multigraph
+
+    ps, m, dual = one_segment_setup()
+    own = even_orientation(dual.graph())
+    copy = Multigraph(dual.n, [e.cells for e in dual.edges])
+    assert copy is not dual.graph() and copy.edges == dual.graph().edges
+    got = assignment_from_orientation(dual, EvenOrientation(copy, own.heads))
+    assert got == assignment_from_orientation(dual, own)
+
+
 def test_assemble_two_segments_all_even_orientations():
     from helpers import brute_even_orientations
 
