@@ -44,6 +44,7 @@ from .geom_core import (
     compatible,
     convex_hull,
     distinct_x,
+    shear_points,
     validate_general_position,
 )
 from .oracle import visibility_graph
@@ -209,19 +210,14 @@ def _frame_line_sides(
     return sides
 
 
-def halfplane_matching(
-    m: Matching, line: Line, keep: int, within: Optional[Region] = None
-) -> Matching:
+def halfplane_matching(m: Matching, line: Line, keep: int) -> Matching:
     """Perfect matching of m's vertices on one side of the line, compatible
-    with m: extend m inside the clipped region by one ray beyond every
-    endpoint on the kept side (in sorted edge order), orient the dual evenly
-    and match each cell's assigned vertices around its boundary.
-
-    ``within`` optionally reuses a precomputed region around the point set,
-    a ``BoundingBox`` or a ``ConvexPolygon`` (it must contain every point
-    strictly).  Without it, the region is ``BoundingBox.around`` the points.
-    A box cut by a vertical or horizontal line is again a box, so the
-    extension then classifies points by integer comparisons.
+    with m: extend m inside ``BoundingBox.around`` the points, clipped to
+    the kept side, by one ray beyond every endpoint on that side (in sorted
+    edge order), orient the dual evenly and match each cell's assigned
+    vertices around its boundary.  A box cut by a vertical or horizontal
+    line is again a box, so the extension then classifies points by integer
+    comparisons.
     """
     if keep not in (1, -1):
         raise GeomatchError("halfplane selector must be +1 or -1")
@@ -230,7 +226,7 @@ def halfplane_matching(
         # nothing to match, and an empty point set has no bounding box
         return Matching(m.base, [], check=False)
     a, b, c = (as_scalar(v) for v in line)
-    region = BoundingBox.around(m.base) if within is None else within
+    region = BoundingBox.around(m.base)
     edges = _halfplane_side(m, sides, keep, region.clip_halfplane(a, b, c, keep))
     return Matching(m.base, edges, check=False)
 
@@ -265,16 +261,14 @@ def _halfplane_side(
     return assemble_from_orientation(m, dual, orientation, require_disjoint=False).edges
 
 
-def even_cut_matching(
-    m: Matching, line: Line, within: Optional[Region] = None
-) -> Matching:
+def even_cut_matching(m: Matching, line: Line) -> Matching:
     """Match both sides of the line; the union never crosses the line."""
     sides = _line_sides(m, line)
     if not sides:
         # nothing to match, and an empty point set has no bounding box
         return Matching(m.base, [], check=False)
     a, b, c = (as_scalar(v) for v in line)
-    region = BoundingBox.around(m.base) if within is None else within
+    region = BoundingBox.around(m.base)
     left = _halfplane_side(m, sides, +1, region.clip_halfplane(a, b, c, +1))
     right = _halfplane_side(m, sides, -1, region.clip_halfplane(a, b, c, -1))
     # each side is non-crossing on its own and the open halfplanes are
@@ -336,15 +330,13 @@ def _collapse(steps: Sequence[frozenset[Segment]]) -> list[frozenset[Segment]]:
 
 def _chain_to_canonical(m: Matching) -> list[Matching]:
     """The matchings of a transformation from m to the canonical matching
-    of its points, each one checked non-crossing, at most ceil(log2 n)
-    steps long and ending at the canonical matching.  Consecutive entries
-    are not checked for compatibility here: the ``TransformationSequence``
-    built from the chain does that."""
+    of its points (with distinct x), each one checked non-crossing, at most
+    ceil(log2 n) steps long and ending at the canonical matching.
+    Consecutive entries are not checked for compatibility here: the
+    ``TransformationSequence`` built from the chain does that."""
     if not m.is_perfect:
         raise GeomatchError("transformation requires a perfect matching")
     ps = m.base
-    if not distinct_x(ps):
-        raise DistinctXRequired("transformation needs distinct x-coordinates")
     within = BoundingBox.around(ps)
     steps = _canonical_steps(ps, list(ps.ids), m.sorted_edges(), within)
     chain = [Matching(ps, s) for s in _collapse(steps)]
@@ -359,16 +351,30 @@ def _chain_to_canonical(m: Matching) -> list[Matching]:
 
 def transform_to_canonical(m: Matching) -> TransformationSequence:
     """A transformation from m to the canonical matching of its points,
-    of length at most ceil(log2 n)."""
+    of length at most ceil(log2 n).  The canonical matching follows the
+    given x-order, so tied x-coordinates raise ``DistinctXRequired``."""
+    # a matching that is not perfect is refused by the chain itself
+    if m.is_perfect and not distinct_x(m.base):
+        raise DistinctXRequired("transformation needs distinct x-coordinates")
     return TransformationSequence(tuple(_chain_to_canonical(m)))
 
 
 def transform(m1: Matching, m2: Matching) -> TransformationSequence:
     """A transformation between two perfect matchings of one point set,
     of length at most 2*ceil(log2 n), through the canonical matching.
-    Each pair of consecutive matchings of the result is checked once."""
+
+    Tied x-coordinates are first sheared apart by ``shear_points``; a shear
+    is affine, so the edge sets of the steps are valid, and re-checked, on
+    the given points.  Each pair of consecutive matchings of the result is
+    checked once."""
     if m1.base != m2.base:
         raise MismatchedVertexSet("matchings live on different point sets")
+    ps = m1.base
+    tied = not distinct_x(ps)
+    if tied:
+        sheared, _ = shear_points(ps)
+        m1 = Matching(sheared, m1.edges, check=False)
+        m2 = Matching(sheared, m2.edges, check=False)
     f = _chain_to_canonical(m1)
     b = _chain_to_canonical(m2)
     # both chains end at the canonical matching; a shared tail would make
@@ -380,6 +386,8 @@ def transform(m1: Matching, m2: Matching) -> TransformationSequence:
     for m in b[-2::-1]:
         if m != steps[-1]:
             steps.append(m)
+    if tied:
+        steps = [Matching(ps, m.edges) for m in steps]
     seq = TransformationSequence(tuple(steps))
     n = len(m1)
     bound = 2 * math.ceil(math.log2(n)) if n > 1 else 0
@@ -393,13 +401,11 @@ def transform(m1: Matching, m2: Matching) -> TransformationSequence:
 
 
 def _is_horizontal(ps: PointSet, e: Segment) -> bool:
-    (ax, ay), (bx, by) = ps.coord(e.a), ps.coord(e.b)
-    return ay == by and ax != bx
+    return ps._iy[e.a] == ps._iy[e.b]
 
 
 def _is_vertical(ps: PointSet, e: Segment) -> bool:
-    (ax, ay), (bx, by) = ps.coord(e.a), ps.coord(e.b)
-    return ax == bx and ay != by
+    return ps._ix[e.a] == ps._ix[e.b]
 
 
 def _role_color(role: EndpointRole) -> str:
@@ -646,7 +652,7 @@ def two_trees_search(m: Matching, max_orders: int = 24) -> TwoTreesResult:
         raise GeomatchError("input must be a perfect matching")
     ps = m.base
     base_edges = m.sorted_edges()
-    no_verticals = all(ps.coord(e.a)[0] != ps.coord(e.b)[0] for e in base_edges)
+    no_verticals = all(ps._ix[e.a] != ps._ix[e.b] for e in base_edges)
     region = BoundingBox.around(ps)
 
     def candidate_orders():
@@ -693,20 +699,17 @@ def two_trees_search(m: Matching, max_orders: int = 24) -> TwoTreesResult:
 # generators
 
 
-def gen_parallel_chords(k: int, radius: Scalar = 1) -> Matching:
-    """k horizontal chords of a circle (rational points); for odd k the
-    result has no disjoint compatible perfect matching."""
+def gen_parallel_chords(k: int) -> Matching:
+    """k horizontal chords of the unit circle (rational points); for odd k
+    the result has no disjoint compatible perfect matching."""
     if k < 1:
         raise GeomatchError("need at least one chord")
-    r = as_scalar(radius)
-    if r <= 0:
-        raise GeomatchError("radius must be positive")
     coords = []
     edges = []
     for i in range(k):
         t = Fraction(i + 1, k + 2)
-        x = r * (1 - t * t) / (1 + t * t)
-        y = r * 2 * t / (1 + t * t)
+        x = (1 - t * t) / (1 + t * t)
+        y = 2 * t / (1 + t * t)
         coords.append((-x, y))
         coords.append((x, y))
         edges.append(Segment(2 * i, 2 * i + 1))

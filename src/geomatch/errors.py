@@ -132,7 +132,8 @@ class OddCut(GeomatchError):
 
 
 class DistinctXRequired(GeomatchError):
-    """Points do not have pairwise distinct x coordinates; apply the shear step."""
+    """Points do not have pairwise distinct x coordinates, which the
+    canonical matching's x-order needs (``transform`` shears them apart)."""
 
 
 class GenerationFailed(GeomatchError):

@@ -791,33 +791,23 @@ def convex_position_order(ps: PointSet, ids: Iterable[int]) -> list[int]:
 # shear preprocessing
 
 
-def shear_points(ps: PointSet, K: Optional[Fraction] = None) -> tuple[PointSet, Fraction]:
+def shear_points(ps: PointSet) -> tuple[PointSet, Fraction]:
     """Apply the x-shear x' = x + y/K, preserving all strict x-orderings.
 
-    With K omitted it is chosen just large enough that no pair of points with
-    distinct x swaps x-order, while pairs that tie in x become distinct
-    (they must differ in y).  Shears are affine, so orientation signs,
-    crossings and hulls are unchanged.  Returns the new set and the K used.
+    K = floor(max |dy| / min nonzero |dx|) + 1 is just large enough that no
+    pair of points with distinct x swaps x-order, while pairs that tie in x
+    become distinct (they must differ in y); when every x is equal, K is
+    max |dy| + 1.  Shears are affine, so orientation signs, crossings and
+    hulls are unchanged.  Returns the new set and K.
     """
-    if K is None:
-        max_dy = Fraction(0)
-        min_dx = None
-        pts = ps.points
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                dy = abs(pts[i].y - pts[j].y)
-                dx = abs(pts[i].x - pts[j].x)
-                if dy > max_dy:
-                    max_dy = dy
-                if dx != 0 and (min_dx is None or dx < min_dx):
-                    min_dx = dx
-        if min_dx is None:
-            K = max_dy + 1  # all x equal; any positive K separates
-        else:
-            K = Fraction(math.floor(max_dy / min_dx)) + 1
-    K = as_scalar(K)
-    if K <= 0:
-        raise GeomatchError("shear parameter K must be positive")
+    # the ratio of frame differences is the ratio of coordinate differences
+    ix, iy = ps._ix, ps._iy
+    max_dy = max(iy, default=0) - min(iy, default=0)
+    xs = sorted(set(ix))
+    if len(xs) > 1:
+        K = Fraction(max_dy // min(b - a for a, b in zip(xs, xs[1:])) + 1)
+    else:
+        K = Fraction(max_dy, ps._scale) + 1
     sheared = PointSet(
         [Point(p.x + p.y / K, p.y, p.id) for p in ps.points]
     )

@@ -92,23 +92,21 @@ def _search(ps: PointSet, m_edges: list[Segment], first_only: bool) -> list[list
     return _match_search(range(n), rows, usable, ps.segments_cross_ids, first_only)
 
 
-def enumerate_ncpm(ps: PointSet, limit: int = ENUMERATION_LIMIT) -> MatchingCatalog:
+def enumerate_ncpm(ps: PointSet) -> MatchingCatalog:
     """All non-crossing perfect matchings of ``ps``.
 
     Backtracks by always matching the lowest-id free point, so each matching
     is produced exactly once.
     """
     n = len(ps)
-    if n > limit:
-        raise TooLarge(f"{n} points exceeds the enumeration limit {limit}")
+    if n > ENUMERATION_LIMIT:
+        raise TooLarge(f"{n} points exceeds the enumeration limit {ENUMERATION_LIMIT}")
     if n % 2 == 1:
         raise OddCount(f"{n} points cannot be perfectly matched")
     return [Matching(ps, edges, check=False) for edges in _search(ps, [], False)]
 
 
-def has_disjoint_compatible_pm(
-    m: Matching, limit: int = ENUMERATION_LIMIT
-) -> tuple[bool, Optional[Matching]]:
+def has_disjoint_compatible_pm(m: Matching) -> tuple[bool, Optional[Matching]]:
     """Does a perfect matching disjoint from and compatible with ``m`` exist?
 
     Equivalent to filtering enumerate_ncpm by both predicates, but the
@@ -118,8 +116,8 @@ def has_disjoint_compatible_pm(
     """
     ps = m.base
     n = len(ps)
-    if n > limit:
-        raise TooLarge(f"{n} points exceeds the enumeration limit {limit}")
+    if n > ENUMERATION_LIMIT:
+        raise TooLarge(f"{n} points exceeds the enumeration limit {ENUMERATION_LIMIT}")
     if n % 2 == 1:
         return False, None
     found = _search(ps, m.sorted_edges(), True)
@@ -130,9 +128,7 @@ def has_disjoint_compatible_pm(
     return True, result
 
 
-def transformation_distance(
-    m1: Matching, m2: Matching, limit: int = DISTANCE_LIMIT
-) -> int:
+def transformation_distance(m1: Matching, m2: Matching) -> int:
     """Fewest steps between perfect matchings, consecutive ones compatible.
 
     Breadth-first search over the full catalog; exact but exponential, so
@@ -141,8 +137,8 @@ def transformation_distance(
     if m1.base != m2.base:
         raise MismatchedVertexSet("matchings live on different point sets")
     ps = m1.base
-    if len(ps) > limit:
-        raise TooLarge(f"{len(ps)} points exceeds the BFS limit {limit}")
+    if len(ps) > DISTANCE_LIMIT:
+        raise TooLarge(f"{len(ps)} points exceeds the BFS limit {DISTANCE_LIMIT}")
     if m1 == m2:
         return 0
     catalog = enumerate_ncpm(ps)

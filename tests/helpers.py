@@ -147,6 +147,26 @@ def random_general_pointset(rng: Random, n: int, grid: int = 10**6) -> PointSet:
             return ps
 
 
+def pairwise_shear_K(ps: PointSet) -> Fraction:
+    """The shear parameter of ``shear_points`` from every pair of points:
+    floor(max |dy| / min nonzero |dx|) + 1, or max |dy| + 1 when every x is
+    equal."""
+    max_dy = Fraction(0)
+    min_dx = None
+    pts = ps.points
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dy = abs(pts[i].y - pts[j].y)
+            dx = abs(pts[i].x - pts[j].x)
+            if dy > max_dy:
+                max_dy = dy
+            if dx != 0 and (min_dx is None or dx < min_dx):
+                min_dx = dx
+    if min_dx is None:
+        return max_dy + 1
+    return Fraction(math.floor(max_dy / min_dx)) + 1
+
+
 def naive_collinear_triple(ps: PointSet):
     """The collinear triple ``validate_general_position`` must name, or None.
 
@@ -576,15 +596,15 @@ def replay_extensions(m, region_poly, geometry):
 # its results.
 
 
-def naive_enumerate_ncpm(ps: PointSet, limit: int = ENUMERATION_LIMIT) -> MatchingCatalog:
+def naive_enumerate_ncpm(ps: PointSet) -> MatchingCatalog:
     """All non-crossing perfect matchings of ``ps``.
 
     Backtracks by always matching the lowest-id free point, so each matching
     is produced exactly once.
     """
     n = len(ps)
-    if n > limit:
-        raise TooLarge(f"{n} points exceeds the enumeration limit {limit}")
+    if n > ENUMERATION_LIMIT:
+        raise TooLarge(f"{n} points exceeds the enumeration limit {ENUMERATION_LIMIT}")
     if n % 2 == 1:
         raise OddCount(f"{n} points cannot be perfectly matched")
     out: MatchingCatalog = []
@@ -606,9 +626,7 @@ def naive_enumerate_ncpm(ps: PointSet, limit: int = ENUMERATION_LIMIT) -> Matchi
     return out
 
 
-def naive_has_disjoint_compatible_pm(
-    m: Matching, limit: int = ENUMERATION_LIMIT
-) -> tuple[bool, Optional[Matching]]:
+def naive_has_disjoint_compatible_pm(m: Matching) -> tuple[bool, Optional[Matching]]:
     """Does a perfect matching disjoint from and compatible with ``m`` exist?
 
     Equivalent to filtering enumerate_ncpm by both predicates, but the
@@ -618,8 +636,8 @@ def naive_has_disjoint_compatible_pm(
     """
     ps = m.base
     n = len(ps)
-    if n > limit:
-        raise TooLarge(f"{n} points exceeds the enumeration limit {limit}")
+    if n > ENUMERATION_LIMIT:
+        raise TooLarge(f"{n} points exceeds the enumeration limit {ENUMERATION_LIMIT}")
     if n % 2 == 1:
         return False, None
     m_edges = m.sorted_edges()

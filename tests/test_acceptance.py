@@ -34,9 +34,7 @@ from geomatch.geom_core import (
     PointSet,
     compatible,
     disjoint,
-    distinct_x,
     segments_cross,
-    shear_points,
 )
 from geomatch.oracle import (
     enumerate_ncpm,
@@ -62,11 +60,8 @@ from helpers import (
 
 
 def random_perfect_pair(rng: Random, n_segments: int):
-    """Two random non-crossing perfect matchings on one point set, sheared
-    onto distinct x-coordinates when the raw sample has a tie."""
+    """Two random non-crossing perfect matchings on one point set."""
     ps = random_general_pointset(rng, 2 * n_segments)
-    if not distinct_x(ps):
-        ps, _ = shear_points(ps)
     m1 = Matching(ps, random_ncpm_edges(ps, rng))
     m2 = Matching(ps, random_ncpm_edges(ps, rng))
     return m1, m2

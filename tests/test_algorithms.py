@@ -1,9 +1,12 @@
 import functools
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geomatch import fileio
 from geomatch.algorithms import (
@@ -62,6 +65,7 @@ from geomatch.oracle import (
 from geomatch.subdivision import extend
 
 from helpers import (
+    brute_orient,
     brute_segments_cross,
     random_general_pointset,
     random_matching_pair,
@@ -307,7 +311,7 @@ def test_integer_cuts_agree_with_the_public_cut(monkeypatch):
                     small += 1
                 else:
                     assert mp.matched_ids == set(sides)
-                    public = even_cut_matching(mp, line, within)
+                    public = even_cut_matching(mp, line)
                     assert got == public
                     assert set(plus) == {e for e in public.edges if sides[e.a] == 1}
                 cuts += 1
@@ -386,6 +390,53 @@ def test_transform_checks_each_output_pair_once(monkeypatch):
         pairs.clear()
         seq = transform_to_canonical(m1)
         assert pairs == list(zip(seq.matchings, seq.matchings[1:]))
+
+
+def general_position_prefix(cells) -> list[tuple[int, int]]:
+    """The cells in order, skipping each one collinear with two already
+    kept, cut to an even count."""
+    kept: list[tuple[int, int]] = []
+    for c in cells:
+        if all(
+            brute_orient(p, q, c) != 0
+            for i, p in enumerate(kept)
+            for q in kept[i + 1 :]
+        ):
+            kept.append(c)
+    return kept[: len(kept) // 2 * 2]
+
+
+grid_cell = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(grid_cell, min_size=4, max_size=12, unique=True), st.integers(0, 2**32))
+def test_transform_shears_tied_x_coordinates(cells, seed):
+    coords = general_position_prefix(cells)
+    assume(len(coords) >= 4 and len({x for x, _ in coords}) < len(coords))
+    ps = PointSet.from_coords(coords)
+    rng = random.Random(seed)
+    m1 = Matching(ps, random_ncpm_edges(ps, rng))
+    m2 = Matching(ps, random_ncpm_edges(ps, rng))
+    # their result is the given x-order, so a tie stays an error
+    with pytest.raises(DistinctXRequired):
+        canonical_matching(ps)
+    with pytest.raises(DistinctXRequired):
+        transform_to_canonical(m1)
+    try:
+        seq = transform(m1, m2)
+    except GeomatchError:
+        return  # a typed refusal, such as a ray tie
+    steps = seq.matchings
+    assert steps[0].edges == m1.edges and steps[-1].edges == m2.edges
+    n = len(m1)
+    assert seq.length <= 2 * math.ceil(math.log2(n))
+    for step in steps:
+        assert step.base is ps and step.is_perfect
+        assert_pairwise_noncrossing(ps, step.edges)
+    for a, b in zip(steps, steps[1:]):
+        assert_pairwise_noncrossing(ps, a.edges | b.edges)
+    assert transformation_distance(m1, m2) <= seq.length
 
 
 def test_transform_rejects_mismatched_point_sets():
@@ -692,11 +743,11 @@ def test_two_trees_random_three_segments():
 
 
 def test_parallel_chords_lie_on_the_circle():
-    m = gen_parallel_chords(3, radius=5)
+    m = gen_parallel_chords(3)
     ps = m.base
     for i in ps.ids:
         x, y = ps.coord(i)
-        assert x * x + y * y == 25
+        assert x * x + y * y == 1
     # chords are horizontal and pair mirror points
     for e in m.edges:
         assert ps.coord(e.a)[1] == ps.coord(e.b)[1]

@@ -154,14 +154,6 @@ def test_cli_gen_then_validate(tmp_path):
         assert main(["validate", str(out)]) == 0
 
 
-def test_cli_gen_seed_from_environment(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GEOMATCH_SEED", "17")
-    assert main(["gen", "random", "2"]) == 0
-    from_env = capsys.readouterr().out
-    assert main(["gen", "random", "2", "--seed", "17"]) == 0
-    assert capsys.readouterr().out == from_env
-
-
 def test_cli_transform_run(tmp_path, capsys):
     m = gen_random_matching(4, 13)
     cat = enumerate_ncpm(m.base)
@@ -180,13 +172,33 @@ def test_cli_transform_run(tmp_path, capsys):
 
 
 def test_cli_transform_shear_flag(tmp_path, capsys):
+    # transform shears tied x-coordinates itself, so the flag is gone
     ps = PointSet.from_coords([(0, 0), (0, 4), (3, 1), (3, 5)])
     a = write_instance(tmp_path, "a.txt", Matching(ps, [Segment(0, 1), Segment(2, 3)]))
     b = write_instance(tmp_path, "b.txt", Matching(ps, [Segment(0, 2), Segment(1, 3)]))
-    assert main(["run", "transform", a, b]) == 1
-    capsys.readouterr()
-    assert main(["run", "transform", a, b, "--shear", "--verify"]) == 0
-    assert "sheared" in capsys.readouterr().out
+    assert main(["run", "transform", a, b, "--verify", "--oracle"]) == 0
+    assert "verify: endpoints match" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "transform", a, b, "--shear"])
+    assert exc.value.code == 2
+
+
+def test_cli_transform_verify_with_the_wrong_target_is_an_internal_error(
+    tmp_path, capsys, monkeypatch
+):
+    import geomatch.algorithms as algorithms
+
+    m = gen_random_matching(4, 13)
+    other = next(c for c in enumerate_ncpm(m.base) if c.edges != m.edges)
+    # a sequence that starts at the first input and never leaves it
+    monkeypatch.setattr(
+        algorithms, "transform", lambda m1, m2: TransformationSequence((m1,))
+    )
+    a = write_instance(tmp_path, "a.txt", m)
+    b = write_instance(tmp_path, "b.txt", other)
+    assert main(["run", "transform", a, b]) == 0
+    assert main(["run", "transform", a, b, "--verify"]) == 3
+    assert "does not join the two inputs" in capsys.readouterr().err
 
 
 def test_cli_hv_and_four_fifths(tmp_path, capsys):

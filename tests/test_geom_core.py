@@ -42,6 +42,7 @@ from helpers import (
     brute_union_noncrossing,
     gift_wrap_order,
     naive_collinear_triple,
+    pairwise_shear_K,
     polygon_area2,
     polygon_contains,
     polygon_edges,
@@ -763,6 +764,19 @@ def test_shear_breaks_x_ties_and_preserves_structure():
     # orientation signs unchanged (affine map)
     for i, j, k in [(0, 1, 2), (1, 3, 4), (2, 4, 5), (0, 3, 5)]:
         assert ps.orient_ids(i, j, k) == sheared.orient_ids(i, j, k)
+
+
+def test_shear_parameter_matches_the_pairwise_formula():
+    rng = Random(12)
+    for scale in (1, Fraction(1, 3), Fraction(5, 11)):
+        for _ in range(40):
+            n = rng.randrange(0, 9)
+            coords = list({(rng.randrange(6), rng.randrange(40)) for _ in range(n)})
+            ps = PointSet.from_coords((x * scale, y * scale) for x, y in coords)
+            assert shear_points(ps)[1] == pairwise_shear_K(ps)
+        # every x equal: K is the y-extent plus one
+        ps = PointSet.from_coords((2 * scale, y * scale) for y in (0, 7, 3))
+        assert shear_points(ps)[1] == pairwise_shear_K(ps) == 7 * scale + 1
 
 
 def test_distinct_x_agrees_with_the_fraction_coordinates():
