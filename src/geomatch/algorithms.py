@@ -37,6 +37,7 @@ from .errors import (
 from .geom_core import (
     BoundingBox,
     Matching,
+    Point,
     PointSet,
     Scalar,
     Segment,
@@ -60,7 +61,6 @@ from .orientation import (
 from .subdivision import (
     DualMultigraph,
     EndpointRole,
-    Region,
     both_ways_rays,
     dual_multigraph,
     extend,
@@ -212,31 +212,54 @@ def _frame_line_sides(
 
 def halfplane_matching(m: Matching, line: Line, keep: int) -> Matching:
     """Perfect matching of m's vertices on one side of the line, compatible
-    with m: extend m inside ``BoundingBox.around`` the points, clipped to
-    the kept side, by one ray beyond every endpoint on that side (in sorted
-    edge order), orient the dual evenly and match each cell's assigned
-    vertices around its boundary.  A box cut by a vertical or horizontal
-    line is again a box, so the extension then classifies points by integer
-    comparisons.
+    with m: extend m inside ``BoundingBox.around`` the points, cut by the
+    line, by one ray beyond every endpoint on the kept side (in sorted edge
+    order), orient the dual evenly and match each cell's assigned vertices
+    around its boundary.  A box cut by a vertical or horizontal line is
+    again a box.  An oblique line a*x + b*y = c is first taken onto the
+    vertical line a*x' = c by the x-shear x' = x + (b/a)*y of the points;
+    the shear is affine, so it changes no side, crossing or compatibility,
+    and the box is the one around the sheared points.
     """
     if keep not in (1, -1):
         raise GeomatchError("halfplane selector must be +1 or -1")
+    return _cut_matching(m, line, (keep,))
+
+
+def even_cut_matching(m: Matching, line: Line) -> Matching:
+    """Match both sides of the line; the union never crosses the line."""
+    # each side is non-crossing on its own and the open halfplanes are
+    # disjoint, so the union needs no crossing re-check
+    return _cut_matching(m, line, (1, -1))
+
+
+def _cut_matching(m: Matching, line: Line, keeps: tuple[int, ...]) -> Matching:
+    """The ``halfplane_matching`` edges of each kept side, as one matching."""
     sides = _line_sides(m, line)
     if not sides:
         # nothing to match, and an empty point set has no bounding box
         return Matching(m.base, [], check=False)
     a, b, c = (as_scalar(v) for v in line)
-    region = BoundingBox.around(m.base)
-    edges = _halfplane_side(m, sides, keep, region.clip_halfplane(a, b, c, keep))
+    cut = m
+    if a != 0 and b != 0:
+        # an oblique line: a*x' = c on the sheared points, the sides of the
+        # given points unchanged
+        shift = b / a
+        sheared = PointSet([Point(p.x + shift * p.y, p.y, p.id) for p in m.base.points])
+        cut, b = Matching(sheared, m.edges, check=False), 0
+    box = BoundingBox.around(cut.base)
+    edges = []
+    for keep in keeps:
+        edges += _halfplane_side(cut, sides, keep, box.clip_halfplane(a, b, c, keep))
     return Matching(m.base, edges, check=False)
 
 
 def _halfplane_side(
-    m: Optional[Matching], sides: dict[int, int], keep: int, region: Optional[Region]
+    m: Optional[Matching], sides: dict[int, int], keep: int, region: Optional[BoundingBox]
 ) -> Collection[Segment]:
     """The edges of ``halfplane_matching`` once the sides of the line are
     known; ``region`` is the kept side of the line within the bounding
-    region, or None when that is empty.  ``m`` and ``region`` are read only
+    box, or None when that is empty.  ``m`` and ``region`` are read only
     when more than two points lie on the kept side, and ``m`` may be None
     when no more than two do."""
     inside = [i for i, s in sides.items() if s == keep]
@@ -259,21 +282,6 @@ def _halfplane_side(
     if orientation is None:
         raise InvariantViolation("dual of a halfplane extension must orient evenly")
     return assemble_from_orientation(m, dual, orientation, require_disjoint=False).edges
-
-
-def even_cut_matching(m: Matching, line: Line) -> Matching:
-    """Match both sides of the line; the union never crosses the line."""
-    sides = _line_sides(m, line)
-    if not sides:
-        # nothing to match, and an empty point set has no bounding box
-        return Matching(m.base, [], check=False)
-    a, b, c = (as_scalar(v) for v in line)
-    region = BoundingBox.around(m.base)
-    left = _halfplane_side(m, sides, +1, region.clip_halfplane(a, b, c, +1))
-    right = _halfplane_side(m, sides, -1, region.clip_halfplane(a, b, c, -1))
-    # each side is non-crossing on its own and the open halfplanes are
-    # disjoint, so the union needs no crossing re-check
-    return Matching(m.base, [*left, *right], check=False)
 
 
 def _canonical_steps(

@@ -682,14 +682,17 @@ class BoundingBox:
         ``BoundingBox``, or None when it has empty interior, and it has the
         corners of ``polygon().clip_halfplane`` (in the same order, except
         that for a horizontal line keeping the upper side ``polygon()``
-        starts the same cycle at the lower-left corner).  Any other line
-        gives ``polygon().clip_halfplane(a, b, c, keep)``.
+        starts the same cycle at the lower-left corner).  The zero normal
+        a = b = 0 keeps the whole box or nothing.  An oblique line raises
+        ``GeomatchError``: shear it onto a vertical one first.
         """
         a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
         if keep not in (1, -1):
             raise GeomatchError("keep must be +1 or -1")
-        if (a == 0) == (b == 0):
-            return self.polygon().clip_halfplane(a, b, c, keep)
+        if a != 0 and b != 0:
+            raise GeomatchError("only a vertical or horizontal line cuts a box into a box")
+        if a == b == 0:
+            return self if keep * c <= 0 else None
         xmin, ymin, xmax, ymax = self.xmin, self.ymin, self.xmax, self.ymax
         # keep * (a*x - c) >= 0 for a vertical line, keep * (b*y - c) >= 0
         # for a horizontal one

@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .errors import MismatchedVertexSet, OddCount, TooLarge, Unreachable
+from .errors import InvariantViolation, MismatchedVertexSet, OddCount, TooLarge, Unreachable
 from .geom_core import Matching, PointSet, Segment, compatible, disjoint
 from .matching_engine import _match_search
 
@@ -124,7 +124,8 @@ def has_disjoint_compatible_pm(m: Matching) -> tuple[bool, Optional[Matching]]:
     if not found:
         return False, None
     result = Matching(ps, found[0], check=False)
-    assert disjoint(m, result) and compatible(m, result)
+    if not (disjoint(m, result) and compatible(m, result)):
+        raise InvariantViolation("the witness must be disjoint from and compatible with m")
     return True, result
 
 

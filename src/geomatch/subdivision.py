@@ -1,4 +1,4 @@
-"""Segment extension inside a convex region, and the resulting subdivision.
+"""Segment extension inside a box region, and the resulting subdivision.
 
 The caller lists the rays to place as ``(segment, endpoint)`` pairs: each
 pair extends the segment beyond that endpoint.  Rays are placed in list
@@ -41,11 +41,12 @@ integer node triples of the frame; the ``Fraction`` polygons of
 ``ExtensionGeometry.rays`` are built on first read, so a caller that only
 needs the dual, or the termini as triples, never pays for them.
 
-``RayExtension.went_to_infinity`` means "stopped on the edge of a
-``BoundingBox`` region": the box stands in for the unbounded plane, and a
-box cut by a vertical or horizontal line (``BoundingBox.clip_halfplane``) is
-a ``BoundingBox`` region too, so the flag is also true on the cut edge.  On a
-``ConvexPolygon`` region it is always false.
+The region is always a ``BoundingBox``: the box around the points stands in
+for the unbounded plane, and a box cut by a vertical or horizontal line
+(``BoundingBox.clip_halfplane``) is a box too.  A caller that cuts by an
+oblique line first shears the points so that the line becomes vertical (see
+``algorithms.halfplane_matching``).  ``RayExtension.went_to_infinity`` means
+"stopped on the region's edge", so it is also true on a cut edge.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     DegenerateIncidence,
@@ -78,9 +79,6 @@ from .geom_core import (
 )
 from .orientation import Multigraph, components
 
-Region = Union[ConvexPolygon, BoundingBox]
-
-
 # ---------------------------------------------------------------------------
 # rays
 
@@ -93,7 +91,7 @@ def both_ways_rays(segments: Sequence[Segment]) -> list[tuple[Segment, int]]:
 @dataclass(frozen=True)
 class RayExtension:
     """One placed ray: where it started, where it stopped, and whether it
-    stopped on the edge of a ``BoundingBox`` region."""
+    stopped on the edge of the region box."""
 
     segment: Segment
     from_point: int
@@ -402,69 +400,36 @@ class _Scene:
     ``segment_order`` with ``wall_at`` keyed by endpoint, and the region
     edges (``boundary``)."""
 
-    def __init__(self, m: Matching, region: Region):
+    def __init__(self, m: Matching, region: BoundingBox):
+        if not isinstance(region, BoundingBox):
+            raise GeomatchError("region must be a BoundingBox")
         ps = m.base
-        self.clip_is_infinity = isinstance(region, BoundingBox)
         # a shared integer frame for points and region corners, built on the
-        # point set's cached scaling; points are classified in the order of
-        # m's edges, so the first point found on the boundary is the one
-        # reported
-        if self.clip_is_infinity:
-            # the frame and corners come from the box's fields, and each
-            # point is scaled and classified in one pass
-            xmin, ymin, xmax, ymax = region.xmin, region.ymin, region.xmax, region.ymax
-            self.frame = frame = lcm(
-                ps._scale, xmin.denominator, ymin.denominator, xmax.denominator, ymax.denominator
-            )
-            x0 = xmin.numerator * (frame // xmin.denominator)
-            y0 = ymin.numerator * (frame // ymin.denominator)
-            x1 = xmax.numerator * (frame // xmax.denominator)
-            y1 = ymax.numerator * (frame // ymax.denominator)
-            # the corners in polygon() order, so the edges are bottom,
-            # right, top, left and four integer comparisons give the bits
-            self.reg = reg = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-            mult = frame // ps._scale
-            ix, iy = ps._ix, ps._iy
-            self.pts = pts = {}
-            self.outside = outside = {}
-            for s in m.edges:
-                for i in (s.a, s.b):
-                    px, py = pts[i] = (ix[i] * mult, iy[i] * mult)
-                    mask = (py < y0) | (px > x1) << 1 | (py > y1) << 2 | (px < x0) << 3
-                    if not mask and (py == y0 or px == x1 or py == y1 or px == x0):
-                        raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
-                    outside[i] = mask
-            nreg = 4
-        else:
-            if not isinstance(region, ConvexPolygon):
-                raise GeomatchError("region must be a ConvexPolygon or BoundingBox")
-            denoms = [region.vertices[i][j].denominator for i in range(len(region)) for j in (0, 1)]
-            self.frame = frame = lcm(ps._scale, *denoms)
-            mult = frame // ps._scale
-            self.pts = pts = {i: (ps._ix[i] * mult, ps._iy[i] * mult) for s in m.edges for i in s.ids}
-            self.reg = reg = [
-                (x.numerator * (frame // x.denominator), y.numerator * (frame // y.denominator))
-                for x, y in region.vertices
-            ]
-            nreg = len(reg)
-
-            def outside_mask(i: int) -> int:
-                px, py = pts[i]
-                on_edge = False
-                mask = 0
-                for k in range(nreg):
-                    ax, ay = reg[k]
-                    bx, by = reg[(k + 1) % nreg]
-                    s = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-                    if s < 0:
-                        mask |= 1 << k
-                    elif s == 0:
-                        on_edge = True
-                if on_edge and not mask:
+        # point set's cached scaling from the box's fields
+        xmin, ymin, xmax, ymax = region.xmin, region.ymin, region.xmax, region.ymax
+        self.frame = frame = lcm(
+            ps._scale, xmin.denominator, ymin.denominator, xmax.denominator, ymax.denominator
+        )
+        x0 = xmin.numerator * (frame // xmin.denominator)
+        y0 = ymin.numerator * (frame // ymin.denominator)
+        x1 = xmax.numerator * (frame // xmax.denominator)
+        y1 = ymax.numerator * (frame // ymax.denominator)
+        # the corners in polygon() order, so the edges are bottom, right,
+        # top, left and four integer comparisons give the bits; points are
+        # scaled and classified in one pass, in the order of m's edges, so
+        # the first point found on the boundary is the one reported
+        self.reg = reg = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        mult = frame // ps._scale
+        ix, iy = ps._ix, ps._iy
+        self.pts = pts = {}
+        self.outside = outside = {}
+        for s in m.edges:
+            for i in (s.a, s.b):
+                px, py = pts[i] = (ix[i] * mult, iy[i] * mult)
+                mask = (py < y0) | (px > x1) << 1 | (py > y1) << 2 | (px < x0) << 3
+                if not mask and (py == y0 or px == x1 or py == y1 or px == x0):
                     raise DegenerateIncidence(f"point {i} lies exactly on the region boundary")
-                return mask
-
-            self.outside = outside = {i: outside_mask(i) for s in m.edges for i in s.ids}
+                outside[i] = mask
 
         # classify segments by how many endpoints are inside the region
         in_segments: list[Segment] = []
@@ -473,8 +438,8 @@ class _Scene:
                 in_segments.append(s)
             elif not outside[s.a] & outside[s.b]:
                 # no edge line has the whole segment strictly on its outer side
-                for i in range(nreg):
-                    r, t = reg[i], reg[(i + 1) % nreg]
+                for i in range(4):
+                    r, t = reg[i], reg[(i + 1) % 4]
                     if segments_cross_coords(pts[s.a], pts[s.b], r, t):
                         raise SegmentOutsideRegionRule(
                             f"{s} crosses the region but has no endpoint inside"
@@ -487,7 +452,7 @@ class _Scene:
         self.wall_at = wall_at = {}
         for f in walls:
             wall_at[f.seg.a] = wall_at[f.seg.b] = f
-        self.boundary = boundary = [_Feature(reg[i], reg[(i + 1) % nreg]) for i in range(nreg)]
+        self.boundary = boundary = [_Feature(reg[i], reg[(i + 1) % 4]) for i in range(4)]
         self.features = walls + boundary
 
 
@@ -496,15 +461,15 @@ def _shoot(scene: _Scene, rays: Sequence[tuple[Segment, int]]) -> list[tuple]:
     feature it meets, where its terminus becomes node k (for ray k) on both
     features.  Returns ``(segment, endpoint, X, Y, W, went_to_infinity)``
     per ray, the terminus a homogeneous integer triple in frame units."""
-    pts, wall_at, features, reg = scene.pts, scene.wall_at, scene.features, scene.reg
+    pts, wall_at, features = scene.pts, scene.wall_at, scene.features
 
     # a ray along the line of another wall is degenerate wherever that wall
     # lies, even behind the ray; no wall's line is a region edge's line
     line_count = Counter(g.line for g in scene.walls)
 
-    # the region's integer box bounds every ray's search
-    rx0, rx1 = min(x for x, _ in reg), max(x for x, _ in reg)
-    ry0, ry1 = min(y for _, y in reg), max(y for _, y in reg)
+    # the region box bounds every ray's search; its corners are in
+    # polygon() order, lower-left and upper-right at 0 and 2
+    (rx0, ry0), _, (rx1, ry1), _ = scene.reg
 
     placed: list[tuple] = []
     for seg, endpoint in rays:
@@ -591,7 +556,7 @@ def _shoot(scene: _Scene, rays: Sequence[tuple[Segment, int]]) -> list[tuple]:
         # search box, which was cut back to the box of origin and terminus
         f.x0, f.x1 = min(f.x0, bx0), max(f.x1, bx1)
         f.y0, f.y1 = min(f.y0, by0), max(f.y1, by1)
-        placed.append((seg, endpoint, hx, hy, td, g.seg is None and scene.clip_is_infinity))
+        placed.append((seg, endpoint, hx, hy, td, g.seg is None))
     return placed
 
 
@@ -607,7 +572,7 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
     node_pts: list[Triple] = [(x, y, w) for _, _, x, y, w, _ in placed]
     for k, g in enumerate(boundary):
         g.nodes[_ZERO] = len(node_pts) + k
-        g.nodes[_ONE] = len(node_pts) + (k + 1) % len(reg)
+        g.nodes[_ONE] = len(node_pts) + (k + 1) % 4
     node_pts += [(x, y, 1) for x, y in reg]
     for f in walls:
         for endpoint, t in ((f.seg.a, _ZERO), (f.seg.b, _ONE)):
@@ -765,11 +730,11 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
 
 def extend(
     m: Matching,
-    region: Region,
+    region: BoundingBox,
     rays: Sequence[tuple[Segment, int]],
     partial: bool = False,
 ):
-    """Place the rays inside the region, in list order.
+    """Place the rays inside the region box, in list order.
 
     Each ray is a ``(segment, endpoint)`` pair that extends a segment of m
     beyond one of its endpoints inside the region; no ray may repeat.

@@ -11,13 +11,13 @@ convex-hull-connected ones, the odd counterexample families and matchings of
 small integer grids (collinear points, vertical segments).  On the same
 matchings it records the region geometry that those results hide:
 ``subdivision.extend`` (every ray terminus and ``went_to_infinity``, every
-cell corner and ``vertex_cells``) on the box around the points, on the box
-cut by a vertical line and on the box cut by an oblique line, and
-``halfplane_matching`` on each side of that oblique line.  Each result, or
-each ``GeomatchError`` as class and message, is one record; the script
-prints ``<records> <sha256>`` over all of them.  Two trees that print the
-same line give the same outputs and raise the same errors on these inputs,
-which is how a refactor shows that it changed no behaviour::
+cell corner and ``vertex_cells``) on the box around the points and on that
+box cut by a vertical line, and ``halfplane_matching`` on each side of an
+oblique line (which shears the points so that the line becomes vertical).
+Each result, or each ``GeomatchError`` as class and message, is one record;
+the script prints ``<records> <sha256>`` over all of them.  Two trees that
+print the same line give the same outputs and raise the same errors on these
+inputs, which is how a refactor shows that it changed no behaviour::
 
     python tests/output_dump.py               # the instances as generated
     python tests/output_dump.py --scale 1/3   # every coordinate times 1/3
@@ -56,7 +56,7 @@ from geomatch.geom_core import (  # noqa: E402
     Segment,
     validate_general_position,
 )
-from helpers import polygon_contains, random_ncpm_edges  # noqa: E402
+from helpers import box_strictly_contains, random_ncpm_edges  # noqa: E402
 
 SEEDS = range(10)
 EXPECTED = Path(__file__).with_name("output_dump.expected")
@@ -113,14 +113,13 @@ def instances():
 
 def extension(m: Matching, cut):
     """``extend`` on the box around the points, or on the box cut by the
-    line ``(a, b, c, keep)``, with a ray beyond every endpoint inside."""
+    vertical line ``(a, 0, c, keep)``, with a ray beyond every endpoint inside."""
     region = BoundingBox.around(m.base)
     if cut is not None:
         region = region.clip_halfplane(*cut)
-    poly = region.polygon() if isinstance(region, BoundingBox) else region
     rays = [
         (s, i) for s in m.sorted_edges() for i in s.ids
-        if polygon_contains(poly, m.base.coord(i), strict=True)
+        if box_strictly_contains(region, m.base.coord(i))
     ]
     geo, sub = subdivision.extend(m, region, rays)
     return [
@@ -152,7 +151,6 @@ def outcomes(m: Matching, other):
     calls["extend:box"] = lambda: extension(m, None)
     for keep in (1, -1):
         calls[f"extend:vertical:{keep}"] = lambda keep=keep: extension(m, (*vertical, keep))
-        calls[f"extend:oblique:{keep}"] = lambda keep=keep: extension(m, (*oblique, keep))
         calls[f"halfplane_matching:oblique:{keep}"] = lambda keep=keep: (
             algorithms.halfplane_matching(m, oblique, keep)
         )

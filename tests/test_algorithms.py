@@ -67,6 +67,7 @@ from geomatch.subdivision import extend
 from helpers import (
     brute_orient,
     brute_segments_cross,
+    brute_union_noncrossing,
     random_general_pointset,
     random_matching_pair,
     random_ncpm_edges,
@@ -251,6 +252,62 @@ def test_even_cut_computes_the_sides_once_and_raises_as_halfplane(monkeypatch):
                 errors.append((type(exc), str(exc)))
         assert errors[0] == errors[1]
         assert errors[0][0] in (VertexOnLine, OddCut)
+
+
+def test_oblique_cuts_match_exactly_the_kept_side_compatibly():
+    # a line a*x + b*y = c with a, b != 0 is sheared onto a vertical one;
+    # the outputs are checked with Fraction arithmetic on the given points
+    rng = random.Random(57)
+    checked = 0
+    for n in (3, 4, 5, 6, 8):
+        for _ in range(5):
+            ps = random_general_pointset(rng, 2 * n)
+            m = Matching(ps, random_ncpm_edges(ps, rng))
+            a, b = (
+                Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in "ab"
+            )
+            coords = {i: ps.coord(i) for i in ps.ids}
+            value = {i: a * x + b * y for i, (x, y) in coords.items()}
+            order = sorted(ps.ids, key=value.__getitem__)
+            k = 2 * rng.randint(1, n - 1)  # an even number of points below
+            if value[order[k - 1]] == value[order[k]]:
+                continue
+            c = (value[order[k - 1]] + value[order[k]]) / 2
+            line = (a, b, c)
+            m_edges = [e.ids for e in m.edges]
+            for keep in (1, -1):
+                side = {i for i in ps.ids if sign(value[i] - c) == keep}
+                out = halfplane_matching(m, line, keep)
+                assert out.matched_ids == side
+                assert all(e.a in side and e.b in side for e in out.edges)
+                assert brute_union_noncrossing(coords, m_edges, [e.ids for e in out.edges])
+            out = even_cut_matching(m, line)
+            assert out.is_perfect
+            even_cut_sides(m, line, out)
+            assert brute_union_noncrossing(coords, m_edges, [e.ids for e in out.edges])
+            checked += 1
+    assert checked >= 20
+
+
+def test_zero_normal_line_keeps_every_point_or_none():
+    # 0*x + 0*y = c puts every point on the side of -c's sign, so one side
+    # is matched in the whole box and the other is empty; c = 0 puts every
+    # point on the line
+    m = gen_random_matching(6, 0)
+    full = {Segment(*ids) for ids in ((0, 9), (1, 3), (2, 11), (4, 8), (5, 10), (6, 7))}
+    for c in (5, -5):
+        for keep in (1, -1):
+            out = halfplane_matching(m, (0, 0, c), keep)
+            assert set(out.edges) == (full if keep * c < 0 else set())
+        out = even_cut_matching(m, (0, 0, c))
+        assert set(out.edges) == full and compatible(m, out)
+    for call in (
+        lambda: halfplane_matching(m, (0, 0, 0), 1),
+        lambda: halfplane_matching(m, (0, 0, 0), -1),
+        lambda: even_cut_matching(m, (0, 0, 0)),
+    ):
+        with pytest.raises(VertexOnLine):
+            call()
 
 
 def test_cuts_of_an_empty_point_set_are_empty():

@@ -738,12 +738,24 @@ def test_box_clip_matches_polygon_clip(keep):
             assert got == ref.vertices, (a, b, c)
     # a cut that misses the box keeps all of it, or none of it
     assert box.clip_halfplane(1, 0, 6, keep) == (box if keep == -1 else None)
-    # an oblique line falls back to the polygon clip
-    oblique = box.clip_halfplane(1, 1, third, keep)
-    assert isinstance(oblique, ConvexPolygon)
-    assert oblique == poly.clip_halfplane(1, 1, third, keep)
     with pytest.raises(GeomatchError):
         box.clip_halfplane(1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("keep", [1, -1])
+def test_box_clip_refuses_an_oblique_line_and_keeps_all_or_nothing_of_a_zero_normal(keep):
+    box = BoundingBox(Fraction(-7, 2), -3, 5, Fraction(9, 4))
+    # an oblique line does not cut a box into a box; callers shear it first
+    for a, b in ((1, 1), (2, Fraction(-1, 5)), (-3, 7)):
+        with pytest.raises(GeomatchError, match="vertical or horizontal"):
+            box.clip_halfplane(a, b, Fraction(1, 3), keep)
+    # sign(0*x + 0*y - c) is the sign of -c everywhere, and 0 is always kept,
+    # as the polygon clip keeps it
+    for c in (-5, 0, Fraction(1, 3)):
+        want = box if keep * c <= 0 else None
+        assert box.clip_halfplane(0, 0, c, keep) == want
+        ref = box.polygon().clip_halfplane(0, 0, c, keep)
+        assert (ref is None) == (want is None) and (ref is None or ref == box.polygon())
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from geomatch.algorithms import gen_general_odd, gen_parallel_chords
-from geomatch.errors import OddCount, TooLarge, Unreachable
+from geomatch.errors import InvariantViolation, OddCount, TooLarge, Unreachable
 from geomatch.geom_core import (
     Matching,
     PointSet,
@@ -203,6 +203,18 @@ def test_search_matches_naive_reference_on_families_without_mate():
     for k in (2, 4, 6):
         found, witness = assert_same_probe(gen_parallel_chords(k))
         assert found and witness.is_perfect
+
+
+def test_witness_check_is_a_typed_error(monkeypatch):
+    # the witness is re-checked with the library predicates; a failure is an
+    # InvariantViolation, which python -O keeps
+    import geomatch.oracle as oracle
+
+    m = gen_parallel_chords(2)
+    assert has_disjoint_compatible_pm(m)[0]
+    monkeypatch.setattr(oracle, "compatible", lambda m1, m2: False)
+    with pytest.raises(InvariantViolation):
+        has_disjoint_compatible_pm(m)
 
 
 # --- transformation distance ------------------------------------------------
