@@ -14,7 +14,6 @@ usable-pair test, and the search memoises every test within the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -243,35 +242,6 @@ def constrained_matching(
 # assembling a matching from an even orientation of the dual
 
 
-@dataclass(frozen=True)
-class CellAssignment:
-    """Which cell each in-region matching vertex was handed to."""
-
-    vertex_cell: dict[int, int]
-    cell_vertices: dict[int, tuple[int, ...]]
-
-
-def assignment_from_orientation(
-    dual: DualMultigraph, orientation: EvenOrientation
-) -> CellAssignment:
-    # an orientation of the dual's own graph() belongs to it; any other
-    # graph must have the dual's edges, in order
-    graph = orientation.graph
-    if graph is not dual.graph() and graph.edges != tuple(e.cells for e in dual.edges):
-        raise GeomatchError("orientation does not belong to this dual multigraph")
-    vertex_cell: dict[int, int] = {}
-    cell_vertices: dict[int, list[int]] = {y: [] for y in range(dual.n)}
-    for dedge, head in zip(dual.edges, orientation.heads):
-        vertex_cell[dedge.vertex] = head
-        cell_vertices[head].append(dedge.vertex)
-    for y, vs in cell_vertices.items():
-        if len(vs) % 2 == 1:
-            raise InvariantViolation(f"cell {y} was assigned an odd vertex count")
-    return CellAssignment(
-        vertex_cell, {y: tuple(sorted(vs)) for y, vs in cell_vertices.items()}
-    )
-
-
 def assemble_from_orientation(
     m: Matching,
     dual: DualMultigraph,
@@ -280,34 +250,49 @@ def assemble_from_orientation(
 ) -> Matching:
     """Per-cell convex matchings of the assigned vertices, unioned.
 
-    The orientation hands every in-region vertex to one of its two cells;
-    each cell's batch is in convex position on the cell boundary, with the
-    induced edges of ``m`` appearing as hull-consecutive pairs.  Those
-    batches are matched disjointly (or just compatibly) and combined.
+    The orientation hands every in-region vertex to one of its two cells
+    (the head of its dual edge); each cell's batch is in convex position on
+    the cell boundary, with the induced edges of ``m`` appearing as
+    hull-consecutive pairs.  Those batches are matched disjointly (or just
+    compatibly) and combined.  A two-point batch is paired directly: its
+    only possible induced edge is the pair itself, which a disjoint matching
+    rejects and a compatible one reuses.
     """
-    ps = m.base
-    assignment = assignment_from_orientation(dual, orientation)
-    vertex_cell = assignment.vertex_cell
+    # an orientation of the dual's own graph() belongs to it; any other
+    # graph must have the dual's edges, in order
+    graph = orientation.graph
+    if graph is not dual.graph() and graph.edges != tuple(e.cells for e in dual.edges):
+        raise GeomatchError("orientation does not belong to this dual multigraph")
+    vertex_cell: dict[int, int] = {}
+    batches: list[list[int]] = [[] for _ in range(dual.n)]
+    for dedge, head in zip(dual.edges, orientation.heads):
+        vertex_cell[dedge.vertex] = head
+        batches[head].append(dedge.vertex)
+    for y, batch in enumerate(batches):
+        if len(batch) % 2 == 1:
+            raise InvariantViolation(f"cell {y} was assigned an odd vertex count")
     # edges of m with both endpoints handed to one cell, grouped by cell
     induced_in: dict[int, list[Segment]] = {}
     for s in m.edges:
         y = vertex_cell.get(s.a)
         if y is not None and vertex_cell.get(s.b) == y:
             induced_in.setdefault(y, []).append(s)
+    ps = m.base
     edges: list[Segment] = []
-    for y in range(dual.n):
-        batch = assignment.cell_vertices[y]
+    for y, batch in enumerate(batches):
         if not batch:
             continue
         induced = induced_in.get(y, [])
-        if require_disjoint:
-            if len(batch) == 2 and induced:
+        if len(batch) == 2:
+            if require_disjoint and induced:
                 raise SameSegmentIndegreeTwo(
                     f"cell {y} received exactly the two endpoints of {induced[0]}"
                 )
-            edges += _disjoint_cell(ps, batch, induced)
+            edges.append(Segment(*batch))
+        elif require_disjoint:
+            edges += _disjoint_cell(ps, sorted(batch), induced)
         else:
-            edges += _compatible_cell(ps, batch, induced)
-    if 2 * len(edges) != len(assignment.vertex_cell):
+            edges += _compatible_cell(ps, sorted(batch), induced)
+    if 2 * len(edges) != len(vertex_cell):
         raise InvariantViolation("assembled matching does not cover every vertex")
     return Matching(ps, edges, check=False)

@@ -96,45 +96,48 @@ class EvenOrientation:
 def even_orientation(g: Multigraph) -> Optional[EvenOrientation]:
     """An orientation with all indegrees even, or None if impossible.
 
-    Exists iff every connected component has an even number of edges.  The
-    construction orients non-tree edges toward their stored second endpoint,
-    then fixes spanning-tree edges from the leaves inward so each non-root
-    vertex ends even; the root is forced even by the parity of the count.
+    Exists iff every connected component has an even number of edges.  One
+    breadth-first search per component, rooted at its smallest vertex and
+    walking the adjacency in edge-id order, finds its spanning tree and its
+    edge count and orients every non-tree edge toward its stored second
+    endpoint; the tree edges are then fixed from the leaves inward so each
+    non-root vertex ends even, and the root is forced even by the parity of
+    the count.
     """
-    heads: list[Optional[int]] = [None] * len(g.edges)
+    edges = g.edges
+    heads: list[Optional[int]] = [None] * len(edges)
+    is_tree = [False] * len(edges)
     adj = g.adjacency()
-    for verts, eids in components(g):
-        if len(eids) % 2 == 1:
-            return None
-        root = verts[0]
-        parent_edge: dict[int, int] = {}
+    seen = [False] * g.n
+    parity = [0] * g.n
+    parent_edge = [0] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
         order = [root]
-        seen = {root}
-        tree_edges = set()
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
+        non_tree = 0
+        for v in order:
             for eid, w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
+                if not seen[w]:
+                    seen[w] = True
                     parent_edge[w] = eid
-                    tree_edges.add(eid)
+                    is_tree[eid] = True
                     order.append(w)
-        parity = [0] * g.n
-        for eid in eids:
-            if eid not in tree_edges:
-                u, v = g.edges[eid]
-                heads[eid] = v
-                parity[v] ^= 1
+                elif not is_tree[eid] and heads[eid] is None:
+                    h = heads[eid] = edges[eid][1]
+                    parity[h] ^= 1
+                    non_tree += 1
+        if (len(order) - 1 + non_tree) % 2 == 1:
+            return None
         for v in reversed(order[1:]):
             eid = parent_edge[v]
-            u, w = g.edges[eid]
-            other = w if v == u else u
+            u, w = edges[eid]
             if parity[v]:
                 heads[eid] = v
                 parity[v] ^= 1
             else:
+                other = w if v == u else u
                 heads[eid] = other
                 parity[other] ^= 1
         if parity[root]:

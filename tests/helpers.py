@@ -332,6 +332,52 @@ def is_even(o: EvenOrientation) -> bool:
     return all(d % 2 == 0 for d in indegrees(o))
 
 
+def two_pass_even_orientation(g: Multigraph) -> Optional[EvenOrientation]:
+    """``orientation.even_orientation`` as it was written with
+    ``components``: list the components first (smallest vertex first, edge
+    ids sorted), then run a second breadth-first search per even component
+    from its smallest vertex.  The reference for the one-search version,
+    whose heads must be the same."""
+    heads: list[Optional[int]] = [None] * len(g.edges)
+    adj = g.adjacency()
+    for verts, eids in components(g):
+        if len(eids) % 2 == 1:
+            return None
+        root = verts[0]
+        parent_edge: dict[int, int] = {}
+        order = [root]
+        seen = {root}
+        tree_edges = set()
+        i = 0
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for eid, w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    parent_edge[w] = eid
+                    tree_edges.add(eid)
+                    order.append(w)
+        parity = [0] * g.n
+        for eid in eids:
+            if eid not in tree_edges:
+                heads[eid] = g.edges[eid][1]
+                parity[g.edges[eid][1]] ^= 1
+        for v in reversed(order[1:]):
+            eid = parent_edge[v]
+            u, w = g.edges[eid]
+            other = w if v == u else u
+            if parity[v]:
+                heads[eid] = v
+                parity[v] ^= 1
+            else:
+                heads[eid] = other
+                parity[other] ^= 1
+        if parity[root]:
+            raise InvariantViolation("root parity odd in an even component")
+    return EvenOrientation(g, tuple(heads))
+
+
 def brute_pm_exists(n: int, pairs) -> bool:
     """Perfect-matching existence by unmemoised recursive pairing."""
     edge_set = {(min(u, v), max(u, v)) for u, v in pairs}

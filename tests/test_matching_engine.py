@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from geomatch.errors import (
     DegenerateIncidence,
     GeomatchError,
+    InvariantViolation,
     NotConvexPosition,
     OddCount,
     SameSegmentIndegreeTwo,
@@ -22,7 +24,6 @@ from geomatch.geom_core import (
 )
 from geomatch.matching_engine import (
     assemble_from_orientation,
-    assignment_from_orientation,
     constrained_matching,
     convex_compatible_matching,
     convex_disjoint_matching,
@@ -401,21 +402,18 @@ def one_segment_setup():
     return ps, m, dual
 
 
-def test_assignment_partitions_vertices():
-    ps, m, dual = one_segment_setup()
-    orient = even_orientation(dual.graph())
-    assert orient is not None
-    assignment = assignment_from_orientation(dual, orient)
-    assert sorted(assignment.vertex_cell) == [0, 1]
-    cells = set(assignment.vertex_cell.values())
-    assert len(cells) == 1  # both endpoints must go to the same side
-    total = sum(len(v) for v in assignment.cell_vertices.values())
-    assert total == 2
+def two_segment_setup():
+    ps = PointSet.from_coords([(0, 0), (10, 1), (1, 5), (11, 7)])
+    m = Matching(ps, [Segment(0, 1), Segment(2, 3)])
+    _, sub = extend(m, BoundingBox.around(ps), both_ways_rays(m.sorted_edges()))
+    return ps, m, dual_multigraph(sub, m)
 
 
 def test_assemble_same_segment_indegree_two():
     ps, m, dual = one_segment_setup()
     orient = even_orientation(dual.graph())
+    # both endpoints must go to the same side
+    assert orient.heads[0] == orient.heads[1]
     with pytest.raises(SameSegmentIndegreeTwo):
         assemble_from_orientation(m, dual, orient, require_disjoint=True)
     reused = assemble_from_orientation(m, dual, orient, require_disjoint=False)
@@ -427,40 +425,97 @@ def test_assemble_rejects_foreign_orientation():
     from geomatch.orientation import Multigraph
 
     other = Multigraph(2, ((0, 1),))
-    with pytest.raises(GeomatchError):
-        assignment_from_orientation(dual, EvenOrientation(other, (0,)))
+    with pytest.raises(GeomatchError, match="does not belong"):
+        assemble_from_orientation(m, dual, EvenOrientation(other, (0,)))
 
 
-def test_assignment_accepts_an_equal_graph_that_is_not_the_duals_own():
+def test_assemble_accepts_an_equal_graph_that_is_not_the_duals_own():
     from geomatch.orientation import Multigraph
 
-    ps, m, dual = one_segment_setup()
+    ps, m, dual = two_segment_setup()
     own = even_orientation(dual.graph())
     copy = Multigraph(dual.n, [e.cells for e in dual.edges])
     assert copy is not dual.graph() and copy.edges == dual.graph().edges
-    got = assignment_from_orientation(dual, EvenOrientation(copy, own.heads))
-    assert got == assignment_from_orientation(dual, own)
+    got = assemble_from_orientation(m, dual, EvenOrientation(copy, own.heads), False)
+    assert got == assemble_from_orientation(m, dual, own, False)
+
+
+def test_assemble_rejects_an_odd_cell_before_matching_any():
+    from helpers import brute_even_orientations
+
+    ps, m, dual = two_segment_setup()
+    g = dual.graph()
+    even = set(brute_even_orientations(g.n, g.edges))
+    odd = []
+    for mask in range(1 << len(g.edges)):
+        heads = tuple(e[mask >> k & 1] for k, e in enumerate(g.edges))
+        if heads not in even:
+            odd.append(heads)
+    assert odd
+    for heads in odd:
+        counts = [heads.count(y) for y in range(dual.n)]
+        first = next(y for y, c in enumerate(counts) if c % 2 == 1)
+        for require_disjoint in (True, False):
+            with pytest.raises(InvariantViolation, match=f"cell {first} was assigned an odd"):
+                assemble_from_orientation(m, dual, EvenOrientation(g, heads), require_disjoint)
+
+
+def test_assemble_two_point_cell_with_one_segment():
+    # a cell handed exactly the two endpoints of one segment: the disjoint
+    # assembly names that cell and segment, the compatible one reuses it
+    from helpers import brute_even_orientations
+
+    ps, m, dual = two_segment_setup()
+    g = dual.graph()
+    seen = 0
+    for heads in brute_even_orientations(g.n, g.edges):
+        batches = [
+            sorted(e.vertex for e, h in zip(dual.edges, heads) if h == y) for y in range(dual.n)
+        ]
+        same = [(y, s) for y, b in enumerate(batches) for s in m.edges if b == [s.a, s.b]]
+        orient = EvenOrientation(g, heads)
+        if not same:
+            assemble_from_orientation(m, dual, orient)
+            continue
+        seen += 1
+        y, s = same[0]
+        message = rf"cell {y} received .* of {re.escape(str(s))}$"
+        with pytest.raises(SameSegmentIndegreeTwo, match=message):
+            assemble_from_orientation(m, dual, orient, require_disjoint=True)
+        loose = assemble_from_orientation(m, dual, orient, require_disjoint=False)
+        assert s in loose.edges
+    assert seen > 0
+
+
+def _per_cell_reference(m, dual, heads, require_disjoint):
+    """The union of the public convex matchings of each cell's batch."""
+    match = convex_disjoint_matching if require_disjoint else convex_compatible_matching
+    edges = []
+    for y in range(dual.n):
+        batch = [e.vertex for e, h in zip(dual.edges, heads) if h == y]
+        if batch:
+            induced = [s for s in m.edges if s.a in batch and s.b in batch]
+            edges += match(m.base, batch, induced).edges
+    return Matching(m.base, edges, check=False)
 
 
 def test_assemble_two_segments_all_even_orientations():
     from helpers import brute_even_orientations
 
-    ps = PointSet.from_coords([(0, 0), (10, 1), (1, 5), (11, 7)])
-    m = Matching(ps, [Segment(0, 1), Segment(2, 3)])
-    region = BoundingBox.around(ps)
-    _, sub = extend(m, region, both_ways_rays(m.sorted_edges()))
-    dual = dual_multigraph(sub, m)
+    ps, m, dual = two_segment_setup()
     g = dual.graph()
     disjoint_found = 0
     for heads in brute_even_orientations(g.n, g.edges):
         orient = EvenOrientation(g, heads)
         loose = assemble_from_orientation(m, dual, orient, require_disjoint=False)
         assert loose.is_perfect and compatible(m, loose)
+        assert loose == _per_cell_reference(m, dual, heads, False)
         try:
             out = assemble_from_orientation(m, dual, orient)
         except SameSegmentIndegreeTwo:
             continue
         assert out.is_perfect
+        assert out == _per_cell_reference(m, dual, heads, True)
         assert disjoint(m, out) and compatible(m, out)
         disjoint_found += 1
     assert disjoint_found > 0
@@ -488,6 +543,7 @@ def test_assemble_random_compatible_pipeline():
         out = assemble_from_orientation(m, dual, orient, require_disjoint=False)
         assert out.is_perfect
         assert compatible(m, out)
+        assert out == _per_cell_reference(m, dual, orient.heads, False)
         # Not every instance admits a disjoint assembly from THIS subdivision,
         # but whenever some even orientation does, the result must check out.
         from helpers import brute_even_orientations
@@ -498,5 +554,6 @@ def test_assemble_random_compatible_pipeline():
             except SameSegmentIndegreeTwo:
                 continue
             assert disjoint(m, strict) and compatible(m, strict)
+            assert strict == _per_cell_reference(m, dual, heads, True)
             built += 1
     assert built > 0

@@ -24,6 +24,7 @@ from helpers import (
     random_multigraph,
     random_tree,
     tree_even_orientation,
+    two_pass_even_orientation,
 )
 
 
@@ -67,6 +68,26 @@ def test_adjacency_is_built_once_and_shared():
         if orient is not None:
             assert orient.heads == fresh_orient.heads == even_orientation(g).heads
         assert g.adjacency() is adj and adj == _fresh_adjacency(g)
+
+
+def test_one_search_per_component_matches_the_two_pass_reference():
+    # the same heads (or None for both) as listing the components first and
+    # searching each again; the seeded graphs must include every shape below
+    rng = Random(1717)
+    shapes = {"parallel": 0, "isolated": 0, "several": 0, "odd": 0, "even": 0}
+    for _ in range(600):
+        g = random_multigraph(rng, max_n=9, max_m=14)
+        got, ref = even_orientation(g), two_pass_even_orientation(g)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert got.heads == ref.heads and is_even(got)
+        comps = components(g)
+        shapes["parallel"] += len(set(map(frozenset, g.edges))) < len(g.edges)
+        shapes["isolated"] += any(len(verts) == 1 for verts, _ in comps)
+        shapes["several"] += sum(len(eids) > 0 for _, eids in comps) > 1
+        shapes["odd"] += ref is None
+        shapes["even"] += ref is not None and len(g.edges) > 0
+    assert min(shapes.values()) >= 20, shapes
 
 
 def test_parallel_pair_both_heads_agree():

@@ -11,6 +11,7 @@ from geomatch.algorithms import Flavor, gen_random_matching
 from geomatch.errors import (
     DegenerateIncidence,
     GeomatchError,
+    InvariantViolation,
     SegmentOutsideRegionRule,
 )
 from geomatch import oracle, subdivision
@@ -105,6 +106,31 @@ def test_dual_graph_is_built_once_outside_the_fields():
     assert repr(one) == repr(bare)
     assert [f.name for f in dataclasses.fields(one)] == ["n", "edges"]
     assert bare.graph() is not g and bare.graph().edges == g.edges
+
+
+def test_dual_certificates_on_hand_built_subdivisions():
+    # the subdivision of two segments in a box has three cells, every
+    # in-region vertex on two of them; the hand-built copies below break it
+    ps = PointSet.from_coords([(2, 2), (4, 5), (7, 3), (13, 4)])
+    m = Matching(ps, [Segment(0, 1), Segment(2, 3)])
+    region = BoundingBox(0, 0, 10, 10)
+    rays = [(Segment(0, 1), 0), (Segment(0, 1), 1), (Segment(2, 3), 2)]
+    sub = extend(m, region, rays)[1]
+    assert len(sub.cells) == 3 and sorted(sub.vertex_cells) == [0, 1, 2]
+    # cell 2 on no vertex: no search from cell 0 reaches it
+    lonely = subdivision.ConvexSubdivision(sub.cells, {v: (0, 1) for v in sub.vertex_cells})
+    with pytest.raises(InvariantViolation, match="dual multigraph is not connected"):
+        dual_multigraph(lonely, m)
+    # every cell reached, but through a vertex on no segment of the matching
+    half = Matching(ps, [Segment(0, 1)])
+    with pytest.raises(InvariantViolation, match="subdivision vertex 2 is unmatched in M"):
+        dual_multigraph(sub, half)
+    # no cells at all is not connected either
+    empty = subdivision.ConvexSubdivision(subdivision.CellPolygons((), 1), {})
+    with pytest.raises(InvariantViolation, match="dual multigraph is not connected"):
+        dual_multigraph(empty, m)
+    dual = dual_multigraph(sub, m)
+    assert dual.n == 3 and len(components(dual.graph())) == 1
 
 
 def test_segment_crossing_region_without_endpoint_inside():
@@ -631,6 +657,25 @@ def test_corner_rule_holds_for_a_wall_that_never_reaches_the_corner():
     geo, _ = extend(m, box, rays, partial=True)
     diagonal = {r.terminus for r in geo.rays if r.segment == Segment(0, 1)}
     assert diagonal == {(Fraction(5, 2), Fraction(5, 2)), (11, 11)}
+    with pytest.raises(DegenerateIncidence) as ei:
+        extend(m, box, rays)
+    assert str(ei.value) == "a segment line passes through a region corner"
+
+
+@pytest.mark.parametrize("flip_x, flip_y", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_corner_rule_checks_each_corner(flip_x, flip_y):
+    # the line of segment 0-1 passes through the box corner that (0, 0)
+    # flips to and through no other corner; its rays stop on the other two
+    # segments, so only the builder's corner test can reject it
+    coords = [(4, 3), (8, 6), (8, 14), (14, 8), (1, 4), (4, 1)]
+    ps = PointSet.from_coords(
+        [(20 - x if flip_x else x, 20 - y if flip_y else y) for x, y in coords]
+    )
+    m = Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5)])
+    box = BoundingBox(0, 0, 20, 20)
+    rays = both_ways_rays(m.sorted_edges())
+    geo, _ = extend(m, box, rays, partial=True)
+    assert not any(r.went_to_infinity for r in geo.rays if r.segment == Segment(0, 1))
     with pytest.raises(DegenerateIncidence) as ei:
         extend(m, box, rays)
     assert str(ei.value) == "a segment line passes through a region corner"
