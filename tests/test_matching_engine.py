@@ -409,11 +409,20 @@ def two_segment_setup():
     return ps, m, dual_multigraph(sub, m)
 
 
+def test_assignment_partitions_vertices():
+    # the orientation hands each point vertex to exactly one cell
+    ps, m, dual = one_segment_setup()
+    orient = even_orientation(dual.graph())
+    assert orient is not None
+    vertex_cell = {e.vertex: h for e, h in zip(dual.edges, orient.heads)}
+    assert sorted(vertex_cell) == [0, 1]
+    assert len(set(vertex_cell.values())) == 1  # both endpoints must go to the same side
+    assert len(dual.edges) == 2
+
+
 def test_assemble_same_segment_indegree_two():
     ps, m, dual = one_segment_setup()
     orient = even_orientation(dual.graph())
-    # both endpoints must go to the same side
-    assert orient.heads[0] == orient.heads[1]
     with pytest.raises(SameSegmentIndegreeTwo):
         assemble_from_orientation(m, dual, orient, require_disjoint=True)
     reused = assemble_from_orientation(m, dual, orient, require_disjoint=False)
