@@ -45,6 +45,7 @@ from .geom_core import (
     compatible,
     convex_hull,
     distinct_x,
+    segments_cross_coords,
     shear_points,
     validate_general_position,
 )
@@ -127,12 +128,12 @@ class ColoredDual:
         palette = set(self.colors)
         if not (palette <= {RED, GREEN} or palette <= {RED, BLUE}):
             raise GeomatchError(f"unsupported palette {sorted(palette)}")
-        per_segment: dict[tuple[int, int], set[str]] = {}
+        per_segment: dict[Segment, set[str]] = {}
         for e, c in zip(self.dual.edges, self.colors):
-            per_segment.setdefault((e.segment.a, e.segment.b), set()).add(c)
-        for ids, cs in per_segment.items():
+            per_segment.setdefault(e.segment, set()).add(c)
+        for s, cs in per_segment.items():
             if len(cs) != 2:
-                raise InvariantViolation(f"both edges of {Segment(*ids)} are colored {cs.pop()}")
+                raise InvariantViolation(f"both edges of {s} are colored {cs.pop()}")
 
     def edge_ids(self, color: str) -> list[int]:
         return [i for i, c in enumerate(self.colors) if c == color]
@@ -199,12 +200,12 @@ def _frame_line_sides(
     ix, iy = ps._ix, ps._iy
     sides = {}
     # each point is on at most one edge, so no id repeats
-    for i in sorted([i for e in edges for i in (e.a, e.b)]):
+    for i in sorted([i for e in edges for i in e]):
         v = ia * ix[i] + ib * iy[i] - ic
         if v == 0:
             raise VertexOnLine(f"point {i} lies on the cut line")
         sides[i] = 1 if v > 0 else -1
-    cut = sum(sides[e.a] != sides[e.b] for e in edges)
+    cut = sum(sides[a] != sides[b] for a, b in edges)
     if cut % 2 == 1:
         raise OddCut(cut)
     return sides
@@ -275,7 +276,7 @@ def _halfplane_side(
 
     if region is None:
         raise InvariantViolation("the bounding box misses the kept halfplane")
-    rays = [(e, i) for e in m.sorted_edges() for i in e.ids if sides[i] == keep]
+    rays = [(e, i) for e in m.sorted_edges() for i in e if sides[i] == keep]
     _, sub = extend(m, region, rays)
     dual = dual_multigraph(sub, m)
     orientation = even_orientation(dual.graph())
@@ -470,7 +471,7 @@ def is_convex_hull_connected(m: Matching) -> bool:
 
 
 def _chc_recurse(ps: PointSet, edges: list[Segment]) -> list[Segment]:
-    ids = sorted(i for e in edges for i in e.ids)
+    ids = sorted(i for e in edges for i in e)
     hull_order = list(convex_hull(ps, ids).hull_ids)
     hull_pos = {v: i for i, v in enumerate(hull_order)}
     k = len(hull_order)
@@ -478,8 +479,9 @@ def _chc_recurse(ps: PointSet, edges: list[Segment]) -> list[Segment]:
 
     splitter = None
     for e in sorted(edges):
-        if e.a in hull_pos and e.b in hull_pos:
-            if (hull_pos[e.a] - hull_pos[e.b]) % k not in (1, k - 1):
+        a, b = e
+        if a in hull_pos and b in hull_pos:
+            if (hull_pos[a] - hull_pos[b]) % k not in (1, k - 1):
                 splitter = e
                 break
     if splitter is not None:
@@ -509,13 +511,14 @@ def _chc_recurse(ps: PointSet, edges: list[Segment]) -> list[Segment]:
         raise InvariantViolation("a splitter-free hull must have evenly many gaps")
     first = min(range(len(gaps)), key=lambda i: gaps[i])
     chosen = [gaps[i] for i in range(len(gaps)) if (i - first) % 2 == 0]
-    covered = {v for g in chosen for v in g.ids}
+    covered = {v for g in chosen for v in g}
     for e in edges:
-        if (e.a in covered) == (e.b in covered):
+        a, b = e
+        if (a in covered) == (b in covered):
             raise InvariantViolation(f"alternate gaps cover {e} unevenly")
     remaining = tuple(i for i in ids if i not in covered)
     ix, iy = ps._ix, ps._iy
-    blockers = [((ix[s.a], iy[s.a], 1), (ix[s.b], iy[s.b], 1)) for s in edges + chosen]
+    blockers = [((ix[a], iy[a], 1), (ix[b], iy[b], 1)) for a, b in edges + chosen]
     inner = constrained_matching(ps, remaining, blockers)
     if inner is None:
         raise InvariantViolation("no inner matching despite the gap structure")
@@ -618,7 +621,7 @@ def crossings_matchings(m: Matching) -> tuple[Matching, Matching]:
     # the blockers stay in the point set's integer frame: points are
     # (ix, iy, 1), ray termini come from extend as triples
     ix, iy = ps._ix, ps._iy
-    segments = [((ix[e.a], iy[e.a], 1), (ix[e.b], iy[e.b], 1)) for e in order]
+    segments = [((ix[a], iy[a], 1), (ix[b], iy[b], 1)) for a, b in order]
 
     def one_side(extend_from: int, match_points: int) -> Matching:
         rays = [(e, end[extend_from]) for e, end in zip(order, ends)]
@@ -839,28 +842,12 @@ def _gen_general(rng: random.Random, n: int) -> Matching:
     raise GenerationFailed("no general-position instance found")
 
 
-def _axis_crossing(cand, placed) -> bool:
-    x1, y1, x2, y2, horizontal = cand
-    for px1, py1, px2, py2, p_horizontal in placed:
-        if horizontal == p_horizontal:
-            continue
-        if horizontal:
-            hx1, hx2, hy = x1, x2, y1
-            vx, vy1, vy2 = px1, py1, py2
-        else:
-            hx1, hx2, hy = px1, px2, py1
-            vx, vy1, vy2 = x1, y1, y2
-        if hx1 < vx < hx2 and vy1 < hy < vy2:
-            return True
-    return False
-
-
 def _gen_axis_parallel(rng: random.Random, n: int) -> Matching:
     span = max(_GRID // (3 * n), 4)
     for _ in range(_ATTEMPTS):
         used_x: set[int] = set()
         used_y: set[int] = set()
-        placed: list[tuple[int, int, int, int, bool]] = []
+        placed: list[tuple[tuple[int, int], tuple[int, int]]] = []
         coords: list[tuple[int, int]] = []
         ok = True
         for _seg in range(n):
@@ -872,22 +859,18 @@ def _gen_axis_parallel(rng: random.Random, n: int) -> Matching:
                 if horizontal:
                     x1, x2, y = lo, lo + length, other
                     fresh = {x1, x2}.isdisjoint(used_x) and y not in used_y
-                    cand = (x1, y, x2, y, True)
+                    p, q = (x1, y), (x2, y)
                 else:
                     y1, y2, x = lo, lo + length, other
                     fresh = {y1, y2}.isdisjoint(used_y) and x not in used_x
-                    cand = (x, y1, x, y2, False)
-                if not fresh or _axis_crossing(cand, placed):
+                    p, q = (x, y1), (x, y2)
+                # fresh coordinates rule out touches: a shared point is a crossing
+                if not fresh or any(segments_cross_coords(p, q, r, t) for r, t in placed):
                     continue
-                placed.append(cand)
-                if cand[4]:
-                    used_x.update((cand[0], cand[2]))
-                    used_y.add(cand[1])
-                else:
-                    used_y.update((cand[1], cand[3]))
-                    used_x.add(cand[0])
-                coords.append((cand[0], cand[1]))
-                coords.append((cand[2], cand[3]))
+                placed.append((p, q))
+                used_x.update((p[0], q[0]))
+                used_y.update((p[1], q[1]))
+                coords += (p, q)
                 break
             else:
                 ok = False

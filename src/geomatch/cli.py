@@ -193,6 +193,11 @@ def _run_four_fifths(args) -> int:
     if args.verify:
         if not (disjoint(m, rep.matching) and compatible(m, rep.matching)):
             raise InvariantViolation("output must be disjoint and compatible")
+        guarantee = -(-(4 * len(m) - 1) // 5)
+        if len(rep.matching) < guarantee:
+            raise InvariantViolation(
+                f"output has {len(rep.matching)} segments; {guarantee} guaranteed"
+            )
         print("verify: disjoint, compatible, size >= guarantee")
     _oracle_check(args, m, rep.matching)
     if args.out:

@@ -18,8 +18,8 @@ through a ``Fraction``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from operator import attrgetter
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -214,29 +214,28 @@ class Point:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True, order=True)
-class Segment:
-    """An unordered pair of point ids, stored with ``a < b``."""
+class Segment(namedtuple("Segment", "a b")):
+    """An unordered pair of point ids: the tuple ``(a, b)`` with ``a < b``.
 
-    a: int
-    b: int
+    A segment is its sorted id pair, so it hashes, orders and compares
+    equal as that plain tuple: ``Segment(3, 1) == (1, 3)``.
+    """
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise GeomatchError(f"segment joins point {self.a} to itself")
-        if self.a > self.b:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int):
+        if a == b:
+            raise GeomatchError(f"segment joins point {a} to itself")
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and so _replace, would skip the sort and check
+        return cls(*iterable)
 
     @property
     def ids(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
-
-#: Sort key giving ``Segment``'s own ``(a, b)`` order without a Python-level
-#: ``__lt__`` call per comparison.
-segment_order = attrgetter("a", "b")
+        return tuple(self)
 
 
 def orientation_test(p: Point, q: Point, r: Point) -> int:
@@ -370,17 +369,20 @@ class PointSet:
         px, py, qx, qy = ix[p] - ox, iy[p] - oy, ix[q] - ox, iy[q] - oy
         return px * qy == py * qx and px * qx + py * qy > 0
 
-    def _edge_boxes(self, edges: Sequence[Segment]):
+    def _edge_boxes(self, edges: Iterable[Segment]):
+        """``(xlo, xhi, ylo, yhi, a, b, s)`` per segment ``s = (a, b)``:
+        its integer bounding box, its ids and the segment."""
         ix, iy = self._ix, self._iy
         out = []
         for s in edges:
-            xa, xb = ix[s.a], ix[s.b]
-            ya, yb = iy[s.a], iy[s.b]
+            a, b = s
+            xa, xb = ix[a], ix[b]
+            ya, yb = iy[a], iy[b]
             if xa > xb:
                 xa, xb = xb, xa
             if ya > yb:
                 ya, yb = yb, ya
-            out.append((xa, xb, ya, yb, s))
+            out.append((xa, xb, ya, yb, a, b, s))
         return out
 
     def first_crossing_within(self, edges: Iterable[Segment]):
@@ -391,14 +393,14 @@ class PointSet:
         """
         boxes = sorted(self._edge_boxes(list(edges)), key=_box_left)
         for i in range(len(boxes)):
-            xa1, xb1, ya1, yb1, s1 = boxes[i]
+            xa1, xb1, ya1, yb1, a, b, s1 = boxes[i]
             for j in range(i + 1, len(boxes)):
-                xa2, xb2, ya2, yb2, s2 = boxes[j]
+                xa2, xb2, ya2, yb2, c, d, s2 = boxes[j]
                 if xb1 < xa2:
                     break
                 if yb1 < ya2 or yb2 < ya1:
                     continue
-                if self.segments_cross_ids(s1.a, s1.b, s2.a, s2.b):
+                if self.segments_cross_ids(a, b, c, d):
                     return s1, s2
         return None
 
@@ -411,15 +413,13 @@ class PointSet:
         """
         boxes1 = self._edge_boxes(list(edges1))
         boxes2 = sorted(self._edge_boxes(list(edges2)), key=_box_left)
-        for xa1, xb1, ya1, yb1, s1 in boxes1:
-            for xa2, xb2, ya2, yb2, s2 in boxes2:
+        for xa1, xb1, ya1, yb1, a, b, s1 in boxes1:
+            for xa2, xb2, ya2, yb2, c, d, s2 in boxes2:
                 if xb1 < xa2:
                     break
-                if xb2 < xa1 or yb1 < ya2 or yb2 < ya1:
+                if xb2 < xa1 or yb1 < ya2 or yb2 < ya1 or (a == c and b == d):
                     continue
-                if s1.a == s2.a and s1.b == s2.b:
-                    continue
-                if self.segments_cross_ids(s1.a, s1.b, s2.a, s2.b):
+                if self.segments_cross_ids(a, b, c, d):
                     return s1, s2
         return None
 
@@ -430,7 +430,7 @@ def _box_left(box: tuple) -> int:
 
 def segments_cross(ps: PointSet, s: Segment, t: Segment) -> bool:
     """Whether segments s and t of ``ps`` share a point besides a common endpoint."""
-    return ps.segments_cross_ids(s.a, s.b, t.a, t.b)
+    return ps.segments_cross_ids(*s, *t)
 
 
 class Matching:
@@ -450,12 +450,13 @@ class Matching:
         n = len(base)
         used: set[int] = set()
         for s in self.edges:
-            if not (0 <= s.a < n and 0 <= s.b < n):
+            a, b = s
+            if not (0 <= a < n and 0 <= b < n):
                 raise GeomatchError(f"segment {s} references a point outside the set")
-            if s.a in used or s.b in used:
+            if a in used or b in used:
                 raise GeomatchError(f"point reused by segment {s}")
-            used.add(s.a)
-            used.add(s.b)
+            used.add(a)
+            used.add(b)
         if check:
             pair = base.first_crossing_within(self.edges)
             if pair is not None:
@@ -478,14 +479,14 @@ class Matching:
 
     @property
     def matched_ids(self) -> frozenset[int]:
-        return frozenset(i for s in self.edges for i in s.ids)
+        return frozenset(i for s in self.edges for i in s)
 
     @property
     def is_perfect(self) -> bool:
         return 2 * len(self.edges) == len(self.base)
 
     def sorted_edges(self) -> list[Segment]:
-        return sorted(self.edges, key=segment_order)
+        return sorted(self.edges)
 
 
 def _require_same_base(m1: Matching, m2: Matching) -> PointSet:

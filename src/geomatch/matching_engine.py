@@ -38,28 +38,28 @@ from .subdivision import DualMultigraph
 
 def _convex_batch(
     ps: PointSet, pts: Sequence[int], mb: Iterable[Segment]
-) -> tuple[list[int], set[tuple[int, int]]]:
+) -> tuple[list[int], set[Segment]]:
     """The CCW order of an even number of convex-position points, and the
-    hull-edge matching ``mb`` on them as a set of ``(a, b)`` id pairs,
-    ``a < b``, each checked to join hull-consecutive points and to share no
-    point with another."""
+    hull-edge matching ``mb`` on them as a set, each edge checked to join
+    hull-consecutive points and to share no point with another."""
     order = convex_position_order(ps, pts)
     k = len(order)
     if k % 2 == 1:
         raise OddCount(f"{k} points cannot be perfectly matched")
-    taken = {(s.a, s.b) for s in mb}
+    taken = set(mb)
     if taken:
         position = {v: i for i, v in enumerate(order)}
         seen: set[int] = set()
-        for a, b in taken:
+        for s in taken:
+            a, b = s
             if a not in position or b not in position:
-                raise GeomatchError(f"{Segment(a, b)} is not an edge on the given points")
+                raise GeomatchError(f"{s} is not an edge on the given points")
             if a in seen or b in seen:
-                raise GeomatchError(f"{Segment(a, b)} reuses a point of another boundary edge")
+                raise GeomatchError(f"{s} reuses a point of another boundary edge")
             seen.add(a)
             seen.add(b)
             if (position[a] - position[b]) % k not in (1, k - 1):
-                raise GeomatchError(f"{Segment(a, b)} does not join hull-consecutive points")
+                raise GeomatchError(f"{s} does not join hull-consecutive points")
     return order, taken
 
 
@@ -90,6 +90,7 @@ def _disjoint_cell(ps: PointSet, pts: Sequence[int], mb: Iterable[Segment]) -> l
         best = None
         for i in range(k):
             v, w = order[i], order[i + 1 - k]
+            # a sorted id pair equals the Segment it names
             pair = (v, w) if v < w else (w, v)
             if pair in taken:
                 continue
@@ -274,8 +275,9 @@ def assemble_from_orientation(
     # edges of m with both endpoints handed to one cell, grouped by cell
     induced_in: dict[int, list[Segment]] = {}
     for s in m.edges:
-        y = vertex_cell.get(s.a)
-        if y is not None and vertex_cell.get(s.b) == y:
+        a, b = s
+        y = vertex_cell.get(a)
+        if y is not None and vertex_cell.get(b) == y:
             induced_in.setdefault(y, []).append(s)
     ps = m.base
     edges: list[Segment] = []

@@ -45,8 +45,8 @@ MatchingCatalog = list[Matching]
 def _mates(ps: PointSet, m_edges: Iterable[Segment]) -> list[int]:
     """Each point's partner in ``m_edges`` (-1 if none)."""
     mate = [-1] * len(ps)
-    for s in m_edges:
-        mate[s.a], mate[s.b] = s.b, s.a
+    for a, b in m_edges:
+        mate[a], mate[b] = b, a
     return mate
 
 
@@ -57,15 +57,13 @@ def _blocked_test(ps: PointSet, m_edges: Iterable[Segment]) -> Callable[[int, in
     point with it, so only the others reach ``segments_cross_ids``."""
     ix, iy = ps._ix, ps._iy
     cross = ps.segments_cross_ids
-    edges = [
-        (xlo, xhi, ylo, yhi, s.a, s.b) for xlo, xhi, ylo, yhi, s in ps._edge_boxes(m_edges)
-    ]
+    edges = ps._edge_boxes(m_edges)
 
     def blocked(u: int, v: int) -> bool:
         xu, xv, yu, yv = ix[u], ix[v], iy[u], iy[v]
         x0, x1 = (xu, xv) if xu < xv else (xv, xu)
         y0, y1 = (yu, yv) if yu < yv else (yv, yu)
-        for xlo, xhi, ylo, yhi, c, d in edges:
+        for xlo, xhi, ylo, yhi, c, d, _ in edges:
             if xhi < x0 or x1 < xlo or yhi < y0 or y1 < ylo:
                 continue
             if (c != u or d != v) and cross(u, v, c, d):

@@ -74,7 +74,6 @@ from .geom_core import (
     PointSet,
     Segment,
     Triple,
-    segment_order,
     segments_cross_coords,
 )
 # ``components`` is not called here; bench/test_bench.py checks that the
@@ -87,7 +86,7 @@ from .orientation import Multigraph, components  # noqa: F401
 
 def both_ways_rays(segments: Sequence[Segment]) -> list[tuple[Segment, int]]:
     """Both rays of every segment, in the given segment order."""
-    return [(s, i) for s in segments for i in s.ids]
+    return [(s, i) for s in segments for i in s]
 
 
 @dataclass(frozen=True)
@@ -398,9 +397,9 @@ class _Feature:
 class _Scene:
     """The set-up of ``extend``: the points (``pts``) and region corners
     (``reg``) in one integer frame, each point's ``outside`` mask (bit k set
-    when it lies strictly outside region edge k), the walls in
-    ``segment_order`` with ``wall_at`` keyed by endpoint, and the region
-    edges (``boundary``)."""
+    when it lies strictly outside region edge k), the walls in segment
+    order with ``wall_at`` keyed by endpoint, and the region edges
+    (``boundary``)."""
 
     def __init__(self, m: Matching, region: BoundingBox):
         if not isinstance(region, BoundingBox):
@@ -426,7 +425,7 @@ class _Scene:
         self.pts = pts = {}
         self.outside = outside = {}
         for s in m.edges:
-            for i in (s.a, s.b):
+            for i in s:
                 px, py = pts[i] = (ix[i] * mult, iy[i] * mult)
                 mask = (py < y0) | (px > x1) << 1 | (py > y1) << 2 | (px < x0) << 3
                 if not mask and (py == y0 or px == x1 or py == y1 or px == x0):
@@ -436,24 +435,23 @@ class _Scene:
         # classify segments by how many endpoints are inside the region
         in_segments: list[Segment] = []
         for s in m.edges:
-            if not outside[s.a] or not outside[s.b]:
+            a, b = s
+            if not outside[a] or not outside[b]:
                 in_segments.append(s)
-            elif not outside[s.a] & outside[s.b]:
+            elif not outside[a] & outside[b]:
                 # no edge line has the whole segment strictly on its outer side
                 for i in range(4):
                     r, t = reg[i], reg[(i + 1) % 4]
-                    if segments_cross_coords(pts[s.a], pts[s.b], r, t):
+                    if segments_cross_coords(pts[a], pts[b], r, t):
                         raise SegmentOutsideRegionRule(
                             f"{s} crosses the region but has no endpoint inside"
                         )
 
-        # the tables below are keyed by endpoint id (each point is on at
-        # most one segment of m), so no Segment is hashed per ray
-        in_segments.sort(key=segment_order)
+        # each point is on at most one segment of m, so a ray's endpoint
+        # names its wall
+        in_segments.sort()
         self.walls = walls = [_Feature(pts[s.a], pts[s.b], s) for s in in_segments]
-        self.wall_at = wall_at = {}
-        for f in walls:
-            wall_at[f.seg.a] = wall_at[f.seg.b] = f
+        self.wall_at = {i: f for f in walls for i in f.seg}
         self.boundary = boundary = [_Feature(reg[i], reg[(i + 1) % 4]) for i in range(4)]
         self.features = walls + boundary
 
@@ -581,7 +579,7 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
         g.nodes[_ONE] = len(node_pts) + (k + 1) % 4
     node_pts += [(x, y, 1) for x, y in reg]
     for f in walls:
-        for endpoint, t in ((f.seg.a, _ZERO), (f.seg.b, _ONE)):
+        for endpoint, t in zip(f.seg, (_ZERO, _ONE)):
             if not outside[endpoint]:
                 f.nodes[t] = len(node_pts)
                 node_pts.append((*scene.pts[endpoint], 1))
@@ -722,7 +720,7 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
         forward = (f.dx, f.dy)
         if forward < (0, 0):
             forward = (-f.dx, -f.dy)
-        for endpoint, t in ((f.seg.a, _ZERO), (f.seg.b, _ONE)):
+        for endpoint, t in zip(f.seg, (_ZERO, _ONE)):
             if outside[endpoint]:
                 continue
             out = outgoing[f.nodes[t]]
@@ -763,20 +761,21 @@ def extend(
     # at most once
     given: set[int] = set()
     for seg, e in rays:
-        f = wall_at.get(seg.a)
-        if f is None or f.seg.b != seg.b:
+        a, b = seg
+        f = wall_at.get(a)
+        if f is None or f.seg != seg:
             raise GeomatchError(f"ray from {seg}, which is not in the region")
         # also rejects a point that is not on seg
-        if (e != seg.a and e != seg.b) or outside[e]:
+        if (e != a and e != b) or outside[e]:
             raise GeomatchError(f"{e} is not an endpoint of {seg} inside the region")
         if e in given:
             raise GeomatchError(f"{seg} extended twice beyond {e}")
         given.add(e)
     if not partial:
         for f in scene.walls:
-            s = f.seg
-            if (not outside[s.a] and s.a not in given) or (not outside[s.b] and s.b not in given):
-                raise GeomatchError(f"the rays do not fully extend {s}")
+            a, b = f.seg
+            if (not outside[a] and a not in given) or (not outside[b] and b not in given):
+                raise GeomatchError(f"the rays do not fully extend {f.seg}")
 
     placed = _shoot(scene, rays)
     geometry = ExtensionGeometry(RayExtensions(m.base, placed, scene.frame))
@@ -788,9 +787,7 @@ def extend(
 def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:
     """One vertex per cell, one edge per in-region matching vertex."""
     edges = []
-    seg_of: dict[int, Segment] = {}
-    for s in m.edges:
-        seg_of[s.a] = seg_of[s.b] = s
+    seg_of = {i: s for s in m.edges for i in s}
     # a vertex is its segment's left (bottom, when vertical) end when it
     # has the smaller x (y); the point set's scaled integers keep the order
     ix, iy = m.base._ix, m.base._iy
@@ -799,7 +796,7 @@ def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:
         seg = seg_of.get(v)
         if seg is None:
             raise InvariantViolation(f"subdivision vertex {v} is unmatched in M")
-        a, b = seg.a, seg.b
+        a, b = seg
         if ix[a] == ix[b]:
             low = (v == a) == (iy[a] < iy[b])
             role = EndpointRole.BOTTOM_END if low else EndpointRole.TOP_END

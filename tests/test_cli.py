@@ -201,6 +201,26 @@ def test_cli_transform_verify_with_the_wrong_target_is_an_internal_error(
     assert "does not join the two inputs" in capsys.readouterr().err
 
 
+def test_cli_four_fifths_verify_below_the_guarantee_is_an_internal_error(
+    tmp_path, capsys, monkeypatch
+):
+    import geomatch.algorithms as algorithms
+
+    real = algorithms.four_fifths_matching
+
+    def short(m):
+        # a disjoint compatible output with 2 of the 8 guaranteed segments
+        rep = real(m)
+        edges = rep.matching.sorted_edges()[:2]
+        return replace(rep, matching=Matching(m.base, edges), achieved=2)
+
+    monkeypatch.setattr(algorithms, "four_fifths_matching", short)
+    path = write_instance(tmp_path, "ff.txt", gen_random_matching(10, 3))
+    assert main(["run", "four-fifths", path]) == 0
+    assert main(["run", "four-fifths", path, "--verify"]) == 3
+    assert "2 segments; 8 guaranteed" in capsys.readouterr().err
+
+
 def test_cli_hv_and_four_fifths(tmp_path, capsys):
     hv_in = write_instance(
         tmp_path, "hv.txt", gen_random_matching(4, 3, "axis-parallel")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from functools import cmp_to_key
 from random import Random
@@ -406,6 +408,44 @@ def test_general_position_property_on_small_grids(cells):
 # matchings, compatibility, disjointness
 
 
+def test_segment_is_its_sorted_id_pair():
+    s = Segment(3, 1)
+    assert (s.a, s.b) == (1, 3)
+    assert Segment(b=1, a=3) == s
+    assert s.ids == (1, 3) and type(s.ids) is tuple
+    assert tuple(s) == (1, 3)
+    a, b = s
+    assert (a, b) == (1, 3)
+    assert repr(s) == "Segment(a=1, b=3)"
+    assert str(s) == repr(s)
+
+
+def test_segment_rejects_a_point_joined_to_itself():
+    with pytest.raises(GeomatchError, match="segment joins point 4 to itself"):
+        Segment(4, 4)
+    with pytest.raises(GeomatchError, match="segment joins point 3 to itself"):
+        Segment(1, 3)._replace(a=3)
+    assert Segment(1, 3)._replace(b=0) == (0, 1)
+
+
+def test_segment_hashes_and_compares_as_its_id_pair():
+    assert hash(Segment(3, 1)) == hash((1, 3))
+    assert Segment(3, 1) == (1, 3)
+    assert Segment(3, 1) != (3, 1)
+    assert (1, 3) in {Segment(1, 3)}
+    assert Segment(1, 3) in {(1, 3): None}
+    segs = [Segment(2, 0), Segment(1, 5), Segment(0, 1), Segment(1, 2)]
+    assert sorted(segs) == [Segment(0, 1), Segment(0, 2), Segment(1, 2), Segment(1, 5)]
+    assert sorted(segs) == sorted(s.ids for s in segs)
+
+
+def test_segment_survives_pickle_and_deepcopy():
+    s = Segment(7, 2)
+    for again in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+        assert type(again) is Segment
+        assert again == s and (again.a, again.b) == (2, 7)
+
+
 def square_ps():
     return PointSet.from_coords([(0, 0), (10, 1), (11, 10), (1, 9)])
 
@@ -699,7 +739,7 @@ def test_bounding_box_around_matches_fraction_formula():
         assert corners == ConvexPolygon(corners).vertices
 
 
-def test_sorted_edges_follow_segment_order():
+def test_sorted_edges_are_in_id_pair_order():
     rng = Random(4)
     ps = random_general_pointset(rng, 40)
     m = Matching(ps, random_ncpm_edges(ps, rng))
