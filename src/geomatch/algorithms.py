@@ -41,7 +41,6 @@ from .geom_core import (
     PointSet,
     Scalar,
     Segment,
-    as_scalar,
     compatible,
     convex_hull,
     distinct_x,
@@ -179,24 +178,13 @@ def canonical_matching(ps: PointSet) -> Matching:
     return Matching(ps, [Segment(order[i], order[i + 1]) for i in range(0, len(order), 2)])
 
 
-def _line_sides(m: Matching, line: Line) -> dict[int, int]:
-    """Side of the line per matched point id (in id order), evaluated on the
-    integer grid.  Raises VertexOnLine for the first point on the line, then
-    OddCut if an odd number of m's edges cross it."""
-    a, b, c = (Fraction(v) for v in line)
-    den = math.lcm(a.denominator, b.denominator, c.denominator)
-    ps = m.base
-    return _frame_line_sides(
-        ps, m.edges, int(a * den), int(b * den), int(c * den) * ps._scale
-    )
-
-
 def _frame_line_sides(
     ps: PointSet, edges: Collection[Segment], ia: int, ib: int, ic: int
 ) -> dict[int, int]:
-    """``_line_sides`` for the edges of a matching on ``ps`` and the line
-    ia*X + ib*Y = ic on its integer frame (X, Y are the coordinates times
-    its scale)."""
+    """Side of the line ia*X + ib*Y = ic per point of ``edges`` (in id
+    order), on the integer frame of ``ps`` (X, Y are the coordinates times
+    its scale).  Raises VertexOnLine for the first point on the line, then
+    OddCut if an odd number of the edges cross it."""
     ix, iy = ps._ix, ps._iy
     sides = {}
     # each point is on at most one edge, so no id repeats
@@ -235,54 +223,68 @@ def even_cut_matching(m: Matching, line: Line) -> Matching:
 
 
 def _cut_matching(m: Matching, line: Line, keeps: tuple[int, ...]) -> Matching:
-    """The ``halfplane_matching`` edges of each kept side, as one matching."""
-    sides = _line_sides(m, line)
-    if not sides:
+    """The public front of ``_cut``: the edges of each kept side, as one
+    matching on m's points."""
+    a, b, c = (Fraction(v) for v in line)
+    if not m.edges:
         # nothing to match, and an empty point set has no bounding box
         return Matching(m.base, [], check=False)
-    a, b, c = (as_scalar(v) for v in line)
-    cut = m
+    ps = m.base
     if a != 0 and b != 0:
-        # an oblique line: a*x' = c on the sheared points, the sides of the
-        # given points unchanged
+        # an oblique line: a*x' = c on the sheared points, whose sides are
+        # those of the given points
         shift = b / a
-        sheared = PointSet([Point(p.x + shift * p.y, p.y, p.id) for p in m.base.points])
-        cut, b = Matching(sheared, m.edges, check=False), 0
-    box = BoundingBox.around(cut.base)
-    edges = []
+        ps = PointSet([Point(p.x + shift * p.y, p.y, p.id) for p in ps.points])
+        b = Fraction(0)
+    den = math.lcm(a.denominator, b.denominator, c.denominator)
+    ia, ib, ic = int(a * den), int(b * den), int(c * den) * ps._scale
+    per_side = _cut(ps, m.edges, ia, ib, ic, BoundingBox.around(ps), keeps)
+    return Matching(m.base, [e for side in per_side for e in side], check=False)
+
+
+def _cut(
+    ps: PointSet,
+    edges: Collection[Segment],
+    ia: int,
+    ib: int,
+    ic: int,
+    within: BoundingBox,
+    keeps: tuple[int, ...],
+) -> list[Collection[Segment]]:
+    """The halfplane step on the integer frame of ``ps``: for each kept
+    side of the line ia*X + ib*Y = ic, a perfect matching of the points
+    of ``edges`` on that side, compatible with them.  ``within`` is a box
+    around the points; each kept side's region is ``within.clip_halfplane``
+    of the line.  The line must be vertical or horizontal, or have the zero
+    normal."""
+    sides = _frame_line_sides(ps, edges, ia, ib, ic)
+    m = None
+    out = []
     for keep in keeps:
-        edges += _halfplane_side(cut, sides, keep, box.clip_halfplane(a, b, c, keep))
-    return Matching(m.base, edges, check=False)
-
-
-def _halfplane_side(
-    m: Optional[Matching], sides: dict[int, int], keep: int, region: Optional[BoundingBox]
-) -> Collection[Segment]:
-    """The edges of ``halfplane_matching`` once the sides of the line are
-    known; ``region`` is the kept side of the line within the bounding
-    box, or None when that is empty.  ``m`` and ``region`` are read only
-    when more than two points lie on the kept side, and ``m`` may be None
-    when no more than two do."""
-    inside = [i for i, s in sides.items() if s == keep]
-    if not inside:
-        return []
-    if len(inside) == 2:
-        # Two points have a single perfect matching, the one the extension
-        # below would assemble, and it is compatible with m: edges of m on
-        # the far side lie in the other open halfplane, and an edge leaving
-        # the side from one of the two points could only overlap it if the
-        # other point touched that edge, which a matching rules out.
-        return [Segment(inside[0], inside[1])]
-
-    if region is None:
-        raise InvariantViolation("the bounding box misses the kept halfplane")
-    rays = [(e, i) for e in m.sorted_edges() for i in e if sides[i] == keep]
-    _, sub = extend(m, region, rays)
-    dual = dual_multigraph(sub, m)
-    orientation = even_orientation(dual.graph())
-    if orientation is None:
-        raise InvariantViolation("dual of a halfplane extension must orient evenly")
-    return assemble_from_orientation(m, dual, orientation, require_disjoint=False).edges
+        inside = [i for i, s in sides.items() if s == keep]
+        if len(inside) <= 2:
+            # Two points have a single perfect matching, the one the
+            # extension below would assemble, and it is compatible with the
+            # edges: those on the far side lie in the other open halfplane,
+            # and an edge leaving the side from one of the two points could
+            # only overlap it if the other point touched that edge, which a
+            # matching rules out.
+            out.append([Segment(*inside)] if inside else [])
+            continue
+        if m is None:
+            m = Matching(ps, edges, check=False)
+            c = Fraction(ic, ps._scale)  # the line is ia*x + ib*y = c
+        region = within.clip_halfplane(ia, ib, c, keep)
+        if region is None:
+            raise InvariantViolation("the bounding box misses the kept halfplane")
+        rays = [(e, i) for e in m.sorted_edges() for i in e if sides[i] == keep]
+        _, sub = extend(m, region, rays)
+        dual = dual_multigraph(sub, m)
+        orientation = even_orientation(dual.graph())
+        if orientation is None:
+            raise InvariantViolation("dual of a halfplane extension must orient evenly")
+        out.append(assemble_from_orientation(m, dual, orientation, require_disjoint=False).edges)
+    return out
 
 
 def _canonical_steps(
@@ -296,9 +298,10 @@ def _canonical_steps(
     One even-cut step at the median, then both halves advance in lockstep
     (the vertical line keeps them from ever interacting).  ``within`` is
     the box around all of ``ps``.  The step is ``even_cut_matching`` on the
-    line x = cx, in the point set's integer frame: cx lies halfway between
-    the k-th and the (k+1)-th point by x, which differ, so no point is on
-    the line and the k (even) points left of it leave an even cut.
+    line x = cx, as one ``_cut`` on the line 2*X = 2*cx of the point set's
+    integer frame: cx lies halfway between the k-th and the (k+1)-th point
+    by x, which differ, so no point is on the line and the k (even) points
+    left of it leave an even cut.
     """
     n_seg = len(ids) // 2
     if n_seg <= 1:
@@ -308,19 +311,7 @@ def _canonical_steps(
     k = 2 * (n_seg // 2)
     mid2 = ix[by_x[k - 1]] + ix[by_x[k]]  # 2 * cx in frame units
     step = frozenset(edges)
-    sides = _frame_line_sides(ps, step, 2, 0, mid2)
-    # the cut boxes are within.clip_halfplane(1, 0, cx, keep), and the cut's
-    # Matching is m with these edges, built only for a side of more than two
-    # points (the right side, of len(ids) - k >= k points, is the larger)
-    m = right_box = left_box = None
-    if len(ids) - k > 2:
-        m = Matching(ps, step, check=False)
-        cx = Fraction(mid2, 2 * ps._scale)
-        right_box = BoundingBox(cx, within.ymin, within.xmax, within.ymax)
-        if k > 2:
-            left_box = BoundingBox(within.xmin, within.ymin, cx, within.ymax)
-    right = _halfplane_side(m, sides, +1, right_box)
-    left = _halfplane_side(m, sides, -1, left_box)
+    right, left = _cut(ps, step, 2, 0, mid2, within, (1, -1))
     lseq = _canonical_steps(ps, by_x[:k], left, within)
     rseq = _canonical_steps(ps, by_x[k:], right, within)
     depth = max(len(lseq), len(rseq))
@@ -447,8 +438,7 @@ def hv_disjoint_matching(m: Matching) -> tuple[Optional[Matching], ColoredDual]:
     colors = tuple(_role_color(e.role) for e in dual.edges)
     colored = ColoredDual(dual, colors)
     for color in (RED, GREEN):
-        g = colored.subgraph(color)
-        if len(components(g)) != 1 or len(g.edges) != dual.n - 1:
+        if not _is_spanning_tree(dual.n, colored.subgraph(color).edges):
             raise InvariantViolation(f"the {color} subgraph is not a spanning tree")
     if len(m) % 2 == 1:
         return None, colored
@@ -576,8 +566,7 @@ def four_fifths_matching(m: Matching) -> FourFifthsReport:
     )
     colored = ColoredDual(dual, colors)
 
-    blue_graph = colored.subgraph(BLUE)
-    if len(components(blue_graph)) != 1 or len(blue_graph.edges) != dual.n - 1:
+    if not _is_spanning_tree(dual.n, colored.subgraph(BLUE).edges):
         raise InvariantViolation("the left-endpoint subgraph is not a spanning tree")
     red_ids = colored.edge_ids(RED)
     red_graph = colored.subgraph(RED)
@@ -645,7 +634,7 @@ def crossings_matchings(m: Matching) -> tuple[Matching, Matching]:
 # two-trees structure search
 
 
-def _is_spanning_tree(n: int, edges: list[tuple[int, int]]) -> bool:
+def _is_spanning_tree(n: int, edges: Sequence[tuple[int, int]]) -> bool:
     if len(edges) != n - 1:
         return False
     return len(components(Multigraph(n, tuple(edges)))) == 1

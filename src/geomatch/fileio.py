@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from .algorithms import TransformationSequence
 from .errors import ParseError
-from .geom_core import Matching, PointSet, Scalar, Segment
+from .geom_core import Matching, PointSet, Scalar, Segment, compatible
 
 _STEP_RE = re.compile(r"^== step (\d+) ==$")
 
@@ -122,6 +122,14 @@ def parse_sequence(text: str, path: PathLike = "<sequence>") -> TransformationSe
                     path, lineno, f"point {exc.args[0]} is not in step 0"
                 ) from None
         matchings.append(Matching(ps, edges))
+    # the checks of TransformationSequence, in its order, reported as faults
+    # of the file at the step's header rather than as faults of the library
+    for k in range(1, len(matchings)):
+        header_lineno = blocks[k][0]
+        if matchings[k].matched_ids != matchings[0].matched_ids:
+            raise ParseError(path, header_lineno, f"step {k} matches other points than step 0")
+        if not compatible(matchings[k - 1], matchings[k]):
+            raise ParseError(path, header_lineno, f"steps {k - 1} and {k} are incompatible")
     return TransformationSequence(tuple(matchings))
 
 

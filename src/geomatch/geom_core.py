@@ -680,14 +680,17 @@ class BoundingBox:
         """Intersect with the halfplane sign(a*x + b*y - c) in {0, keep}.
 
         A vertical or horizontal line cuts a box into a box: the result is a
-        ``BoundingBox``, or None when it has empty interior, and it has the
-        corners of ``polygon().clip_halfplane`` (in the same order, except
-        that for a horizontal line keeping the upper side ``polygon()``
-        starts the same cycle at the lower-left corner).  The zero normal
+        ``BoundingBox``, or None when it has empty interior.  The zero normal
         a = b = 0 keeps the whole box or nothing.  An oblique line raises
         ``GeomatchError``: shear it onto a vertical one first.
         """
-        a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
+        # int coefficients stay ints: c is a Fraction, so c / a and c / b
+        # are exact either way
+        if type(a) is not int:
+            a = as_scalar(a)
+        if type(b) is not int:
+            b = as_scalar(b)
+        c = as_scalar(c)
         if keep not in (1, -1):
             raise GeomatchError("keep must be +1 or -1")
         if a != 0 and b != 0:
@@ -706,21 +709,10 @@ class BoundingBox:
             ymin = max(ymin, c / b)
         else:
             ymax = min(ymax, c / b)
-        if xmin >= xmax or ymin >= ymax:
+        try:
+            return BoundingBox(xmin, ymin, xmax, ymax)
+        except GeomatchError:  # the cut left no interior
             return None
-        return BoundingBox(xmin, ymin, xmax, ymax)
-
-    def polygon(self) -> ConvexPolygon:
-        # __post_init__ guarantees xmin < xmax and ymin < ymax, so the four
-        # corners are in strictly convex CCW order
-        return ConvexPolygon._unchecked(
-            (
-                (self.xmin, self.ymin),
-                (self.xmax, self.ymin),
-                (self.xmax, self.ymax),
-                (self.xmin, self.ymax),
-            )
-        )
 
 
 @dataclass(frozen=True)

@@ -415,10 +415,11 @@ class _Scene:
         y0 = ymin.numerator * (frame // ymin.denominator)
         x1 = xmax.numerator * (frame // xmax.denominator)
         y1 = ymax.numerator * (frame // ymax.denominator)
-        # the corners in polygon() order, so the edges are bottom, right,
-        # top, left and four integer comparisons give the bits; points are
-        # scaled and classified in one pass, in the order of m's edges, so
-        # the first point found on the boundary is the one reported
+        # the corners counter-clockwise from the lower-left one, so the
+        # edges are bottom, right, top, left and four integer comparisons
+        # give the bits; points are scaled and classified in one pass, in
+        # the order of m's edges, so the first point found on the boundary
+        # is the one reported
         self.reg = reg = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
         mult = frame // ps._scale
         ix, iy = ps._ix, ps._iy
@@ -471,8 +472,8 @@ def _shoot(scene: _Scene, rays: Sequence[tuple[Segment, int]]) -> list[tuple]:
     if len(set(lines)) < len(lines):
         shared = {line for line, k in Counter(lines).items() if k > 1}
 
-    # the region box bounds every ray's search; its corners are in
-    # polygon() order, lower-left and upper-right at 0 and 2
+    # the region box bounds every ray's search; its corners run
+    # counter-clockwise, lower-left and upper-right at 0 and 2
     (rx0, ry0), _, (rx1, ry1), _ = scene.reg
 
     placed: list[tuple] = []

@@ -20,6 +20,7 @@ from geomatch.errors import (
     TwoPointsAlreadyMatched,
 )
 from geomatch.geom_core import (
+    ConvexPolygon,
     Matching,
     Point,
     PointSet,
@@ -544,6 +545,14 @@ def polygon_contains(poly, pt, strict: bool = False) -> bool:
 def box_strictly_contains(box, pt) -> bool:
     x, y = pt
     return box.xmin < x < box.xmax and box.ymin < y < box.ymax
+
+
+def box_polygon(box) -> ConvexPolygon:
+    """A ``BoundingBox``'s corners as a polygon, counter-clockwise from the
+    lower-left one."""
+    return ConvexPolygon(
+        [(box.xmin, box.ymin), (box.xmax, box.ymin), (box.xmax, box.ymax), (box.xmin, box.ymax)]
+    )
 
 
 # ---------------------------------------------------------------------------

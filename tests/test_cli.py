@@ -9,7 +9,7 @@ from geomatch import fileio, svg_render
 from geomatch.algorithms import TransformationSequence, gen_random_matching, transform
 from geomatch.cli import main
 from geomatch.errors import ParseError
-from geomatch.geom_core import Matching, PointSet, Segment
+from geomatch.geom_core import Matching, PointSet, Segment, compatible
 from geomatch.oracle import enumerate_ncpm, has_disjoint_compatible_pm
 
 
@@ -70,6 +70,33 @@ def test_sequence_rejects_bad_structure():
         fileio.parse_sequence(
             "== step 0 ==\n0 0 1 1\n2 0 3 1\n== step 1 ==\n0 0 9 9\n2 0 3 1\n"
         )
+    # steps that TransformationSequence would refuse are faults of the file:
+    # an incompatible step, and a step that leaves a segment out
+    for text, message in bad_step_files():
+        with pytest.raises(ParseError, match=message) as err:
+            fileio.parse_sequence(text, "demo.txt")
+        assert err.value.lineno == 6  # the header of step 1
+
+
+def bad_step_files():
+    m = gen_random_matching(4, 1)
+    other = next(c for c in enumerate_ncpm(m.base) if not compatible(m, c))
+    step0 = "== step 0 ==\n" + fileio.dump_instance(m)
+    return [
+        (step0 + "== step 1 ==\n" + fileio.dump_instance(other), "steps 0 and 1 are incompatible"),
+        (
+            step0 + "== step 1 ==\n" + "".join(fileio.dump_instance(m).splitlines(True)[1:]),
+            "step 1 matches other points than step 0",
+        ),
+    ]
+
+
+def test_cli_render_refuses_a_bad_sequence_file_as_a_parse_error(tmp_path, capsys):
+    for k, (text, message) in enumerate(bad_step_files()):
+        path = tmp_path / f"seq{k}.txt"
+        path.write_text(text)
+        assert main(["render", str(path), str(tmp_path / "s.svg")]) == 2
+        assert capsys.readouterr().err == f"parse error: {path}:6: {message}\n"
 
 
 # ---------------------------------------------------------------------------

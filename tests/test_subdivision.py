@@ -28,6 +28,7 @@ from geomatch.subdivision import EndpointRole, both_ways_rays, dual_multigraph, 
 
 from helpers import (
     blocker_table,
+    box_polygon,
     box_strictly_contains,
     brute_segments_cross,
     polygon_area2,
@@ -51,7 +52,7 @@ def test_single_segment_both_directions():
     assert all(r.went_to_infinity for r in geo.rays)
 
     assert len(sub.cells) == 2
-    assert sum(polygon_area2(c) for c in sub.cells) == polygon_area2(box.polygon())
+    assert sum(polygon_area2(c) for c in sub.cells) == polygon_area2(box_polygon(box))
     # the left cell (looking from (-1,0) to (1,0)) is the upper half
     upper = next(i for i, c in enumerate(sub.cells) if polygon_contains(c, (0, 1), strict=True))
     lower = 1 - upper
@@ -178,7 +179,7 @@ def test_extend_places_rays_in_list_order():
         geo, sub = extend(m, box, rays)
         assert [(r.segment, r.from_point) for r in geo.rays] == rays
         assert len(sub.cells) == len(m) + 1
-        replay = replay_extensions(m, box.polygon(), geo)
+        replay = replay_extensions(m, box_polygon(box), geo)
         for ray, (terminus, _) in zip(geo.rays, replay):
             assert ray.terminus == terminus
 
@@ -216,7 +217,7 @@ def test_partial_extension_left_rays_only():
     geo, sub = extend(m, BoundingBox.around(ps), rays, partial=True)
     assert sub is None
     assert len(geo.rays) == 4
-    replay = replay_extensions(m, BoundingBox.around(ps).polygon(), geo)
+    replay = replay_extensions(m, box_polygon(BoundingBox.around(ps)), geo)
     for ray, (terminus, _) in zip(geo.rays, replay):
         assert ray.terminus == terminus
 
@@ -231,7 +232,7 @@ def test_random_runs_match_independent_replay():
         order = m.sorted_edges()
         rng.shuffle(order)
         geo, sub = extend(m, box, both_ways_rays(order))
-        replay = replay_extensions(m, box.polygon(), geo)
+        replay = replay_extensions(m, box_polygon(box), geo)
         assert len(sub.cells) == n + 1
         for ray, (terminus, hit_boundary) in zip(geo.rays, replay):
             assert ray.terminus == terminus
@@ -277,7 +278,7 @@ def test_extend_takes_only_a_box():
     m = Matching(ps, [Segment(0, 1), Segment(2, 3)])
     rays = [(Segment(0, 1), 0), (Segment(0, 1), 1), (Segment(2, 3), 2)]
     box = BoundingBox(0, 0, 10, 10)
-    for region in (box.polygon(), ConvexPolygon([(0, 0), (10, 0), (5, 10)])):
+    for region in (box_polygon(box), ConvexPolygon([(0, 0), (10, 0), (5, 10)])):
         for partial in (False, True):
             with pytest.raises(GeomatchError) as ei:
                 extend(m, region, rays, partial=partial)
@@ -299,7 +300,7 @@ def test_no_segments_in_region_gives_one_cell():
 def _assert_replayed(m, region, geo, rays):
     """Rays come back in order and stop where the Fraction replay stops."""
     assert [(r.segment, r.from_point) for r in geo.rays] == list(rays)
-    replay = replay_extensions(m, region.polygon(), geo)
+    replay = replay_extensions(m, box_polygon(region), geo)
     for ray, (terminus, hit_boundary) in zip(geo.rays, replay):
         assert ray.terminus == terminus
         assert ray.went_to_infinity == hit_boundary
@@ -403,7 +404,7 @@ def test_parameters_closer_than_float_resolution():
     geo, sub = extend(m, box, rays)
     _assert_replayed(m, box, geo, rays)
     assert len(sub.cells) == 4
-    assert sum(polygon_area2(c) for c in sub.cells) == polygon_area2(box.polygon())
+    assert sum(polygon_area2(c) for c in sub.cells) == polygon_area2(box_polygon(box))
     for cell in sub.cells:
         assert ConvexPolygon(cell.vertices).vertices == cell.vertices
 
@@ -414,14 +415,14 @@ def _lazy_cell_cases():
         ps = random_general_pointset(rng, 2 * n)
         m = Matching(ps, random_ncpm_edges(ps, rng), check=False)
         box = BoundingBox.around(ps)
-        yield m, box.polygon(), extend(m, box, both_ways_rays(m.sorted_edges()))[1]
+        yield m, box_polygon(box), extend(m, box, both_ways_rays(m.sorted_edges()))[1]
         xs = sorted(p.x for p in ps)
         region = box.clip_halfplane(Fraction(3), 0, 3 * xs[n] + Fraction(1, 7), keep=1)
         rays = [
             (s, i) for s in m.sorted_edges() for i in s.ids
             if box_strictly_contains(region, ps.coord(i))
         ]
-        yield m, region.polygon(), extend(m, region, rays)[1]
+        yield m, box_polygon(region), extend(m, region, rays)[1]
 
 
 def test_lazy_cells_are_checked_polygons_tiling_the_region(monkeypatch):
@@ -539,7 +540,7 @@ def test_ray_records_are_built_on_first_read(monkeypatch):
         records = list(geo.rays)
         assert len(built) == len(rays)
         assert [(r.segment, r.from_point) for r in records] == rays
-        replay = replay_extensions(m, region.polygon(), geo)
+        replay = replay_extensions(m, box_polygon(region), geo)
         for ray, (terminus, hit_boundary) in zip(records, replay):
             assert ray.origin == m.base.coord(ray.from_point)
             assert ray.terminus == terminus
@@ -557,7 +558,7 @@ def _expected_setup_errors(m, box, rays):
     none applies."""
     ps = m.base
     inside = {i for i in ps.ids if box_strictly_contains(box, ps.coord(i))}
-    closed = box.polygon()
+    closed = box_polygon(box)
     on_edge = [i for i in ps.ids if i not in inside and polygon_contains(closed, ps.coord(i))]
     if on_edge:
         return {
@@ -618,7 +619,7 @@ def test_user_box_classifies_points_by_strict_containment():
                 assert not expected
                 _assert_replayed(m, box, geo, ray_list)
                 if sub is not None:
-                    assert sum(polygon_area2(c) for c in sub.cells) == polygon_area2(box.polygon())
+                    assert sum(polygon_area2(c) for c in sub.cells) == polygon_area2(box_polygon(box))
                 checked.add("ok")
     assert checked == {"ok", GeomatchError, DegenerateIncidence, SegmentOutsideRegionRule}
 
