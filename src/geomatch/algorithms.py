@@ -49,7 +49,7 @@ from .geom_core import (
     validate_general_position,
 )
 from .oracle import visibility_graph
-from .matching_engine import assemble_from_orientation, constrained_matching
+from .matching_engine import _assemble, assemble_from_orientation, constrained_matching
 from .orientation import (
     Multigraph,
     components,
@@ -61,6 +61,7 @@ from .orientation import (
 from .subdivision import (
     DualMultigraph,
     EndpointRole,
+    _require_connected,
     both_ways_rays,
     dual_multigraph,
     extend,
@@ -273,17 +274,24 @@ def _cut(
             continue
         if m is None:
             m = Matching(ps, edges, check=False)
+            ordered = m.sorted_edges()
             c = Fraction(ic, ps._scale)  # the line is ia*x + ib*y = c
         region = within.clip_halfplane(ia, ib, c, keep)
         if region is None:
             raise InvariantViolation("the bounding box misses the kept halfplane")
-        rays = [(e, i) for e in m.sorted_edges() for i in e if sides[i] == keep]
+        rays = [(e, i) for e in ordered for i in e if sides[i] == keep]
         _, sub = extend(m, region, rays)
-        dual = dual_multigraph(sub, m)
-        orientation = even_orientation(dual.graph())
+        # the dual as plain data: one edge per in-region vertex, in
+        # increasing id as dual_multigraph orders them, joining its
+        # (left, right) cells; every such vertex is an endpoint of m
+        vertex_cells = sub.vertex_cells
+        vertices = sorted(vertex_cells)
+        dual = Multigraph(len(sub.cells), [vertex_cells[v] for v in vertices])
+        _require_connected(dual)
+        orientation = even_orientation(dual)
         if orientation is None:
             raise InvariantViolation("dual of a halfplane extension must orient evenly")
-        out.append(assemble_from_orientation(m, dual, orientation, require_disjoint=False).edges)
+        out.append(_assemble(ps, m.edges, vertices, orientation.heads, dual.n, False))
     return out
 
 

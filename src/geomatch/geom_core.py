@@ -21,6 +21,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -448,15 +449,19 @@ class Matching:
         self.base = base
         self.edges = frozenset(edges)
         n = len(base)
-        used: set[int] = set()
-        for s in self.edges:
-            a, b = s
-            if not (0 <= a < n and 0 <= b < n):
-                raise GeomatchError(f"segment {s} references a point outside the set")
-            if a in used or b in used:
-                raise GeomatchError(f"point reused by segment {s}")
-            used.add(a)
-            used.add(b)
+        # one pass over the flattened ids; only a failing set goes through
+        # the per-segment loop, which names the first bad segment
+        ids = list(chain.from_iterable(self.edges))
+        if ids and (len(set(ids)) != len(ids) or min(ids) < 0 or max(ids) >= n):
+            used: set[int] = set()
+            for s in self.edges:
+                a, b = s
+                if not (0 <= a < n and 0 <= b < n):
+                    raise GeomatchError(f"segment {s} references a point outside the set")
+                if a in used or b in used:
+                    raise GeomatchError(f"point reused by segment {s}")
+                used.add(a)
+                used.add(b)
         if check:
             pair = base.first_crossing_within(self.edges)
             if pair is not None:
@@ -709,10 +714,12 @@ class BoundingBox:
             ymin = max(ymin, c / b)
         else:
             ymax = min(ymax, c / b)
-        try:
-            return BoundingBox(xmin, ymin, xmax, ymax)
-        except GeomatchError:  # the cut left no interior
+        if not (xmin < xmax and ymin < ymax):  # the cut left no interior
             return None
+        # every field is already a Fraction: self's, or c / a, c / b
+        box = object.__new__(BoundingBox)
+        box.__dict__.update(xmin=xmin, ymin=ymin, xmax=xmax, ymax=ymax)
+        return box
 
 
 @dataclass(frozen=True)

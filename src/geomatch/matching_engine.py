@@ -195,6 +195,9 @@ def _match_search(
 
     if n:
         extend((1 << n) - 1)
+    # the recursive closure holds itself through its cell: drop it, or it
+    # and every table it reads live on as garbage for the cycle collector
+    del extend
     return [
         [Segment(points[p // n], points[p % n]) for p in leaf] for leaf in leaves
     ]
@@ -258,28 +261,48 @@ def assemble_from_orientation(
     compatibly) and combined.  A two-point batch is paired directly: its
     only possible induced edge is the pair itself, which a disjoint matching
     rejects and a compatible one reuses.
+
+    This front checks that the orientation belongs to the dual and leaves
+    the batching and the per-cell matchings to :func:`_assemble`, which
+    ``algorithms._cut`` calls on the heads of a dual it reads straight from
+    the subdivision.
     """
     # an orientation of the dual's own graph() belongs to it; any other
     # graph must have the dual's edges, in order
     graph = orientation.graph
     if graph is not dual.graph() and graph.edges != tuple(e.cells for e in dual.edges):
         raise GeomatchError("orientation does not belong to this dual multigraph")
-    vertex_cell: dict[int, int] = {}
-    batches: list[list[int]] = [[] for _ in range(dual.n)]
-    for dedge, head in zip(dual.edges, orientation.heads):
-        vertex_cell[dedge.vertex] = head
-        batches[head].append(dedge.vertex)
+    vertices = [e.vertex for e in dual.edges]
+    edges = _assemble(m.base, m.edges, vertices, orientation.heads, dual.n, require_disjoint)
+    return Matching(m.base, edges, check=False)
+
+
+def _assemble(
+    ps: PointSet,
+    m_edges: Iterable[Segment],
+    vertices: Sequence[int],
+    heads: Sequence[int],
+    n_cells: int,
+    require_disjoint: bool,
+) -> list[Segment]:
+    """The edges of ``assemble_from_orientation``: ``vertices[k]`` goes to
+    cell ``heads[k]`` of the ``n_cells`` cells, and each cell's batch is
+    matched around its boundary, avoiding (if ``require_disjoint``) or
+    tolerating the edges of ``m_edges`` it induces."""
+    vertex_cell = dict(zip(vertices, heads))
+    batches: list[list[int]] = [[] for _ in range(n_cells)]
+    for v, head in zip(vertices, heads):
+        batches[head].append(v)
     for y, batch in enumerate(batches):
         if len(batch) % 2 == 1:
             raise InvariantViolation(f"cell {y} was assigned an odd vertex count")
     # edges of m with both endpoints handed to one cell, grouped by cell
     induced_in: dict[int, list[Segment]] = {}
-    for s in m.edges:
+    for s in m_edges:
         a, b = s
         y = vertex_cell.get(a)
         if y is not None and vertex_cell.get(b) == y:
             induced_in.setdefault(y, []).append(s)
-    ps = m.base
     edges: list[Segment] = []
     for y, batch in enumerate(batches):
         if not batch:
@@ -297,4 +320,4 @@ def assemble_from_orientation(
             edges += _compatible_cell(ps, sorted(batch), induced)
     if 2 * len(edges) != len(vertex_cell):
         raise InvariantViolation("assembled matching does not cover every vertex")
-    return Matching(ps, edges, check=False)
+    return edges

@@ -786,7 +786,13 @@ def extend(
 
 
 def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:
-    """One vertex per cell, one edge per in-region matching vertex."""
+    """One vertex per cell, one edge per in-region matching vertex, in
+    increasing vertex id.
+
+    The connectivity search is :func:`_require_connected`, which
+    ``algorithms._cut`` also runs on the dual it reads straight from
+    ``sub.vertex_cells``, in the same vertex order.
+    """
     edges = []
     seg_of = {i: s for s in m.edges for i in s}
     # a vertex is its segment's left (bottom, when vertical) end when it
@@ -806,10 +812,16 @@ def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:
             role = EndpointRole.LEFT_END if left else EndpointRole.RIGHT_END
         edges.append(DualEdge(cells=vertex_cells[v], vertex=v, segment=seg, role=role))
     dual = DualMultigraph(len(sub.cells), tuple(edges))
-    # connected when one search from cell 0 reaches every cell; it reads
-    # the adjacency that the even orientation reads next
-    n = dual.n
-    adj = dual.graph().adjacency()
+    _require_connected(dual.graph())
+    return dual
+
+
+def _require_connected(g: Multigraph) -> None:
+    """Raise InvariantViolation unless the dual ``g`` has a cell and one
+    search from cell 0 reaches every cell; it reads the adjacency that the
+    even orientation reads next."""
+    n = g.n
+    adj = g.adjacency()
     reached = [True] + [False] * (n - 1)
     order = [0] if n else []
     for y in order:
@@ -819,4 +831,3 @@ def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:
                 order.append(z)
     if not n or len(order) != n:
         raise InvariantViolation("dual multigraph is not connected")
-    return dual

@@ -20,6 +20,7 @@ from geomatch.errors import (
     TwoPointsAlreadyMatched,
 )
 from geomatch.geom_core import (
+    BoundingBox,
     ConvexPolygon,
     Matching,
     Point,
@@ -30,8 +31,10 @@ from geomatch.geom_core import (
     disjoint,
     frame_blocker_table,
 )
+from geomatch.matching_engine import assemble_from_orientation
 from geomatch.oracle import ENUMERATION_LIMIT, MatchingCatalog, VisibilityGraph
-from geomatch.orientation import EvenOrientation, Multigraph, components
+from geomatch.orientation import EvenOrientation, Multigraph, components, even_orientation
+from geomatch.subdivision import dual_multigraph, extend
 
 
 def brute_orient(p, q, r):
@@ -553,6 +556,90 @@ def box_polygon(box) -> ConvexPolygon:
     return ConvexPolygon(
         [(box.xmin, box.ymin), (box.xmax, box.ymin), (box.xmax, box.ymax), (box.xmin, box.ymax)]
     )
+
+
+# ---------------------------------------------------------------------------
+# halfplane steps from the public pipeline
+#
+# The library's halfplane steps read the dual straight from the subdivision
+# and pair a side of at most two points directly.  These references take
+# every side through the public calls instead: ``extend``,
+# ``dual_multigraph``, ``even_orientation`` of its graph and
+# ``assemble_from_orientation`` without the disjointness demand.
+
+
+def reference_side(m: Matching, line, keep: int, box=None) -> frozenset:
+    """The edges a halfplane step matches on the ``keep`` side of the line
+    a*x + b*y = c, whose points must be an even number off the line.
+
+    ``box`` is the box that is cut by the line, by default the box around
+    the points.  An oblique line is first taken onto the vertical line
+    a*x' = c by the shear x' = x + (b/a)*y, and the default box is the one
+    around the sheared points."""
+    a, b, c = (Fraction(v) for v in line)
+    ps = m.base
+    if a != 0 and b != 0:
+        ps = PointSet([Point(p.x + b / a * p.y, p.y, p.id) for p in ps.points])
+        b = Fraction(0)
+    value = {i: a * ps.coord(i)[0] + b * ps.coord(i)[1] - c for i in ps.ids}
+    side = {i for s in m.edges for i in s if value[i] * keep > 0}
+    if not side:
+        return frozenset()
+    if box is None:
+        box = BoundingBox.around(ps)
+    xmin, ymin, xmax, ymax = box.xmin, box.ymin, box.xmax, box.ymax
+    if a != 0:
+        if keep * a > 0:
+            xmin = max(xmin, c / a)
+        else:
+            xmax = min(xmax, c / a)
+    elif b != 0:
+        if keep * b > 0:
+            ymin = max(ymin, c / b)
+        else:
+            ymax = min(ymax, c / b)
+    step = Matching(ps, m.edges)
+    rays = [(e, i) for e in sorted(m.edges) for i in e if i in side]
+    _, sub = extend(step, BoundingBox(xmin, ymin, xmax, ymax), rays)
+    dual = dual_multigraph(sub, step)
+    orientation = even_orientation(dual.graph())
+    out = assemble_from_orientation(step, dual, orientation, require_disjoint=False)
+    return frozenset(out.edges)
+
+
+def reference_even_cut(m: Matching, line, box=None) -> frozenset:
+    """The edges an even cut by the line matches on its two sides."""
+    return reference_side(m, line, 1, box) | reference_side(m, line, -1, box)
+
+
+def reference_canonical_chain(m: Matching) -> list[frozenset]:
+    """The edge sets of the transformation from a perfect matching on
+    distinct x to the canonical matching: an even cut at x = cx between the
+    k-th and the (k+1)-th point by x (k the even number of points left of
+    it), then both halves in lockstep, each cut in the box around all the
+    points; repeated sets are dropped."""
+    ps = m.base
+    box = BoundingBox.around(ps)
+
+    def steps(ids, edges):
+        if len(ids) <= 2:
+            return [edges]
+        by_x = sorted(ids, key=lambda i: ps.coord(i)[0])
+        k = 2 * (len(ids) // 4)
+        line = (1, 0, (ps.coord(by_x[k - 1])[0] + ps.coord(by_x[k])[0]) / 2)
+        half = Matching(ps, edges)
+        left = steps(by_x[:k], reference_side(half, line, -1, box))
+        right = steps(by_x[k:], reference_side(half, line, 1, box))
+        depth = max(len(left), len(right))
+        left += [left[-1]] * (depth - len(left))
+        right += [right[-1]] * (depth - len(right))
+        return [edges] + [l | r for l, r in zip(left, right)]
+
+    chain = []
+    for edges in steps(list(ps.ids), frozenset(m.edges)):
+        if not chain or chain[-1] != edges:
+            chain.append(edges)
+    return chain
 
 
 # ---------------------------------------------------------------------------

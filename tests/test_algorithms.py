@@ -71,6 +71,9 @@ from helpers import (
     random_general_pointset,
     random_matching_pair,
     random_ncpm_edges,
+    reference_canonical_chain,
+    reference_even_cut,
+    reference_side,
 )
 
 
@@ -329,6 +332,62 @@ def test_integer_cuts_agree_with_the_public_cut():
             assert transform_to_canonical(m).matchings[1] == public
             cuts += 1
         assert cuts >= 10
+
+
+def _scaled_instances():
+    """gen_random_matching instances, n = 2-12 over several seeds, at
+    scales 1, 1/3 and 5/11."""
+    for scale in (1, Fraction(1, 3), Fraction(5, 11)):
+        for n in range(2, 13):
+            for seed in (0, 1, 7):
+                m = gen_random_matching(n, seed)
+                ps = PointSet.from_coords((p.x * scale, p.y * scale) for p in m.base)
+                yield Matching(ps, m.edges)
+
+
+def _even_lines(m: Matching, rng: random.Random):
+    """Vertical, horizontal, oblique and zero-normal lines with an even
+    number of m's points on each side and none on the line."""
+    coords = [m.base.coord(i) for i in m.base.ids]
+    oblique = tuple(
+        Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in "ab"
+    )
+    lines = [(0, 0, rng.choice([-3, 3]))]
+    for a, b in ((1, 0), (0, 1), (-2, 0), (0, Fraction(-1, 3)), oblique):
+        values = sorted(a * x + b * y for x, y in coords)
+        k = 2 * rng.randint(0, len(values) // 2)
+        if k == 0:
+            c = values[0] - 1
+        elif k == len(values):
+            c = values[-1] + 1
+        elif values[k - 1] < values[k]:
+            c = (values[k - 1] + values[k]) / 2
+        else:
+            continue
+        lines.append((a, b, c))
+    return lines
+
+
+def test_halfplane_steps_equal_the_public_pipeline():
+    # the steps read the dual straight from the subdivision and assemble it
+    # as plain lists; the references take every side, two-point ones too,
+    # through extend, dual_multigraph, even_orientation and
+    # assemble_from_orientation
+    rng = random.Random(83)
+    counts = {"sides": 0, "big sides": 0, "chains": 0}
+    for m in _scaled_instances():
+        for line in _even_lines(m, rng):
+            for keep in (1, -1):
+                ref = reference_side(m, line, keep)
+                assert frozenset(halfplane_matching(m, line, keep).edges) == ref
+                counts["sides"] += 1
+                counts["big sides"] += len(ref) > 1
+            assert frozenset(even_cut_matching(m, line).edges) == reference_even_cut(m, line)
+        if len({p.x for p in m.base}) == len(m.base):
+            chain = transform_to_canonical(m).matchings
+            assert [frozenset(s.edges) for s in chain] == reference_canonical_chain(m)
+            counts["chains"] += 1
+    assert counts["sides"] >= 1000 and counts["big sides"] >= 500 and counts["chains"] >= 90
 
 
 # ---------------------------------------------------------------------------

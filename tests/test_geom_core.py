@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from fractions import Fraction
 from functools import cmp_to_key
 from random import Random
@@ -457,6 +458,23 @@ def test_matching_rejects_reused_point():
         Matching(ps, [Segment(0, 1), Segment(1, 2)])
 
 
+def test_matching_names_the_first_bad_segment():
+    # the degree check runs once over all ids; a failing set is walked
+    # segment by segment, so the message names the segment that fails
+    ps = square_ps()
+    bad_sets = ([Segment(0, 1), Segment(2, 7)], [Segment(0, 4)], [Segment(-1, 2), Segment(0, 1)])
+    for edges in bad_sets:
+        bad = [s for s in frozenset(edges) if not 0 <= min(s) <= max(s) < len(ps)][0]
+        with pytest.raises(GeomatchError, match=rf"^segment {re.escape(repr(bad))} references"):
+            Matching(ps, edges)
+    edges = frozenset([Segment(0, 1), Segment(1, 2)])
+    second = re.escape(repr(list(edges)[1]))
+    with pytest.raises(GeomatchError, match=rf"^point reused by segment {second}$"):
+        Matching(ps, edges)
+    assert Matching(ps, [Segment(0, 1), Segment(2, 3)], check=False).is_perfect
+    assert len(Matching(ps, [])) == 0
+
+
 def test_matching_rejects_crossing_edges():
     ps = square_ps()
     with pytest.raises(GeomatchError):
@@ -779,6 +797,53 @@ def test_box_clip_matches_polygon_clip(keep):
     assert box.clip_halfplane(1, 0, 6, keep) == (box if keep == -1 else None)
     with pytest.raises(GeomatchError):
         box.clip_halfplane(1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("keep", [1, -1])
+def test_box_clip_equals_the_checked_box(keep):
+    # the cut box skips the constructor's checks; it must still be the box
+    # the constructor builds from the same bounds, or None when the cut
+    # leaves no interior
+    box = BoundingBox(Fraction(-7, 2), -3, 5, Fraction(9, 4))
+    bounds = (box.xmin, box.ymin, box.xmax, box.ymax)
+    third = Fraction(1, 3)
+    cases = []
+    for a, c in ((1, third), (-2, -1), (3, 15), (Fraction(1, 2), -2), (1, -4), (1, 5)):
+        at = Fraction(c) / a  # the vertical line x = c / a
+        xmin, ymin, xmax, ymax = bounds
+        if keep * a > 0:
+            xmin = max(xmin, at)
+        else:
+            xmax = min(xmax, at)
+        cases.append(((a, 0, c), (xmin, ymin, xmax, ymax)))
+    for b, c in ((1, third), (-3, 1), (Fraction(2, 7), -Fraction(6, 7)), (1, 3), (1, -3)):
+        at = Fraction(c) / b  # the horizontal line y = c / b
+        xmin, ymin, xmax, ymax = bounds
+        if keep * b > 0:
+            ymin = max(ymin, at)
+        else:
+            ymax = min(ymax, at)
+        cases.append(((0, b, c), (xmin, ymin, xmax, ymax)))
+    for c in (-5, 0, third):
+        cases.append(((0, 0, c), bounds if keep * c <= 0 else None))
+    empty = 0
+    for (a, b, c), want in cases:
+        got = box.clip_halfplane(a, b, c, keep)
+        if want is not None and not (want[0] < want[2] and want[1] < want[3]):
+            with pytest.raises(GeomatchError, match="empty interior"):
+                BoundingBox(*want)
+            want = None
+        if want is None:
+            assert got is None, (a, b, c)
+            empty += 1
+            continue
+        ref = BoundingBox(*want)
+        assert type(got) is BoundingBox
+        assert (got.xmin, got.ymin, got.xmax, got.ymax) == want
+        assert all(type(v) is Fraction for v in (got.xmin, got.ymin, got.xmax, got.ymax))
+        assert got == ref and hash(got) == hash(ref) and repr(got) == repr(ref)
+        assert vars(got) == vars(ref)
+    assert empty >= 3
 
 
 @pytest.mark.parametrize("keep", [1, -1])

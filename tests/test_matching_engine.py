@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from fractions import Fraction
@@ -284,6 +285,29 @@ def test_constrained_agrees_with_disjoint_compatible_oracle():
             assert disjoint(m, got) and compatible(m, got)
             agreements += 1
     assert agreements > 0
+
+
+def test_match_search_leaves_no_garbage_cycle():
+    # the search's recursive closure refers to itself; left in place, it and
+    # its tables would wait for the cycle collector after every call
+    rng = random.Random(5)
+    instances = []
+    for n in (2, 4, 6):
+        ps = random_general_pointset(rng, n, grid=30)
+        catalog = enumerate_ncpm(ps)
+        instances.append((ps, catalog[rng.randrange(len(catalog))]))
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for ps, m in instances:
+            constrained_matching(ps, tuple(range(len(ps))))
+            enumerate_ncpm(ps)
+            has_disjoint_compatible_pm(m)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_constrained_none_for_parallel_chords():
