@@ -59,9 +59,10 @@ from .orientation import (
     prune_odd_components,
 )
 from .subdivision import (
+    ConvexSubdivision,
     DualMultigraph,
     EndpointRole,
-    _require_connected,
+    _plain_dual,
     both_ways_rays,
     dual_multigraph,
     extend,
@@ -135,9 +136,6 @@ class ColoredDual:
             if len(cs) != 2:
                 raise InvariantViolation(f"both edges of {s} are colored {cs.pop()}")
 
-    def edge_ids(self, color: str) -> list[int]:
-        return [i for i, c in enumerate(self.colors) if c == color]
-
     def subgraph(self, color: str) -> Multigraph:
         return Multigraph(
             self.dual.n,
@@ -145,14 +143,55 @@ class ColoredDual:
         )
 
 
+class _ColoredView:
+    """``ColoredDual(dual_multigraph(sub, m), colors)``, built on the first
+    call of :meth:`built` and kept; equality, hashing and repr are those of
+    the built view."""
+
+    __slots__ = ("_sub", "_m", "_colors", "_view")
+
+    def __init__(self, sub: ConvexSubdivision, m: Matching, colors: tuple[str, ...]):
+        self._sub = sub
+        self._m = m
+        self._colors = colors
+        self._view: Optional[ColoredDual] = None
+
+    def built(self) -> ColoredDual:
+        if self._view is None:
+            self._view = ColoredDual(dual_multigraph(self._sub, self._m), self._colors)
+        return self._view
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _ColoredView) and self.built() == other.built()
+
+    def __hash__(self) -> int:
+        return hash(self.built())
+
+    def __repr__(self) -> str:
+        return repr(self.built())
+
+
 @dataclass(frozen=True)
 class FourFifthsReport:
+    """What :func:`four_fifths_matching` found: the matching, n, the
+    guaranteed and the achieved size, and f(R), the number of odd
+    components of the red subgraph.
+
+    ``colored``, the colored dual, is built on its first read from the
+    subdivision the construction kept, and kept.  Reports compare, hash and
+    print by it too, so the first comparison also builds it.
+    """
+
     matching: Matching
     n: int
     guarantee: int
     achieved: int
     odd_components: int
-    colored: ColoredDual
+    _colored: _ColoredView
+
+    @property
+    def colored(self) -> ColoredDual:
+        return self._colored.built()
 
 
 @dataclass(frozen=True)
@@ -281,13 +320,8 @@ def _cut(
             raise InvariantViolation("the bounding box misses the kept halfplane")
         rays = [(e, i) for e in ordered for i in e if sides[i] == keep]
         _, sub = extend(m, region, rays)
-        # the dual as plain data: one edge per in-region vertex, in
-        # increasing id as dual_multigraph orders them, joining its
-        # (left, right) cells; every such vertex is an endpoint of m
-        vertex_cells = sub.vertex_cells
-        vertices = sorted(vertex_cells)
-        dual = Multigraph(len(sub.cells), [vertex_cells[v] for v in vertices])
-        _require_connected(dual)
+        # every in-region vertex is an endpoint of m
+        vertices, dual = _plain_dual(sub)
         orientation = even_orientation(dual)
         if orientation is None:
             raise InvariantViolation("dual of a halfplane extension must orient evenly")
@@ -446,7 +480,7 @@ def hv_disjoint_matching(m: Matching) -> tuple[Optional[Matching], ColoredDual]:
     colors = tuple(_role_color(e.role) for e in dual.edges)
     colored = ColoredDual(dual, colors)
     for color in (RED, GREEN):
-        if not _is_spanning_tree(dual.n, colored.subgraph(color).edges):
+        if not _is_spanning_tree(colored.subgraph(color)):
             raise InvariantViolation(f"the {color} subgraph is not a spanning tree")
     if len(m) % 2 == 1:
         return None, colored
@@ -555,7 +589,9 @@ def four_fifths_matching(m: Matching) -> FourFifthsReport:
     All right extensions are placed first, then all left extensions; the
     left-endpoint (blue) dual edges then form a spanning tree.  Odd
     components of the right-endpoint (red) subgraph each give up one edge,
-    the rest is oriented part by part and assembled per cell.
+    each color is oriented evenly on its own, and the heads are assembled
+    per cell.  The dual stays plain cell pairs (:func:`_plain_dual`); the
+    report's ``colored`` view of it is built only when it is read.
     """
     if not m.is_perfect:
         raise GeomatchError("input must be a perfect matching")
@@ -568,28 +604,42 @@ def four_fifths_matching(m: Matching) -> FourFifthsReport:
     rays = [(e, end[1]) for e, end in zip(order, ends)]
     rays += [(e, end[0]) for e, end in zip(order, ends)]
     _, sub = extend(m, BoundingBox.around(ps), rays)
-    dual = dual_multigraph(sub, m)
-    colors = tuple(
-        BLUE if e.role == EndpointRole.LEFT_END else RED for e in dual.edges
-    )
-    colored = ColoredDual(dual, colors)
+    vertices, dual = _plain_dual(sub)
+    color_of = {left: BLUE for left, _ in ends}
+    color_of.update((right, RED) for _, right in ends)
+    colors = tuple(color_of.get(v) for v in vertices)
+    # every dual vertex an endpoint and every endpoint a dual vertex: then
+    # each segment has one dual edge of each color
+    if None in colors or len(vertices) != 2 * n:
+        raise InvariantViolation("each segment needs one dual edge of each color")
 
-    if not _is_spanning_tree(dual.n, colored.subgraph(BLUE).edges):
+    pairs = dual.edges
+    blue_at = [k for k, c in enumerate(colors) if c == BLUE]
+    blue = Multigraph(dual.n, [pairs[k] for k in blue_at])
+    if not _is_spanning_tree(blue):
         raise InvariantViolation("the left-endpoint subgraph is not a spanning tree")
-    red_ids = colored.edge_ids(RED)
-    red_graph = colored.subgraph(RED)
-    f_red = count_odd_components(red_graph)
-    _, removed_local = prune_odd_components(red_graph)
-    if len(removed_local) != f_red:
+    red_at = [k for k, c in enumerate(colors) if c == RED]
+    red = Multigraph(dual.n, [pairs[k] for k in red_at])
+    f_red = count_odd_components(red)
+    pruned, removed = prune_odd_components(red)
+    if len(removed) != f_red:
         raise InvariantViolation("pruning must remove one edge per odd component")
-    removed = {red_ids[i] for i in removed_local}
+    gone = set(removed)
+    red_at = [k for j, k in enumerate(red_at) if j not in gone]
 
-    kept_edges = tuple(e for i, e in enumerate(dual.edges) if i not in removed)
-    kept_colors = [c for i, c in enumerate(colors) if i not in removed]
-    reduced = DualMultigraph(dual.n, kept_edges)
-    partition = {i: c for i, c in enumerate(kept_colors)}
-    orientation = orientation_from_partition(reduced.graph(), partition)
-    out = assemble_from_orientation(m, reduced, orientation, require_disjoint=True)
+    # each color on its own, blue first, each in vertex order
+    heads: list[Optional[int]] = [None] * len(vertices)
+    for name, at, g in (("left", blue_at, blue), ("pruned right", red_at, pruned)):
+        orientation = even_orientation(g)
+        if orientation is None:
+            raise InvariantViolation(f"the {name}-endpoint subgraph must orient evenly")
+        for k, h in zip(at, orientation.heads):
+            heads[k] = h
+    kept = [k for k, h in enumerate(heads) if h is not None]
+    edges = _assemble(
+        ps, m.edges, [vertices[k] for k in kept], [heads[k] for k in kept], dual.n, True
+    )
+    out = Matching(ps, edges, check=False)
 
     guarantee = -(-(4 * n - 1) // 5)
     achieved = len(out)
@@ -597,7 +647,7 @@ def four_fifths_matching(m: Matching) -> FourFifthsReport:
         raise InvariantViolation("output size must be n - f(R)/2")
     if achieved < guarantee:
         raise InvariantViolation(f"only {achieved} segments; {guarantee} guaranteed")
-    return FourFifthsReport(out, n, guarantee, achieved, f_red, colored)
+    return FourFifthsReport(out, n, guarantee, achieved, f_red, _ColoredView(sub, m, colors))
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +692,8 @@ def crossings_matchings(m: Matching) -> tuple[Matching, Matching]:
 # two-trees structure search
 
 
-def _is_spanning_tree(n: int, edges: Sequence[tuple[int, int]]) -> bool:
-    if len(edges) != n - 1:
-        return False
-    return len(components(Multigraph(n, tuple(edges)))) == 1
+def _is_spanning_tree(g: Multigraph) -> bool:
+    return len(g.edges) == g.n - 1 and len(components(g)) == 1
 
 
 def two_trees_search(m: Matching, max_orders: int = 24) -> TwoTreesResult:
@@ -696,7 +744,7 @@ def two_trees_search(m: Matching, max_orders: int = 24) -> TwoTreesResult:
                 assign[e1], assign[e2] = bit, 1 - bit
             t0 = [dual.edges[i].cells for i in range(len(assign)) if assign[i] == 0]
             t1 = [dual.edges[i].cells for i in range(len(assign)) if assign[i] == 1]
-            if _is_spanning_tree(dual.n, t0) and _is_spanning_tree(dual.n, t1):
+            if all(_is_spanning_tree(Multigraph(dual.n, t)) for t in (t0, t1)):
                 return TwoTreesResult(
                     True, tuple(rays), tuple(assign), dual, tried, skipped
                 )

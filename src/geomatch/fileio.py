@@ -150,6 +150,9 @@ def load_instance(path: PathLike) -> Matching:
 
 
 def load_sequence(path: PathLike) -> TransformationSequence:
+    """Read a file that :func:`save_sequence` wrote.  Public on purpose, as
+    the reader paired with that writer; the CLI parses the text it has
+    already read with :func:`parse_sequence` instead."""
     return parse_sequence(Path(path).read_text(), path)
 
 

@@ -789,20 +789,22 @@ def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:
     """One vertex per cell, one edge per in-region matching vertex, in
     increasing vertex id.
 
-    The connectivity search is :func:`_require_connected`, which
-    ``algorithms._cut`` also runs on the dual it reads straight from
-    ``sub.vertex_cells``, in the same vertex order.
+    The view of the dual at the API edge: it adds each vertex's segment and
+    :class:`EndpointRole` to the plain dual that :func:`_plain_dual` reads,
+    the one reader of ``sub.vertex_cells`` that ``algorithms._cut`` and
+    ``algorithms.four_fifths_matching`` use on their own.
     """
-    edges = []
     seg_of = {i: s for s in m.edges for i in s}
+    stray = [v for v in sub.vertex_cells if v not in seg_of]
+    if stray:
+        raise InvariantViolation(f"subdivision vertex {min(stray)} is unmatched in M")
+    vertices, g = _plain_dual(sub)
     # a vertex is its segment's left (bottom, when vertical) end when it
     # has the smaller x (y); the point set's scaled integers keep the order
     ix, iy = m.base._ix, m.base._iy
-    vertex_cells = sub.vertex_cells
-    for v in sorted(vertex_cells):
-        seg = seg_of.get(v)
-        if seg is None:
-            raise InvariantViolation(f"subdivision vertex {v} is unmatched in M")
+    edges = []
+    for v, cells in zip(vertices, g.edges):
+        seg = seg_of[v]
         a, b = seg
         if ix[a] == ix[b]:
             low = (v == a) == (iy[a] < iy[b])
@@ -810,10 +812,20 @@ def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:
         else:
             left = (v == a) == (ix[a] < ix[b])
             role = EndpointRole.LEFT_END if left else EndpointRole.RIGHT_END
-        edges.append(DualEdge(cells=vertex_cells[v], vertex=v, segment=seg, role=role))
-    dual = DualMultigraph(len(sub.cells), tuple(edges))
-    _require_connected(dual.graph())
-    return dual
+        edges.append(DualEdge(cells=cells, vertex=v, segment=seg, role=role))
+    return DualMultigraph(g.n, tuple(edges))
+
+
+def _plain_dual(sub: ConvexSubdivision) -> tuple[list[int], Multigraph]:
+    """The dual as plain data: the in-region vertices in increasing id, and
+    the multigraph on the cells with one edge per vertex, in that order,
+    joining its (left, right) cells.  Raises InvariantViolation unless the
+    dual is connected (:func:`_require_connected`)."""
+    vertex_cells = sub.vertex_cells
+    vertices = sorted(vertex_cells)
+    g = Multigraph(len(sub.cells), [vertex_cells[v] for v in vertices])
+    _require_connected(g)
+    return vertices, g
 
 
 def _require_connected(g: Multigraph) -> None:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from random import Random
 from typing import Optional
 
+from geomatch.algorithms import ColoredDual
 from geomatch.errors import (
     CollinearTriple,
     GeomatchError,
@@ -33,8 +34,15 @@ from geomatch.geom_core import (
 )
 from geomatch.matching_engine import assemble_from_orientation
 from geomatch.oracle import ENUMERATION_LIMIT, MatchingCatalog, VisibilityGraph
-from geomatch.orientation import EvenOrientation, Multigraph, components, even_orientation
-from geomatch.subdivision import dual_multigraph, extend
+from geomatch.orientation import (
+    EvenOrientation,
+    Multigraph,
+    components,
+    even_orientation,
+    orientation_from_partition,
+    prune_odd_components,
+)
+from geomatch.subdivision import DualMultigraph, EndpointRole, dual_multigraph, extend
 
 
 def brute_orient(p, q, r):
@@ -640,6 +648,44 @@ def reference_canonical_chain(m: Matching) -> list[frozenset]:
         if not chain or chain[-1] != edges:
             chain.append(edges)
     return chain
+
+
+# ---------------------------------------------------------------------------
+# the 4/5 matching from the public pipeline
+#
+# ``four_fifths_matching`` reads the dual as plain cell pairs and orients
+# each color on its own.  This reference takes the object dual through the
+# public calls instead.
+
+
+def naive_four_fifths_matching(m: Matching):
+    """The fields of ``four_fifths_matching``'s report, in order (matching,
+    n, guarantee, achieved, odd components, colored dual), from the public
+    object dual: all right rays, then all left rays; ``dual_multigraph``
+    colored by endpoint role (left blue, right red); one edge of each odd
+    red component removed by ``prune_odd_components``; both colors oriented
+    by ``orientation_from_partition`` and the heads assembled disjointly by
+    ``assemble_from_orientation``.  Every segment must be non-vertical."""
+    ps = m.base
+    n = len(m)
+    order = sorted(m.edges)
+    ends = [sorted(e, key=lambda i: ps.coord(i)[0]) for e in order]
+    rays = [(e, right) for e, (_, right) in zip(order, ends)]
+    rays += [(e, left) for e, (left, _) in zip(order, ends)]
+    _, sub = extend(m, BoundingBox.around(ps), rays)
+    dual = dual_multigraph(sub, m)
+    colors = tuple("blue" if e.role == EndpointRole.LEFT_END else "red" for e in dual.edges)
+    colored = ColoredDual(dual, colors)
+    red_ids = [i for i, c in enumerate(colors) if c == "red"]
+    _, removed_local = prune_odd_components(colored.subgraph("red"))
+    removed = {red_ids[i] for i in removed_local}
+    kept = [i for i in range(len(dual.edges)) if i not in removed]
+    reduced = DualMultigraph(dual.n, tuple(dual.edges[i] for i in kept))
+    partition = {k: colors[i] for k, i in enumerate(kept)}
+    orientation = orientation_from_partition(reduced.graph(), partition)
+    out = assemble_from_orientation(m, reduced, orientation, require_disjoint=True)
+    guarantee = -(-(4 * n - 1) // 5)
+    return out, n, guarantee, len(out), len(removed), colored
 
 
 # ---------------------------------------------------------------------------

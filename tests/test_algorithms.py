@@ -2,13 +2,14 @@ import functools
 import hashlib
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomatch import fileio
+from geomatch import fileio, subdivision
 from geomatch.algorithms import (
     BLUE,
     GREEN,
@@ -68,6 +69,7 @@ from helpers import (
     brute_orient,
     brute_segments_cross,
     brute_union_noncrossing,
+    naive_four_fifths_matching,
     random_general_pointset,
     random_matching_pair,
     random_ncpm_edges,
@@ -690,6 +692,55 @@ def test_four_fifths_random_even_sizes():
             assert disjoint(m, rep.matching) and compatible(m, rep.matching)
             checked += 1
     assert checked == 30
+
+
+# gen_random_matching instances whose red subgraph has odd components, from
+# a search over seeds 0-1499 at n = 4-14 and 0-399 at n = 16-40; each has
+# f(R) = 2, so the output gives up one segment
+PRUNED_INSTANCES = [(12, 31), (12, 587), (14, 1359), (16, 101), (22, 178), (40, 212)]
+
+
+def _scaled(m: Matching, scale) -> Matching:
+    return Matching(
+        PointSet.from_coords((p.x * scale, p.y * scale) for p in m.base), m.edges
+    )
+
+
+def test_four_fifths_equals_the_public_pipeline():
+    # the construction reads the dual as plain cell pairs and orients each
+    # color on its own; the reference takes the object dual through
+    # dual_multigraph, ColoredDual, prune_odd_components,
+    # orientation_from_partition and assemble_from_orientation
+    cases = [(n, seed) for n in range(2, 41, 2) for seed in (0, 1, 7)]
+    pruned = 0
+    for scale in (1, Fraction(1, 3), Fraction(5, 11)):
+        for n, seed in cases + PRUNED_INSTANCES:
+            m = _scaled(gen_random_matching(n, seed), scale)
+            rep = four_fifths_matching(m)
+            got = (rep.matching, rep.n, rep.guarantee, rep.achieved, rep.odd_components)
+            assert got + (rep.colored,) == naive_four_fifths_matching(m)
+            pruned += rep.odd_components > 0
+    assert pruned == 3 * len(PRUNED_INSTANCES)
+
+
+def test_four_fifths_colored_is_built_on_first_read(monkeypatch):
+    built = []
+    edge = subdivision.DualEdge
+    monkeypatch.setattr(subdivision, "DualEdge", lambda **kw: built.append(kw) or edge(**kw))
+    for n, seed in [(2, 0), (10, 3)] + PRUNED_INSTANCES[:2]:
+        m = gen_random_matching(n, seed)
+        built.clear()
+        rep = four_fifths_matching(m)
+        again = four_fifths_matching(m)
+        assert built == []  # neither the construction nor its report build it
+        assert rep.colored is rep.colored
+        assert len(built) == 2 * n  # built once, then kept
+        assert rep.colored == naive_four_fifths_matching(m)[5]
+        assert rep == again and hash(rep) == hash(again)
+        assert repr(rep.colored) in repr(again)
+        assert replace(rep, matching=rep.matching) == rep
+        shorter = replace(rep, achieved=rep.achieved - 1)
+        assert shorter != rep and shorter.colored is rep.colored
 
 
 def test_four_fifths_rejects_odd_and_vertical():
