@@ -49,19 +49,18 @@ from .geom_core import (
     validate_general_position,
 )
 from .oracle import visibility_graph
-from .matching_engine import _assemble, assemble_from_orientation, constrained_matching
+from .matching_engine import _assemble, constrained_matching
 from .orientation import (
     Multigraph,
     components,
     count_odd_components,
     even_orientation,
-    orientation_from_partition,
     prune_odd_components,
 )
 from .subdivision import (
     ConvexSubdivision,
     DualMultigraph,
-    EndpointRole,
+    _low_end,
     _plain_dual,
     both_ways_rays,
     dual_multigraph,
@@ -450,8 +449,22 @@ def _is_vertical(ps: PointSet, e: Segment) -> bool:
     return ps._ix[e.a] == ps._ix[e.b]
 
 
-def _role_color(role: EndpointRole) -> str:
-    return RED if role in (EndpointRole.LEFT_END, EndpointRole.BOTTOM_END) else GREEN
+def _disjoint_by_parts(m: Matching, vertices: list[int], n_cells: int, parts) -> Matching:
+    """Orient each part ``(name, positions, g)`` of the plain dual evenly on
+    its own, ``g`` holding the dual edges at ``positions`` in order, and
+    match the heads disjointly per cell; a vertex in no part stays out."""
+    heads: list[Optional[int]] = [None] * len(vertices)
+    for name, at, g in parts:
+        orientation = even_orientation(g)
+        if orientation is None:
+            raise InvariantViolation(f"the {name}-endpoint subgraph must orient evenly")
+        for k, h in zip(at, orientation.heads):
+            heads[k] = h
+    kept = [k for k, h in enumerate(heads) if h is not None]
+    edges = _assemble(
+        m.base, m.edges, [vertices[k] for k in kept], [heads[k] for k in kept], n_cells, True
+    )
+    return Matching(m.base, edges, check=False)
 
 
 def hv_disjoint_matching(m: Matching) -> tuple[Optional[Matching], ColoredDual]:
@@ -476,18 +489,20 @@ def hv_disjoint_matching(m: Matching) -> tuple[Optional[Matching], ColoredDual]:
         raise NotAxisParallel(f"{bad} is neither horizontal nor vertical")
     region = BoundingBox.around(ps)
     _, sub = extend(m, region, both_ways_rays(horizontals + verticals))
-    dual = dual_multigraph(sub, m)
-    colors = tuple(_role_color(e.role) for e in dual.edges)
-    colored = ColoredDual(dual, colors)
+    vertices, dual = _plain_dual(sub)
+    lows = {_low_end(ps, e) for e in m.edges}
+    colors = tuple(RED if v in lows else GREEN for v in vertices)
+    colored = ColoredDual(dual_multigraph(sub, m), colors)
+    parts = []
     for color in (RED, GREEN):
-        if not _is_spanning_tree(colored.subgraph(color)):
+        at = [k for k, c in enumerate(colors) if c == color]
+        g = Multigraph(dual.n, [dual.edges[k] for k in at])
+        if not _is_spanning_tree(g):
             raise InvariantViolation(f"the {color} subgraph is not a spanning tree")
+        parts.append((color, at, g))
     if len(m) % 2 == 1:
         return None, colored
-    partition = {i: c for i, c in enumerate(colors)}
-    orientation = orientation_from_partition(dual.graph(), partition)
-    out = assemble_from_orientation(m, dual, orientation, require_disjoint=True)
-    return out, colored
+    return _disjoint_by_parts(m, vertices, dual.n, parts), colored
 
 
 # ---------------------------------------------------------------------------
@@ -627,19 +642,8 @@ def four_fifths_matching(m: Matching) -> FourFifthsReport:
     gone = set(removed)
     red_at = [k for j, k in enumerate(red_at) if j not in gone]
 
-    # each color on its own, blue first, each in vertex order
-    heads: list[Optional[int]] = [None] * len(vertices)
-    for name, at, g in (("left", blue_at, blue), ("pruned right", red_at, pruned)):
-        orientation = even_orientation(g)
-        if orientation is None:
-            raise InvariantViolation(f"the {name}-endpoint subgraph must orient evenly")
-        for k, h in zip(at, orientation.heads):
-            heads[k] = h
-    kept = [k for k, h in enumerate(heads) if h is not None]
-    edges = _assemble(
-        ps, m.edges, [vertices[k] for k in kept], [heads[k] for k in kept], dual.n, True
-    )
-    out = Matching(ps, edges, check=False)
+    parts = [("left", blue_at, blue), ("pruned right", red_at, pruned)]
+    out = _disjoint_by_parts(m, vertices, dual.n, parts)
 
     guarantee = -(-(4 * n - 1) // 5)
     achieved = len(out)
@@ -726,27 +730,25 @@ def two_trees_search(m: Matching, max_orders: int = 24) -> TwoTreesResult:
         tried += 1
         try:
             _, sub = extend(m, region, rays)
-            dual = dual_multigraph(sub, m)
         except DegenerateIncidence:
             skipped += 1
             continue
-        by_segment: dict[Segment, list[int]] = {}
-        for i, e in enumerate(dual.edges):
-            by_segment.setdefault(e.segment, []).append(i)
-        pairs = [tuple(v) for v in by_segment.values()]
-        if any(len(p) != 2 for p in pairs):
+        vertices, dual = _plain_dual(sub)
+        pos = {v: k for k, v in enumerate(vertices)}
+        if pos.keys() != m.matched_ids:
             raise InvariantViolation("each segment must contribute two dual edges")
-        n_seg = len(pairs)
-        for mask in range(1 << (n_seg - 1)):
-            assign = [0] * len(dual.edges)
+        # the positions of each segment's two dual edges
+        pairs = [(pos[a], pos[b]) for a, b in base_edges]
+        for mask in range(1 << (len(pairs) - 1)):
+            assign = [0] * len(vertices)
             for j, (e1, e2) in enumerate(pairs):
                 bit = (mask >> (j - 1)) & 1 if j else 0
                 assign[e1], assign[e2] = bit, 1 - bit
-            t0 = [dual.edges[i].cells for i in range(len(assign)) if assign[i] == 0]
-            t1 = [dual.edges[i].cells for i in range(len(assign)) if assign[i] == 1]
+            t0 = [c for c, part in zip(dual.edges, assign) if part == 0]
+            t1 = [c for c, part in zip(dual.edges, assign) if part == 1]
             if all(_is_spanning_tree(Multigraph(dual.n, t)) for t in (t0, t1)):
                 return TwoTreesResult(
-                    True, tuple(rays), tuple(assign), dual, tried, skipped
+                    True, tuple(rays), tuple(assign), dual_multigraph(sub, m), tried, skipped
                 )
     return TwoTreesResult(False, None, None, None, tried, skipped)
 

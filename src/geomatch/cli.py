@@ -19,7 +19,6 @@ from .geom_core import (
     Segment,
     compatible,
     disjoint,
-    segments_cross_coords,
     validate_general_position,
 )
 from .oracle import has_disjoint_compatible_pm, transformation_distance
@@ -216,13 +215,10 @@ def _run_crossings(args) -> int:
         f"right-endpoint matching: {len(m_r)} segments"
     )
     if args.verify:
-        ps = m.base
-        coords = {i: ps.coord(i) for i in ps.ids}
+        cross = m.base.segments_cross_ids
         for e in m.sorted_edges():
             for f in list(m_l.edges) + list(m_r.edges):
-                if segments_cross_coords(
-                    coords[e.a], coords[e.b], coords[f.a], coords[f.b]
-                ):
+                if cross(*e, *f):
                     raise InvariantViolation(f"{f} crosses input segment {e}")
         print("verify: neither half crosses the input")
     if args.out:

@@ -71,7 +71,8 @@ def convex_disjoint_matching(
 
     Induction: repeatedly match a hull-consecutive pair not joined by mb
     (smallest ids first) and shrink.  With four points left, a pair is only
-    taken if the two points it leaves behind are not an mb edge.
+    taken if the two points it leaves behind are not an mb edge.  A public
+    front: no construction calls it, the assembly calls :func:`_disjoint_cell`.
     """
     return Matching(ps, _disjoint_cell(ps, pts, mb), check=False)
 
@@ -117,7 +118,9 @@ def convex_compatible_matching(
     ps: PointSet, pts: Sequence[int], mb: Iterable[Segment] = ()
 ) -> Matching:
     """Perfect matching of convex-position points whose union with the
-    hull-edge matching ``mb`` is non-crossing; edges of mb may be reused."""
+    hull-edge matching ``mb`` is non-crossing; edges of mb may be reused.
+    A public front: no construction calls it, the assembly calls
+    :func:`_compatible_cell`."""
     return Matching(ps, _compatible_cell(ps, pts, mb), check=False)
 
 
@@ -262,15 +265,11 @@ def assemble_from_orientation(
     only possible induced edge is the pair itself, which a disjoint matching
     rejects and a compatible one reuses.
 
-    This front checks that the orientation belongs to the dual and leaves
-    the batching and the per-cell matchings to :func:`_assemble`, which
-    ``algorithms._cut`` calls on the heads of a dual it reads straight from
-    the subdivision.
+    A public front that no construction calls: it checks that the
+    orientation's graph has the dual's edges, in order, and leaves the rest
+    to :func:`_assemble`, which the constructions call on the plain dual.
     """
-    # an orientation of the dual's own graph() belongs to it; any other
-    # graph must have the dual's edges, in order
-    graph = orientation.graph
-    if graph is not dual.graph() and graph.edges != tuple(e.cells for e in dual.edges):
+    if orientation.graph.edges != tuple(e.cells for e in dual.edges):
         raise GeomatchError("orientation does not belong to this dual multigraph")
     vertices = [e.vertex for e in dual.edges]
     edges = _assemble(m.base, m.edges, vertices, orientation.heads, dual.n, require_disjoint)

@@ -155,7 +155,8 @@ def orientation_from_partition(g: Multigraph, partition: EdgePartition) -> EvenO
     subgraph on the full vertex set, must have only even components; a part
     with an odd component raises OddComponentInPart.  Because parts are
     oriented separately, a vertex of indegree two in the result received
-    both of its in-edges from the same part.
+    both of its in-edges from the same part.  A public front: no
+    construction calls it, they orient each part with :func:`even_orientation`.
     """
     if set(partition) != set(range(len(g.edges))):
         raise GeomatchError("partition must label every edge id exactly once")

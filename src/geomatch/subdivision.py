@@ -234,15 +234,6 @@ class DualMultigraph:
     n: int
     edges: tuple[DualEdge, ...]
 
-    def graph(self) -> Multigraph:
-        """The cells and edges as a ``Multigraph``, built on the first call
-        and kept outside the fields, so equality, hash and repr ignore it."""
-        g = self.__dict__.get("_graph")
-        if g is None:
-            g = Multigraph(self.n, [e.cells for e in self.edges])
-            object.__setattr__(self, "_graph", g)
-        return g
-
 
 # ---------------------------------------------------------------------------
 # the engine
@@ -790,30 +781,34 @@ def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:
     increasing vertex id.
 
     The view of the dual at the API edge: it adds each vertex's segment and
-    :class:`EndpointRole` to the plain dual that :func:`_plain_dual` reads,
-    the one reader of ``sub.vertex_cells`` that ``algorithms._cut`` and
-    ``algorithms.four_fifths_matching`` use on their own.
+    :class:`EndpointRole` (:func:`_low_end` or not) to the plain dual that
+    :func:`_plain_dual` reads.  No construction calls it; they read the
+    plain dual, and build this view only to return it.
     """
-    seg_of = {i: s for s in m.edges for i in s}
-    stray = [v for v in sub.vertex_cells if v not in seg_of]
-    if stray:
-        raise InvariantViolation(f"subdivision vertex {min(stray)} is unmatched in M")
     vertices, g = _plain_dual(sub)
-    # a vertex is its segment's left (bottom, when vertical) end when it
-    # has the smaller x (y); the point set's scaled integers keep the order
-    ix, iy = m.base._ix, m.base._iy
+    seg_of = {i: s for s in m.edges for i in s}
+    stray = [v for v in vertices if v not in seg_of]
+    if stray:
+        raise InvariantViolation(f"subdivision vertex {stray[0]} is unmatched in M")
+    ps = m.base
     edges = []
     for v, cells in zip(vertices, g.edges):
         seg = seg_of[v]
-        a, b = seg
-        if ix[a] == ix[b]:
-            low = (v == a) == (iy[a] < iy[b])
-            role = EndpointRole.BOTTOM_END if low else EndpointRole.TOP_END
+        vertical = ps._ix[seg.a] == ps._ix[seg.b]
+        if v == _low_end(ps, seg):
+            role = EndpointRole.BOTTOM_END if vertical else EndpointRole.LEFT_END
         else:
-            left = (v == a) == (ix[a] < ix[b])
-            role = EndpointRole.LEFT_END if left else EndpointRole.RIGHT_END
+            role = EndpointRole.TOP_END if vertical else EndpointRole.RIGHT_END
         edges.append(DualEdge(cells=cells, vertex=v, segment=seg, role=role))
     return DualMultigraph(g.n, tuple(edges))
+
+
+def _low_end(ps: PointSet, seg: Segment) -> int:
+    """The left end of ``seg``, or its bottom end when it is vertical; the
+    point set's scaled integers keep the order."""
+    a, b = seg
+    key = ps._iy if ps._ix[a] == ps._ix[b] else ps._ix
+    return a if key[a] < key[b] else b
 
 
 def _plain_dual(sub: ConvexSubdivision) -> tuple[list[int], Multigraph]:

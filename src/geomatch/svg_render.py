@@ -11,22 +11,11 @@ from typing import Optional, Sequence
 
 from .errors import GeomatchError
 from .geom_core import BoundingBox, Matching
-from .subdivision import (
-    EndpointRole,
-    both_ways_rays,
-    dual_multigraph,
-    extend,
-)
+from .subdivision import _low_end, _plain_dual, both_ways_rays, extend
 
 LAYERS = ("segments", "extensions", "cells", "dual")
 
 _CELL_FILLS = ("#fff7e0", "#e8f4ff", "#eaffea", "#fdeaff", "#f2f2f2", "#fffbd1")
-_ROLE_COLOR = {
-    EndpointRole.LEFT_END: "#cc2222",
-    EndpointRole.BOTTOM_END: "#cc2222",
-    EndpointRole.RIGHT_END: "#22aa22",
-    EndpointRole.TOP_END: "#22aa22",
-}
 
 
 def _fmt(v) -> str:
@@ -112,10 +101,10 @@ def render_matching(
     region = BoundingBox.around(ps)
     canvas = _Canvas(box if box is not None else region)
 
-    geometry = sub = dual = None
+    geometry = sub = vertices = dual = None
     if {"extensions", "cells", "dual"} & set(layers):
         geometry, sub = extend(m, region, both_ways_rays(m.sorted_edges()))
-        dual = dual_multigraph(sub, m)
+        vertices, dual = _plain_dual(sub)
 
     if "cells" in layers:
         for i, cell in enumerate(sub.cells):
@@ -132,12 +121,12 @@ def render_matching(
             canvas.circle(ps.coord(i), 2 * canvas.stroke, "#111111")
     if "dual" in layers:
         centroids = [_centroid(cell) for cell in sub.cells]
-        for edge in dual.edges:
-            left, right = edge.cells
-            via = ps.coord(edge.vertex)
-            color = _ROLE_COLOR[edge.role]
+        # a low (left, or bottom when vertical) end red, the other green
+        lows = {_low_end(ps, e) for e in m.edges}
+        for v, (left, right) in zip(vertices, dual.edges):
+            color = "#cc2222" if v in lows else "#22aa22"
             canvas.polyline(
-                [centroids[left], via, centroids[right]], color, 2 * canvas.stroke
+                [centroids[left], ps.coord(v), centroids[right]], color, 2 * canvas.stroke
             )
         for c in centroids:
             canvas.circle(c, 3 * canvas.stroke, "#333399")

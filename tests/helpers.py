@@ -5,6 +5,7 @@ Fraction / integer math, no reuse of the predicates under test) so that the
 suite cross-checks two separate derivations of each fact.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -13,8 +14,10 @@ from typing import Optional
 from geomatch.algorithms import ColoredDual
 from geomatch.errors import (
     CollinearTriple,
+    DegenerateIncidence,
     GeomatchError,
     InvariantViolation,
+    NotAxisParallel,
     NotConvexPosition,
     OddCount,
     TooLarge,
@@ -566,6 +569,11 @@ def box_polygon(box) -> ConvexPolygon:
     )
 
 
+def dual_graph(dual: DualMultigraph) -> Multigraph:
+    """The cells and edges of the object dual as a ``Multigraph``."""
+    return Multigraph(dual.n, [e.cells for e in dual.edges])
+
+
 # ---------------------------------------------------------------------------
 # halfplane steps from the public pipeline
 #
@@ -610,7 +618,7 @@ def reference_side(m: Matching, line, keep: int, box=None) -> frozenset:
     rays = [(e, i) for e in sorted(m.edges) for i in e if i in side]
     _, sub = extend(step, BoundingBox(xmin, ymin, xmax, ymax), rays)
     dual = dual_multigraph(sub, step)
-    orientation = even_orientation(dual.graph())
+    orientation = even_orientation(dual_graph(dual))
     out = assemble_from_orientation(step, dual, orientation, require_disjoint=False)
     return frozenset(out.edges)
 
@@ -682,10 +690,108 @@ def naive_four_fifths_matching(m: Matching):
     kept = [i for i in range(len(dual.edges)) if i not in removed]
     reduced = DualMultigraph(dual.n, tuple(dual.edges[i] for i in kept))
     partition = {k: colors[i] for k, i in enumerate(kept)}
-    orientation = orientation_from_partition(reduced.graph(), partition)
+    orientation = orientation_from_partition(dual_graph(reduced), partition)
     out = assemble_from_orientation(m, reduced, orientation, require_disjoint=True)
     guarantee = -(-(4 * n - 1) // 5)
     return out, n, guarantee, len(out), len(removed), colored
+
+
+# ---------------------------------------------------------------------------
+# the axis-parallel matching and the two-trees search from the public pipeline
+#
+# ``hv_disjoint_matching`` and ``two_trees_search`` read the dual as plain
+# cell pairs.  These references take the object dual through the public
+# calls instead: ``extend``, ``dual_multigraph``, ``ColoredDual``,
+# ``orientation_from_partition`` and ``assemble_from_orientation``.
+
+LOW_ROLES = (EndpointRole.LEFT_END, EndpointRole.BOTTOM_END)
+
+
+def _is_spanning_tree(g: Multigraph) -> bool:
+    return len(g.edges) == g.n - 1 and len(components(g)) == 1
+
+
+def _both_ways(segments) -> list:
+    return [(s, i) for s in segments for i in s]
+
+
+def naive_hv_disjoint_matching(m: Matching):
+    """``hv_disjoint_matching``'s ``(matching or None, colored dual)``:
+    horizontals then verticals extended both ways; dual edges at a left or
+    bottom end red, the others green; each color a spanning tree, oriented
+    by ``orientation_from_partition`` and assembled disjointly."""
+    if not m.is_perfect:
+        raise GeomatchError("input must be a perfect matching")
+    ps = m.base
+    order = sorted(m.edges)
+    horizontals = [e for e in order if ps.coord(e.a)[1] == ps.coord(e.b)[1]]
+    verticals = [e for e in order if ps.coord(e.a)[0] == ps.coord(e.b)[0]]
+    if len(horizontals) + len(verticals) != len(m):
+        bad = next(e for e in order if e not in horizontals and e not in verticals)
+        raise NotAxisParallel(f"{bad} is neither horizontal nor vertical")
+    _, sub = extend(m, BoundingBox.around(ps), _both_ways(horizontals + verticals))
+    dual = dual_multigraph(sub, m)
+    colors = tuple("red" if e.role in LOW_ROLES else "green" for e in dual.edges)
+    colored = ColoredDual(dual, colors)
+    for color in ("red", "green"):
+        if not _is_spanning_tree(colored.subgraph(color)):
+            raise InvariantViolation(f"the {color} subgraph is not a spanning tree")
+    if len(m) % 2 == 1:
+        return None, colored
+    orientation = orientation_from_partition(dual_graph(dual), dict(enumerate(colors)))
+    return assemble_from_orientation(m, dual, orientation, require_disjoint=True), colored
+
+
+def naive_two_trees_search(m: Matching, max_orders: int = 24):
+    """``two_trees_search``'s fields in order (found, rays, assignment,
+    dual, orders tried, orders skipped): for each permutation of the sorted
+    segments, all rays both ways, then (with no vertical segment) all right
+    rays before all left ones; an order whose extension is degenerate is
+    skipped, and the first split of some order's ``dual_multigraph`` edges
+    into two spanning trees, the two edges of each segment apart, is the
+    answer."""
+    if not m.is_perfect:
+        raise GeomatchError("input must be a perfect matching")
+    ps = m.base
+    order = sorted(m.edges)
+    no_verticals = all(ps.coord(e.a)[0] != ps.coord(e.b)[0] for e in order)
+    ends = {e: sorted(e, key=lambda i: ps.coord(i)[0]) for e in order}
+
+    def candidate_orders():
+        for perm in itertools.permutations(order):
+            yield _both_ways(perm)
+            if no_verticals:
+                yield [(e, ends[e][1]) for e in perm] + [(e, ends[e][0]) for e in perm]
+
+    tried = skipped = 0
+    for rays in candidate_orders():
+        if tried >= max_orders:
+            break
+        tried += 1
+        try:
+            _, sub = extend(m, BoundingBox.around(ps), rays)
+        except DegenerateIncidence:
+            skipped += 1
+            continue
+        dual = dual_multigraph(sub, m)
+        by_segment: dict = {}
+        for i, e in enumerate(dual.edges):
+            by_segment.setdefault(e.segment, []).append(i)
+        pairs = list(by_segment.values())
+        if any(len(p) != 2 for p in pairs):
+            raise InvariantViolation("each segment must contribute two dual edges")
+        for mask in range(1 << (len(pairs) - 1)):
+            assign = [0] * len(dual.edges)
+            for j, (e1, e2) in enumerate(pairs):
+                bit = (mask >> (j - 1)) & 1 if j else 0
+                assign[e1], assign[e2] = bit, 1 - bit
+            trees = [
+                Multigraph(dual.n, [e.cells for e, a in zip(dual.edges, assign) if a == part])
+                for part in (0, 1)
+            ]
+            if all(_is_spanning_tree(t) for t in trees):
+                return True, tuple(rays), tuple(assign), dual, tried, skipped
+    return False, None, None, None, tried, skipped
 
 
 # ---------------------------------------------------------------------------

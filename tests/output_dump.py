@@ -4,11 +4,13 @@ Records the text of every instance (``fileio.dump_instance`` and the
 coordinates in id order) and ``validate_general_position`` on its points,
 with the triple it names on the grids.  Runs ``transform``,
 ``four_fifths_matching``, ``crossings_matchings``,
-``chc_disjoint_matching``, ``hv_disjoint_matching``,
-``has_disjoint_compatible_pm``, ``enumerate_ncpm`` and ``visibility_graph``
-on fixed seeds: random general-position matchings, axis-parallel and
-convex-hull-connected ones, the odd counterexample families and matchings of
-small integer grids (collinear points, vertical segments).  On the same
+``chc_disjoint_matching``, ``hv_disjoint_matching``, ``two_trees_search``
+(two extension orders), ``has_disjoint_compatible_pm``, ``enumerate_ncpm``
+and ``visibility_graph``, and the sha256 of the SVG with every layer
+(``svg_render.render_matching``), on fixed seeds: random general-position
+matchings, axis-parallel and convex-hull-connected ones, the odd
+counterexample families and matchings of small integer grids (collinear
+points, vertical segments).  On the same
 matchings it records the region geometry that those results hide:
 ``subdivision.extend`` (every ray terminus and ``went_to_infinity``, every
 cell corner and ``vertex_cells``) on the box around the points and on that
@@ -46,7 +48,7 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from geomatch import algorithms, fileio, oracle, subdivision  # noqa: E402
+from geomatch import algorithms, fileio, oracle, subdivision, svg_render  # noqa: E402
 from geomatch.algorithms import Flavor  # noqa: E402
 from geomatch.errors import GeomatchError  # noqa: E402
 from geomatch.geom_core import (  # noqa: E402
@@ -141,6 +143,10 @@ def outcomes(m: Matching, other):
         "crossings_matchings": lambda: algorithms.crossings_matchings(m),
         "chc_disjoint_matching": lambda: algorithms.chc_disjoint_matching(m),
         "hv_disjoint_matching": lambda: algorithms.hv_disjoint_matching(m),
+        "two_trees_search": lambda: algorithms.two_trees_search(m, max_orders=2),
+        "svg": lambda: hashlib.sha256(
+            svg_render.render_matching(m, svg_render.LAYERS).encode()
+        ).hexdigest(),
         "has_disjoint_compatible_pm": lambda: oracle.has_disjoint_compatible_pm(m),
         "visibility_graph": lambda: [oracle.visibility_graph(m, f) for f in (False, True)],
     }

@@ -2,7 +2,8 @@ import functools
 import hashlib
 import math
 import random
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,7 @@ from geomatch.geom_core import (
 )
 from geomatch.orientation import Multigraph, components
 from geomatch.oracle import (
+    enumerate_ncpm,
     has_disjoint_compatible_pm,
     transformation_distance,
     visibility_graph,
@@ -70,6 +72,8 @@ from helpers import (
     brute_segments_cross,
     brute_union_noncrossing,
     naive_four_fifths_matching,
+    naive_hv_disjoint_matching,
+    naive_two_trees_search,
     random_general_pointset,
     random_matching_pair,
     random_ncpm_edges,
@@ -582,6 +586,19 @@ def test_hv_odd_input_keeps_the_trees():
         assert_spanning_tree(colored.subgraph(color), colored.dual.n)
 
 
+def test_hv_equals_the_public_pipeline():
+    # the construction reads the dual as plain cell pairs; the reference
+    # takes the object dual through dual_multigraph, ColoredDual,
+    # orientation_from_partition and assemble_from_orientation
+    for scale in (1, Fraction(1, 3), Fraction(5, 11)):
+        for n in range(1, 11):
+            for seed in (0, 1, 2):
+                m = _scaled(gen_random_matching(n, seed, Flavor.AXIS_PARALLEL), scale)
+                got = hv_disjoint_matching(m)
+                assert got == naive_hv_disjoint_matching(m)
+                assert (got[0] is None) == (n % 2 == 1)
+
+
 def test_hv_rejects_slanted_segments():
     ps = PointSet.from_coords([(0, 0), (10, 1), (1, 5), (9, 5)])
     m = Matching(ps, [Segment(0, 1), Segment(2, 3)])
@@ -852,6 +869,43 @@ def test_two_trees_axis_parallel_agrees_with_hv():
     _, colored = hv_disjoint_matching(m)
     for color in (RED, GREEN):
         assert_spanning_tree(colored.subgraph(color), colored.dual.n)
+
+
+def test_two_trees_search_equals_the_public_pipeline():
+    # each tried order's dual is read as plain cell pairs; the reference
+    # pairs the edges of dual_multigraph by segment.  Small integer grids
+    # add collinear points, so degenerate orders and failed searches too.
+    rng = random.Random("two-trees grid")
+    grids = []
+    for _ in range(30):
+        cells = sorted({(rng.randrange(6), rng.randrange(4)) for _ in range(18)})
+        k = min(rng.choice([4, 6, 8, 10, 12]), len(cells)) // 2 * 2
+        ps = PointSet.from_coords(rng.sample(cells, k))
+        catalog = enumerate_ncpm(ps)
+        grids.append(catalog[rng.randrange(len(catalog))])
+    seen = set()
+    for scale in (1, Fraction(1, 3), Fraction(5, 11)):
+        cases = [
+            gen_random_matching(n, seed, flavor)
+            for flavor in (Flavor.GENERAL, Flavor.AXIS_PARALLEL)
+            for n in range(1, 7)
+            for seed in (0, 1, 2)
+        ]
+        for m in cases + grids:
+            m = _scaled(m, scale)
+            try:
+                r = two_trees_search(m, max_orders=3)
+            except GeomatchError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    naive_two_trees_search(m, max_orders=3)
+                seen.add("error")
+                continue
+            got = tuple(getattr(r, f.name) for f in fields(r))
+            assert got == naive_two_trees_search(m, max_orders=3)
+            seen.add("found" if r.found else "not found")
+            if r.orders_skipped:
+                seen.add("skipped")
+    assert seen >= {"found", "not found", "skipped"}
 
 
 def test_two_trees_random_three_segments():

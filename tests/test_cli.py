@@ -248,6 +248,29 @@ def test_cli_four_fifths_verify_below_the_guarantee_is_an_internal_error(
     assert "2 segments; 8 guaranteed" in capsys.readouterr().err
 
 
+def test_cli_crossings_verify_of_a_crossing_half_is_an_internal_error(
+    tmp_path, capsys, monkeypatch
+):
+    import geomatch.algorithms as algorithms
+
+    ps = PointSet.from_coords(
+        [(0, 0), (4, 0), (1, -2), (5, -3), (2, 3), (7, 5), (8, 1), (9, -1)]
+    )
+    m = Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5), Segment(6, 7)])
+    real = algorithms.crossings_matchings
+
+    def crossing(m):
+        # (1, -2)-(2, 3) crosses the input segment (0, 0)-(4, 0)
+        _, m_r = real(m)
+        return Matching(m.base, [Segment(2, 4)]), m_r
+
+    monkeypatch.setattr(algorithms, "crossings_matchings", crossing)
+    path = write_instance(tmp_path, "c.txt", m)
+    assert main(["run", "crossings", path]) == 0
+    assert main(["run", "crossings", path, "--verify"]) == 3
+    assert f"{Segment(2, 4)} crosses input segment {Segment(0, 1)}" in capsys.readouterr().err
+
+
 def test_cli_hv_and_four_fifths(tmp_path, capsys):
     hv_in = write_instance(
         tmp_path, "hv.txt", gen_random_matching(4, 3, "axis-parallel")

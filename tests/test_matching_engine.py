@@ -34,6 +34,7 @@ from geomatch.orientation import EvenOrientation, even_orientation
 from geomatch.subdivision import both_ways_rays, dual_multigraph, extend
 
 from helpers import (
+    dual_graph,
     frame_blockers,
     gift_wrap_order,
     naive_constrained_matching,
@@ -436,7 +437,7 @@ def two_segment_setup():
 def test_assignment_partitions_vertices():
     # the orientation hands each point vertex to exactly one cell
     ps, m, dual = one_segment_setup()
-    orient = even_orientation(dual.graph())
+    orient = even_orientation(dual_graph(dual))
     assert orient is not None
     vertex_cell = {e.vertex: h for e, h in zip(dual.edges, orient.heads)}
     assert sorted(vertex_cell) == [0, 1]
@@ -446,7 +447,7 @@ def test_assignment_partitions_vertices():
 
 def test_assemble_same_segment_indegree_two():
     ps, m, dual = one_segment_setup()
-    orient = even_orientation(dual.graph())
+    orient = even_orientation(dual_graph(dual))
     with pytest.raises(SameSegmentIndegreeTwo):
         assemble_from_orientation(m, dual, orient, require_disjoint=True)
     reused = assemble_from_orientation(m, dual, orient, require_disjoint=False)
@@ -463,12 +464,10 @@ def test_assemble_rejects_foreign_orientation():
 
 
 def test_assemble_accepts_an_equal_graph_that_is_not_the_duals_own():
-    from geomatch.orientation import Multigraph
-
     ps, m, dual = two_segment_setup()
-    own = even_orientation(dual.graph())
-    copy = Multigraph(dual.n, [e.cells for e in dual.edges])
-    assert copy is not dual.graph() and copy.edges == dual.graph().edges
+    own = even_orientation(dual_graph(dual))
+    copy = dual_graph(dual)
+    assert copy is not own.graph and copy.edges == own.graph.edges
     got = assemble_from_orientation(m, dual, EvenOrientation(copy, own.heads), False)
     assert got == assemble_from_orientation(m, dual, own, False)
 
@@ -477,7 +476,7 @@ def test_assemble_rejects_an_odd_cell_before_matching_any():
     from helpers import brute_even_orientations
 
     ps, m, dual = two_segment_setup()
-    g = dual.graph()
+    g = dual_graph(dual)
     even = set(brute_even_orientations(g.n, g.edges))
     odd = []
     for mask in range(1 << len(g.edges)):
@@ -499,7 +498,7 @@ def test_assemble_two_point_cell_with_one_segment():
     from helpers import brute_even_orientations
 
     ps, m, dual = two_segment_setup()
-    g = dual.graph()
+    g = dual_graph(dual)
     seen = 0
     for heads in brute_even_orientations(g.n, g.edges):
         batches = [
@@ -536,7 +535,7 @@ def test_assemble_two_segments_all_even_orientations():
     from helpers import brute_even_orientations
 
     ps, m, dual = two_segment_setup()
-    g = dual.graph()
+    g = dual_graph(dual)
     disjoint_found = 0
     for heads in brute_even_orientations(g.n, g.edges):
         orient = EvenOrientation(g, heads)
@@ -570,7 +569,7 @@ def test_assemble_random_compatible_pipeline():
         except DegenerateIncidence:
             continue
         dual = dual_multigraph(sub, m)
-        g = dual.graph()
+        g = dual_graph(dual)
         orient = even_orientation(g)
         assert orient is not None  # the dual always has evenly many edges
         out = assemble_from_orientation(m, dual, orient, require_disjoint=False)

@@ -1,6 +1,5 @@
 """Extension engine: ray stops, cell structure, dual multigraph."""
 
-import dataclasses
 import math
 from fractions import Fraction
 from random import Random
@@ -31,6 +30,7 @@ from helpers import (
     box_polygon,
     box_strictly_contains,
     brute_segments_cross,
+    dual_graph,
     polygon_area2,
     polygon_contains,
     polygon_edges,
@@ -89,24 +89,7 @@ def test_mixed_region_counts():
     assert sorted(sub.vertex_cells) == [0, 1, 2]  # vertex 3 is outside
     dual = dual_multigraph(sub, m)
     assert dual.n == 3 and len(dual.edges) == 3
-    assert len(components(dual.graph())) == 1
-
-
-def test_dual_graph_is_built_once_outside_the_fields():
-    ps = PointSet.from_coords([(2, 2), (4, 5), (7, 3), (13, 4)])
-    m = Matching(ps, [Segment(0, 1), Segment(2, 3)])
-    region = BoundingBox(0, 0, 10, 10)
-    rays = [(Segment(0, 1), 0), (Segment(0, 1), 1), (Segment(2, 3), 2)]
-    one = dual_multigraph(extend(m, region, rays)[1], m)
-    two = dual_multigraph(extend(m, region, rays)[1], m)
-    bare = subdivision.DualMultigraph(one.n, one.edges)  # graph() never called
-    g = one.graph()
-    assert one.graph() is g and g.edges == tuple(e.cells for e in one.edges)
-    assert g.adjacency() is g.adjacency()
-    assert one == two == bare and hash(one) == hash(two) == hash(bare)
-    assert repr(one) == repr(bare)
-    assert [f.name for f in dataclasses.fields(one)] == ["n", "edges"]
-    assert bare.graph() is not g and bare.graph().edges == g.edges
+    assert len(components(dual_graph(dual))) == 1
 
 
 def test_dual_certificates_on_hand_built_subdivisions():
@@ -131,7 +114,12 @@ def test_dual_certificates_on_hand_built_subdivisions():
     with pytest.raises(InvariantViolation, match="dual multigraph is not connected"):
         dual_multigraph(empty, m)
     dual = dual_multigraph(sub, m)
-    assert dual.n == 3 and len(components(dual.graph())) == 1
+    assert dual.n == 3 and len(components(dual_graph(dual))) == 1
+    # a plain record: two equal extensions give equal duals, and no field
+    # or cache beyond (n, edges)
+    again = dual_multigraph(extend(m, region, rays)[1], m)
+    assert again == dual and hash(again) == hash(dual)
+    assert vars(dual) == {"n": 3, "edges": dual.edges}
 
 
 def test_segment_crossing_region_without_endpoint_inside():
@@ -251,7 +239,7 @@ def test_counts_are_order_invariant():
         geo, sub = extend(m, box, both_ways_rays(order))
         dual = dual_multigraph(sub, m)
         seen.add((len(sub.cells), dual.n, len(dual.edges)))
-        assert len(components(dual.graph())) == 1
+        assert len(components(dual_graph(dual))) == 1
     assert seen == {(6, 6, 10)}
 
 
@@ -269,7 +257,7 @@ def test_halfplane_style_region_with_cut_segments():
         assert len(sub.cells) == len({s for s, _ in rays}) + 1
         dual = dual_multigraph(sub, m)
         assert len(dual.edges) == len(sub.vertex_cells)
-        assert len(components(dual.graph())) == 1
+        assert len(components(dual_graph(dual))) == 1
         _assert_replayed(m, region, geo, rays)
 
 
