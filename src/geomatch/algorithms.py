@@ -293,9 +293,10 @@ def _cut(
     """The halfplane step on the integer frame of ``ps``: for each kept
     side of the line ia*X + ib*Y = ic, a perfect matching of the points
     of ``edges`` on that side, compatible with them.  ``within`` is a box
-    around the points; each kept side's region is ``within.clip_halfplane``
-    of the line.  The line must be vertical or horizontal, or have the zero
-    normal."""
+    around the points; each kept side's region is ``within`` clipped by the
+    integer line itself (``BoundingBox._clip``, the clip behind
+    ``clip_halfplane``), so no ``Fraction`` is built.  The line must be
+    vertical or horizontal, or have the zero normal."""
     sides = _frame_line_sides(ps, edges, ia, ib, ic)
     m = None
     out = []
@@ -313,8 +314,8 @@ def _cut(
         if m is None:
             m = Matching(ps, edges, check=False)
             ordered = m.sorted_edges()
-            c = Fraction(ic, ps._scale)  # the line is ia*x + ib*y = c
-        region = within.clip_halfplane(ia, ib, c, keep)
+        # the line is ia*x + ib*y = ic / scale
+        region = within._clip(ia, ib, ic, ps._scale, keep)
         if region is None:
             raise InvariantViolation("the bounding box misses the kept halfplane")
         rays = [(e, i) for e in ordered for i in e if sides[i] == keep]

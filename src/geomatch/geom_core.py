@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional, Sequence
@@ -650,36 +650,100 @@ class ConvexPolygon:
         return ConvexPolygon._unchecked(tuple(out))
 
 
-@dataclass(frozen=True)
 class BoundingBox:
-    """An axis-parallel box; used to clip unbounded extension regions."""
+    """An axis-parallel box; used to clip unbounded extension regions.
 
-    xmin: Fraction
-    ymin: Fraction
-    xmax: Fraction
-    ymax: Fraction
+    ``BoundingBox(xmin, ymin, xmax, ymax)`` takes ints, strings like
+    ``"3/4"`` or ``Fraction``s and raises ``GeomatchError`` unless the box
+    has interior.  The box is held in one integer frame: the integers
+    (X0, Y0, X1, Y1) and the frame F > 0, with gcd(X0, Y0, X1, Y1, F) = 1,
+    stand for x from X0 / F to X1 / F and y from Y0 / F to Y1 / F.  F is the
+    least common denominator of the bounds, so equal boxes hold equal
+    integers.  ``xmin``, ``ymin``, ``xmax`` and ``ymax`` are ``Fraction``
+    views built on read.  ``around`` and the integer clip behind
+    ``clip_halfplane`` build no ``Fraction``, and ``extend`` reads the
+    integers.  Boxes compare, hash, print, copy and pickle by their four
+    ``Fraction`` bounds, as a frozen dataclass with those fields does, and
+    no attribute can be assigned.
+    """
 
-    def __post_init__(self):
-        for name in ("xmin", "ymin", "xmax", "ymax"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
-        if not (self.xmin < self.xmax and self.ymin < self.ymax):
+    __slots__ = ("_ints",)
+    __match_args__ = ("xmin", "ymin", "xmax", "ymax")
+
+    def __init__(self, xmin, ymin, xmax, ymax):
+        xmin, ymin, xmax, ymax = (as_scalar(v) for v in (xmin, ymin, xmax, ymax))
+        if not (xmin < xmax and ymin < ymax):
             raise GeomatchError("bounding box has empty interior")
+        frame = math.lcm(xmin.denominator, ymin.denominator, xmax.denominator, ymax.denominator)
+        object.__setattr__(
+            self,
+            "_ints",
+            tuple(v.numerator * (frame // v.denominator) for v in (xmin, ymin, xmax, ymax))
+            + (frame,),
+        )
+
+    @classmethod
+    def _of(cls, x0: int, y0: int, x1: int, y1: int, frame: int) -> "BoundingBox":
+        # the box of x0 / frame .. x1 / frame by y0 / frame .. y1 / frame,
+        # frame > 0, with interior: reduced to its least frame, unchecked
+        g = math.gcd(x0, y0, x1, y1, frame)
+        box = object.__new__(cls)
+        object.__setattr__(box, "_ints", (x0 // g, y0 // g, x1 // g, y1 // g, frame // g))
+        return box
+
+    @property
+    def xmin(self) -> Fraction:
+        return Fraction(self._ints[0], self._ints[4])
+
+    @property
+    def ymin(self) -> Fraction:
+        return Fraction(self._ints[1], self._ints[4])
+
+    @property
+    def xmax(self) -> Fraction:
+        return Fraction(self._ints[2], self._ints[4])
+
+    @property
+    def ymax(self) -> Fraction:
+        return Fraction(self._ints[3], self._ints[4])
+
+    def _fields(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return (self.xmin, self.ymin, self.xmax, self.ymax)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._ints == other._ints
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        xmin, ymin, xmax, ymax = self._fields()
+        return (
+            f"{type(self).__qualname__}(xmin={xmin!r}, ymin={ymin!r}, "
+            f"xmax={xmax!r}, ymax={ymax!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._fields())
 
     @classmethod
     def around(cls, ps: PointSet) -> "BoundingBox":
         """Box containing every point with margin 1 + coordinate spread."""
         if len(ps) == 0:
             raise TooFewPoints("cannot bound an empty point set")
-        # in the point set's integer frame: the same Fractions, built once
+        # in the point set's integer frame
         ix, iy, scale = ps._ix, ps._iy, ps._scale
         x0, x1, y0, y1 = min(ix), max(ix), min(iy), max(iy)
         margin = scale + max(x1 - x0, y1 - y0)
-        return cls(
-            Fraction(x0 - margin, scale),
-            Fraction(y0 - margin, scale),
-            Fraction(x1 + margin, scale),
-            Fraction(y1 + margin, scale),
-        )
+        return cls._of(x0 - margin, y0 - margin, x1 + margin, y1 + margin, scale)
 
     def clip_halfplane(self, a: Fraction, b: Fraction, c: Fraction, keep: int):
         """Intersect with the halfplane sign(a*x + b*y - c) in {0, keep}.
@@ -689,8 +753,6 @@ class BoundingBox:
         a = b = 0 keeps the whole box or nothing.  An oblique line raises
         ``GeomatchError``: shear it onto a vertical one first.
         """
-        # int coefficients stay ints: c is a Fraction, so c / a and c / b
-        # are exact either way
         if type(a) is not int:
             a = as_scalar(a)
         if type(b) is not int:
@@ -700,26 +762,38 @@ class BoundingBox:
             raise GeomatchError("keep must be +1 or -1")
         if a != 0 and b != 0:
             raise GeomatchError("only a vertical or horizontal line cuts a box into a box")
-        if a == b == 0:
+        # the line times the lcm of a's and b's denominators has integer a
+        # and b, and c * den = (c.numerator * den) / c.denominator
+        den = math.lcm(a.denominator, b.denominator)
+        return self._clip(
+            a.numerator * (den // a.denominator),
+            b.numerator * (den // b.denominator),
+            c.numerator * den,
+            c.denominator,
+            keep,
+        )
+
+    def _clip(self, a: int, b: int, c: int, d: int, keep: int):
+        # clip_halfplane on the line a*x + b*y = c / d of integers, d > 0,
+        # a or b zero: the bounds and the cut compare in the frame F * |a*d|
+        # (or F * |b*d|), and the cut box is reduced from there
+        if a == 0 and b == 0:
             return self if keep * c <= 0 else None
-        xmin, ymin, xmax, ymax = self.xmin, self.ymin, self.xmax, self.ymax
-        # keep * (a*x - c) >= 0 for a vertical line, keep * (b*y - c) >= 0
-        # for a horizontal one
-        if b == 0:
-            if keep * a > 0:
-                xmin = max(xmin, c / a)
-            else:
-                xmax = min(xmax, c / a)
-        elif keep * b > 0:
-            ymin = max(ymin, c / b)
+        x0, y0, x1, y1, f = self._ints
+        den, lo, hi = (a * d, x0, x1) if b == 0 else (b * d, y0, y1)
+        lower = keep * den > 0  # keep x (or y) >= the cut
+        if den < 0:
+            c, den = -c, -den
+        cut, lo, hi = c * f, lo * den, hi * den
+        if lower:
+            lo = max(lo, cut)
         else:
-            ymax = min(ymax, c / b)
-        if not (xmin < xmax and ymin < ymax):  # the cut left no interior
+            hi = min(hi, cut)
+        if lo >= hi:  # the cut left no interior
             return None
-        # every field is already a Fraction: self's, or c / a, c / b
-        box = object.__new__(BoundingBox)
-        box.__dict__.update(xmin=xmin, ymin=ymin, xmax=xmax, ymax=ymax)
-        return box
+        if b == 0:
+            return BoundingBox._of(lo, y0 * den, hi, y1 * den, f * den)
+        return BoundingBox._of(x0 * den, lo, x1 * den, hi, f * den)
 
 
 @dataclass(frozen=True)

@@ -20,23 +20,27 @@ the part of it that can still hold the first hit; a blocker whose box misses
 the ray's box is skipped before any cross product is formed.
 
 ``extend`` runs in three stages.  The set-up (``_Scene``) puts the points
-and the region in one integer frame.  The ray kernel (``_shoot``) places the
-rays, the same whether or not a subdivision follows; ray k's terminus is
-node k.  Unless ``partial``, the builder (``_subdivide``) then numbers the
-region corners, the in-region matching vertices and each point where a
-segment with an endpoint outside the region leaves it (every other wall end
-is a ray terminus).  Each feature maps the parameters of its nodes
-to their ids, so its edgelets link its nodes in parameter order, and nodes
-are never found again by their coordinates.  Each node's outgoing edgelets
-are listed as they are linked, and each face is walked once; the walk
-records on the way whether the face is convex, where its corners are and
-whether it passes a node twice.  Certificates catch a node that should have
-been merged and was not: at most three edgelets per node, exactly one
-non-convex face, Euler's formula, no cell passing a node twice, at least
-three corners per cell and the cell count.
+and the region in one integer frame: the lcm of the point set's scale and
+the box's own frame.  The ray kernel (``_shoot``) places the rays, the same
+whether or not a subdivision follows; ray k's terminus is node k.  Unless
+``partial``, the builder (``_subdivide``) then numbers the region corners
+and each point where a segment with an endpoint outside the region leaves
+it (every other wall end is a ray terminus).  Each feature maps the
+parameters of its nodes to their ids, so its edgelets link its nodes in
+parameter order, and nodes are never found again by their coordinates.  An
+in-region matching vertex is no node: it is a marker in its wall's sorted
+parameters that records the edgelet it lies inside, and its two cells are
+the faces left of that edgelet's two directions.  Each node's outgoing
+edgelets are listed as they are linked, and each face is walked once; the
+walk records on the way whether the face is convex, where its corners are
+and whether it passes a node twice.  Certificates catch a node that should
+have been merged and was not: a real node before and after every marker on
+its wall, at most three edgelets per node, exactly one non-convex face,
+Euler's formula, no cell passing a node twice, at least three corners per
+cell, the cell count and two different cells at every matching vertex.
 
-The cells keep their corners, and the placed rays their termini, as the
-integer node triples of the frame; the ``Fraction`` polygons of
+The cells keep their corners as node ids, and the placed rays their termini
+as integer triples of the frame; the ``Fraction`` polygons of
 ``ConvexSubdivision.cells`` and the ``RayExtension`` records of
 ``ExtensionGeometry.rays`` are built on first read, so a caller that only
 needs the dual, or the termini as triples, never pays for them.
@@ -52,7 +56,7 @@ oblique line first shears the points so that the line becomes vertical (see
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -191,18 +195,26 @@ class EndpointRole(Enum):
 
 
 class CellPolygons(_LazyTuple):
-    """The cells of a subdivision as ``ConvexPolygon``s, each held as its
-    counter-clockwise corners (X, Y, W)."""
+    """The cells of a subdivision as ``ConvexPolygon``s, each held as the
+    ids of its counter-clockwise corners in ``nodes``, the node triples
+    (X, Y, W)."""
 
-    __slots__ = ()
+    __slots__ = ("_nodes",)
+
+    def __init__(self, nodes: Sequence[Triple], corners: Sequence[Sequence[int]], frame: int):
+        super().__init__(corners, frame)
+        self._nodes = nodes
 
     def _build(self) -> tuple[ConvexPolygon, ...]:
-        frame = self._frame
+        nodes, frame = self._nodes, self._frame
         # the face walk certified each corner list as a strictly convex
         # CCW cycle, so the revalidating constructor is skipped
         return tuple(
             ConvexPolygon._unchecked(
-                tuple((Fraction(x, w * frame), Fraction(y, w * frame)) for x, y, w in cell)
+                tuple(
+                    (Fraction(x, w * frame), Fraction(y, w * frame))
+                    for x, y, w in map(nodes.__getitem__, cell)
+                )
             )
             for cell in self._raw
         )
@@ -295,6 +307,7 @@ def _walk_faces(
     dedge_dir: list[tuple[int, int]],
     prev_at_node: list[int],
     n_nodes: int,
+    head_first: Container[int],
 ) -> tuple[list[int], list[tuple[bool, bool, list[int]]]]:
     """One walk per face of a node/edgelet graph, face on the left.
 
@@ -306,7 +319,13 @@ def _walk_faces(
     face left of each dedge and, per face, ``(convex, pinched, corners)``:
     whether the walk turns left or goes straight at every node and never
     reverses, whether it leaves some node twice, and the nodes where it
-    turns, in walk order from the tail of its smallest dedge.
+    turns, in walk order from the tail of its smallest dedge, or from its
+    head when that dedge is in ``head_first``.
+
+    ``_subdivide`` lists there the backward dedge of each edgelet that holds
+    a matching vertex.  A cell's corners start from the matching vertex
+    when such a dedge comes first, as if the vertex split the edgelet in
+    two, so the corner lists do not depend on whether vertices are nodes.
     """
     face_of = [-1] * len(dedge_from)
     stamp = [-1] * n_nodes  # the last face whose walk left each node
@@ -339,7 +358,7 @@ def _walk_faces(
             ax, ay = bx, by
         if e != e0:
             raise InvariantViolation("face walk did not close")
-        if turn:
+        if turn and e0 not in head_first:
             # the corner at the tail of e0 is found last and goes first
             corners.insert(0, corners.pop())
         faces.append((convex, pinched, corners))
@@ -396,16 +415,12 @@ class _Scene:
         if not isinstance(region, BoundingBox):
             raise GeomatchError("region must be a BoundingBox")
         ps = m.base
-        # a shared integer frame for points and region corners, built on the
-        # point set's cached scaling from the box's fields
-        xmin, ymin, xmax, ymax = region.xmin, region.ymin, region.xmax, region.ymax
-        self.frame = frame = lcm(
-            ps._scale, xmin.denominator, ymin.denominator, xmax.denominator, ymax.denominator
-        )
-        x0 = xmin.numerator * (frame // xmin.denominator)
-        y0 = ymin.numerator * (frame // ymin.denominator)
-        x1 = xmax.numerator * (frame // xmax.denominator)
-        y1 = ymax.numerator * (frame // ymax.denominator)
+        # a shared integer frame for points and region corners: the point
+        # set's cached scaling and the box's own frame
+        x0, y0, x1, y1, box_frame = region._ints
+        self.frame = frame = lcm(ps._scale, box_frame)
+        k = frame // box_frame
+        x0, y0, x1, y1 = x0 * k, y0 * k, x1 * k, y1 * k
         # the corners counter-clockwise from the lower-left one, so the
         # edges are bottom, right, top, left and four integer comparisons
         # give the bits; points are scaled and classified in one pass, in
@@ -561,10 +576,11 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
     edgelets, walk the faces and certify them as the region's convex cells."""
     reg, walls, boundary, outside = scene.reg, scene.walls, scene.boundary, scene.outside
 
-    # ray k's terminus is node k; after the termini come the region corners,
-    # the in-region matching vertices and the points where a wall leaves the
-    # region.  node_pts holds them as homogeneous integer triples (X, Y, W),
-    # W > 0, in frame units.
+    # ray k's terminus is node k; after the termini come the region corners
+    # and the points where a wall leaves the region.  node_pts holds them as
+    # homogeneous integer triples (X, Y, W), W > 0, in frame units.  An
+    # in-region matching vertex i is no node: its wall maps its parameter to
+    # the marker ~i (negative), and the vertex lies inside an edgelet.
     node_pts: list[Triple] = [(x, y, w) for _, _, x, y, w, _ in placed]
     for k, g in enumerate(boundary):
         g.nodes[_ZERO] = len(node_pts) + k
@@ -573,8 +589,7 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
     for f in walls:
         for endpoint, t in zip(f.seg, (_ZERO, _ONE)):
             if not outside[endpoint]:
-                f.nodes[t] = len(node_pts)
-                node_pts.append((*scene.pts[endpoint], 1))
+                f.nodes[t] = ~endpoint
 
     # every in-region endpoint was extended, so a wall ends at a ray
     # terminus unless that end lies outside the region: then the wall leaves
@@ -610,10 +625,13 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
     # a feature lies within its final extent, so linking each feature's
     # nodes in parameter order gives its edgelets.  Dedges 2k and 2k+1 are
     # the two directions of edgelet k; outgoing[v] lists the dedges leaving
-    # node v in increasing order.
+    # node v in increasing order.  A marker between two nodes records the
+    # edgelet that links them in edgelet_of; a marker with no node before
+    # or after it on its wall would be an end of the structure.
     dedge_from: list[int] = []
     dedge_dir: list[tuple[int, int]] = []
     outgoing: list[list[int]] = [[] for _ in node_pts]
+    edgelet_of: dict[int, int] = {}
 
     for f in scene.features:
         nodes = f.nodes
@@ -622,8 +640,13 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
         d = (f.dx, f.dy)
         back = (-f.dx, -f.dy)
         prev = nodes[params[0]]
+        if prev < 0 or nodes[params[-1]] < 0:
+            raise InvariantViolation("matching vertex is not interior to its wall")
         for t in params[1:]:
             i = nodes[t]
+            if i < 0:
+                edgelet_of[~i] = len(dedge_from) >> 1
+                continue
             if prev == i:
                 raise DegenerateIncidence("two structure vertices coincide")
             e = len(dedge_from)
@@ -637,10 +660,10 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
 
     # rotation system: prev_at_node[e] is the dedge before e in the
     # counter-clockwise cyclic order of the dedges leaving its node.  A node
-    # meets at most three edgelets (a corner or a matching vertex two, a ray
-    # landing or a wall leaving the region three; any more would need two
-    # rays or walls through one point, which the ray search rejects), so the
-    # order needs no sort.
+    # meets at most three edgelets (a corner two, a ray landing or a wall
+    # leaving the region three; any more would need two rays or walls
+    # through one point, which the ray search rejects), so the order needs
+    # no sort.
     prev_at_node = [0] * len(dedge_from)
     for out in outgoing:
         if len(out) == 2:
@@ -675,7 +698,9 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
         elif len(out) > 3:
             raise InvariantViolation("a structure vertex meets more than three edgelets")
 
-    face_of, faces = _walk_faces(dedge_from, dedge_dir, prev_at_node, len(node_pts))
+    face_of, faces = _walk_faces(
+        dedge_from, dedge_dir, prev_at_node, len(node_pts), {2 * k + 1 for k in edgelet_of.values()}
+    )
 
     # Certificates, all in integers.  Any walk around the outside of a
     # connected piece must turn right somewhere (total turning -2pi) or
@@ -687,7 +712,7 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
         raise InvariantViolation("subdivision structure is not connected")
 
     cell_index = [-1] * len(faces)
-    cells: list[tuple[tuple[int, int, int], ...]] = []
+    cells: list[list[int]] = []
     for fid, (convex, pinched, corners) in enumerate(faces):
         if not convex:  # the outer face
             continue
@@ -696,7 +721,7 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
         if len(corners) < 3:
             raise InvariantViolation("traced cell has fewer than 3 corners")
         cell_index[fid] = len(cells)
-        cells.append(tuple([node_pts[v] for v in corners]))
+        cells.append(corners)
 
     if len(cells) != len(walls) + 1:
         both_in = sum(not outside[f.seg.a] | outside[f.seg.b] for f in walls)
@@ -704,30 +729,25 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
             f"{len(cells)} cells for {len(walls) - both_in} + {both_in} extended segments"
         )
 
-    # the two dedges leaving a matching vertex run along its wall, one
-    # each way; the cell left of the one pointing away from the wall's
-    # coordinate-wise smaller end is the vertex's left cell
+    # the two dedges of the edgelet a matching vertex lies inside run along
+    # its wall, one each way; the cell left of the one pointing away from
+    # the wall's coordinate-wise smaller end is the vertex's left cell
     vertex_cells: dict[int, tuple[int, int]] = {}
     for f in walls:
-        forward = (f.dx, f.dy)
-        if forward < (0, 0):
-            forward = (-f.dx, -f.dy)
-        for endpoint, t in zip(f.seg, (_ZERO, _ONE)):
+        # dedge 2k runs along (dx, dy), 2k+1 back
+        back = (f.dx, f.dy) < (0, 0)
+        for endpoint in f.seg:
             if outside[endpoint]:
                 continue
-            out = outgoing[f.nodes[t]]
-            if len(out) != 2:
-                raise InvariantViolation("matching vertex is not interior to its wall")
-            ahead, behind = out
-            if dedge_dir[ahead] != forward:
-                ahead, behind = behind, ahead
+            ahead = 2 * edgelet_of[endpoint] + back
+            behind = ahead ^ 1
             left = cell_index[face_of[ahead]]
             right = cell_index[face_of[behind]]
             if left == right:
                 raise InvariantViolation("matching vertex sees only one cell")
             vertex_cells[endpoint] = (left, right)
 
-    return ConvexSubdivision(CellPolygons(cells, scene.frame), vertex_cells)
+    return ConvexSubdivision(CellPolygons(node_pts, cells, scene.frame), vertex_cells)
 
 
 def extend(

@@ -740,6 +740,31 @@ def test_four_fifths_equals_the_public_pipeline():
     assert pruned == 3 * len(PRUNED_INSTANCES)
 
 
+def test_outputs_do_not_depend_on_scale_at_size():
+    # at scales 1/3 and 5/11 the point sets' frames are above one, and the
+    # cuts of transform give regions with frames finer still through several
+    # depths; the edge sets must be those at scale 1.  crossings_matchings
+    # runs at 32 segments only: its search at 64 takes minutes
+    for n in (32, 64):
+        for seed in range(5):
+            m0 = gen_random_matching(n, seed)
+            other = random_ncpm_edges(m0.base, random.Random(seed))
+            outs = []
+            for scale in (1, Fraction(1, 3), Fraction(5, 11)):
+                m = _scaled(m0, scale)
+                seq = transform(m, Matching(m.base, other))
+                out = [[sorted(s.edges) for s in seq.matchings]]
+                out.append(sorted(four_fifths_matching(m).matching.edges))
+                if n == 32:
+                    try:
+                        out.append([sorted(h.edges) for h in crossings_matchings(m)])
+                    except GeomatchError as exc:
+                        out.append((type(exc), str(exc)))
+                outs.append(out)
+            assert outs[1] == outs[0] and outs[2] == outs[0], (n, seed)
+            assert len(outs[0][0]) > 2
+
+
 def test_four_fifths_colored_is_built_on_first_read(monkeypatch):
     built = []
     edge = subdivision.DualEdge

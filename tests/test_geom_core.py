@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cmp_to_key
 from random import Random
@@ -842,8 +843,70 @@ def test_box_clip_equals_the_checked_box(keep):
         assert (got.xmin, got.ymin, got.xmax, got.ymax) == want
         assert all(type(v) is Fraction for v in (got.xmin, got.ymin, got.xmax, got.ymax))
         assert got == ref and hash(got) == hash(ref) and repr(got) == repr(ref)
-        assert vars(got) == vars(ref)
+        # the integer state too: one reduced frame, so equal boxes hold
+        # equal integers
+        assert got._ints == ref._ints
     assert empty >= 3
+
+
+def test_box_public_behaviour_is_that_of_its_fraction_bounds():
+    # a box is its four Fraction bounds: built from ints, Fractions,
+    # strings or bounds over a reducible frame, around a point set or cut
+    # from a larger box, equal bounds give equal boxes with equal hashes,
+    # the same repr and the same Fraction fields
+    F = Fraction
+    bounds = (F(1, 2), F(0), F(3, 2), F(1))
+    ps = PointSet.from_coords([(1, F(1, 2)), (F(3, 2), F(1, 2))])  # margin 3/2
+    same = [
+        BoundingBox(*bounds),
+        BoundingBox(F(2, 4), 0, F(3, 2), 1),
+        BoundingBox("1/2", "0", "6/4", F(7, 7)),
+        BoundingBox(xmin=F(1, 2), ymin=0, xmax=F(3, 2), ymax=1),
+        BoundingBox(F(1, 2), -1, F(3, 2), 1).clip_halfplane(0, 2, 0, 1),
+        BoundingBox(F(1, 2), 0, 7, 1).clip_halfplane(F(2, 3), 0, 1, -1),
+        BoundingBox(-5, 0, F(3, 2), 1).clip_halfplane(-4, 0, F(-2), -1),
+        BoundingBox(F(1, 2), 0, F(3, 2), F(9, 4)).clip_halfplane(0, 1, 1, -1),
+        BoundingBox.around(ps).clip_halfplane(1, 0, F(1, 2), 1)
+        .clip_halfplane(0, 1, 0, 1).clip_halfplane(2, 0, 3, -1).clip_halfplane(0, 3, 3, -1),
+    ]
+    want_repr = (
+        "BoundingBox(xmin=Fraction(1, 2), ymin=Fraction(0, 1), "
+        "xmax=Fraction(3, 2), ymax=Fraction(1, 1))"
+    )
+    for box in same:
+        assert type(box) is BoundingBox
+        fields = (box.xmin, box.ymin, box.xmax, box.ymax)
+        assert fields == bounds and all(type(v) is Fraction for v in fields)
+        assert box == same[0] and not box != same[0]
+        assert hash(box) == hash(bounds) == hash(same[0])
+        assert repr(box) == want_repr
+        assert box._ints == (1, 0, 3, 2, 2)
+    around = BoundingBox.around(ps)
+    assert around == BoundingBox(F(-1, 2), -1, 3, 2) and repr(around) == (
+        "BoundingBox(xmin=Fraction(-1, 2), ymin=Fraction(-1, 1), "
+        "xmax=Fraction(3, 1), ymax=Fraction(2, 1))"
+    )
+    # not equal to another box, nor to its bounds as a tuple
+    box = same[0]
+    assert box != BoundingBox(F(1, 2), 0, F(3, 2), F(3, 2)) and box != bounds
+    # frozen: no field or other attribute can be set or deleted
+    for name in ("xmin", "ymax", "_ints", "other"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(box, name, 0)
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'xmin'"):
+        del box.xmin
+    assert repr(box) == want_repr
+    # copies and pickles are equal boxes
+    for back in (copy.copy(box), copy.deepcopy(box), pickle.loads(pickle.dumps(box))):
+        assert type(back) is BoundingBox and back == box
+        assert hash(back) == hash(box) and repr(back) == want_repr
+    # the constructor's errors, in argument order
+    with pytest.raises(GeomatchError, match="empty interior"):
+        BoundingBox(F(3, 2), 0, F(6, 4), 1)
+    with pytest.raises(GeomatchError, match="empty interior"):
+        BoundingBox(0, 1, 1, 1)
+    with pytest.raises(ValueError):
+        BoundingBox(0, 0, "x", "y")
 
 
 @pytest.mark.parametrize("keep", [1, -1])

@@ -1,6 +1,7 @@
 """Extension engine: ray stops, cell structure, dual multigraph."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -29,6 +30,7 @@ from helpers import (
     blocker_table,
     box_polygon,
     box_strictly_contains,
+    brute_orient,
     brute_segments_cross,
     dual_graph,
     polygon_area2,
@@ -110,7 +112,7 @@ def test_dual_certificates_on_hand_built_subdivisions():
     with pytest.raises(InvariantViolation, match="subdivision vertex 2 is unmatched in M"):
         dual_multigraph(sub, half)
     # no cells at all is not connected either
-    empty = subdivision.ConvexSubdivision(subdivision.CellPolygons((), 1), {})
+    empty = subdivision.ConvexSubdivision(subdivision.CellPolygons([], (), 1), {})
     with pytest.raises(InvariantViolation, match="dual multigraph is not connected"):
         dual_multigraph(empty, m)
     dual = dual_multigraph(sub, m)
@@ -441,6 +443,117 @@ def test_lazy_cells_are_checked_polygons_tiling_the_region(monkeypatch):
         assert len(built) == dual.n  # built once, then kept
 
 
+def _side_cases():
+    """(kind, m, region): general, axis-parallel and small-grid matchings
+    (with collinear points and vertical segments) at scales 1, 1/3 and
+    5/11, on the box around the points and on each side of a vertical cut
+    of it halfway between the two middle x-coordinates."""
+    base = [
+        (flavor, gen_random_matching(n, seed, flavor))
+        for flavor in (Flavor.GENERAL, Flavor.AXIS_PARALLEL)
+        for n in (1, 4, 9)
+        for seed in range(3)
+    ]
+    rng = Random(91)
+    for _ in range(24):
+        grid = sorted({(rng.randrange(6), rng.randrange(4)) for _ in range(12)})
+        n = rng.choice([4, 6, 8])
+        ps = PointSet.from_coords(rng.sample(grid, min(n, len(grid)) // 2 * 2))
+        catalog = oracle.enumerate_ncpm(ps)
+        base.append(("grid", catalog[rng.randrange(len(catalog))]))
+    for scale in (1, Fraction(1, 3), Fraction(5, 11)):
+        for kind, m0 in base:
+            ps = PointSet.from_coords([(p.x * scale, p.y * scale) for p in m0.base])
+            m = Matching(ps, m0.edges, check=False)
+            box = BoundingBox.around(ps)
+            yield kind, m, box
+            xs = sorted({p.x for p in ps})
+            if len(xs) > 1:
+                k = len(xs) // 2
+                for keep in (1, -1):
+                    yield kind, m, box.clip_halfplane(1, 0, (xs[k - 1] + xs[k]) / 2, keep)
+
+
+def test_vertex_cells_lie_left_and_right_of_the_wall():
+    # looking along a segment from its coordinate-wise smaller end, every
+    # corner of the left cell is on or left of its line and one strictly,
+    # the right cell likewise on the right, and the vertex is on both
+    # boundaries; a swapped pair fails the sides
+    checked = 0
+    ran = Counter()
+    for kind, m, region in _side_cases():
+        ps = m.base
+        rays = [
+            (s, i) for s in m.sorted_edges() for i in s
+            if box_strictly_contains(region, ps.coord(i))
+        ]
+        try:
+            _, sub = extend(m, region, rays)
+        except DegenerateIncidence:
+            continue
+        ran[kind, region != BoundingBox.around(m.base)] += 1
+        assert sorted(sub.vertex_cells) == sorted(i for _, i in rays)
+        cells = list(sub.cells)
+        for s, v in rays:
+            lo, hi = sorted((ps.coord(s.a), ps.coord(s.b)))
+            left, right = sub.vertex_cells[v]
+            for cell, side in ((cells[left], 1), (cells[right], -1)):
+                sides = [brute_orient(lo, hi, c) * side for c in cell.vertices]
+                assert min(sides) == 0 and max(sides) == 1, (s, v)
+                assert polygon_contains(cell, ps.coord(v))
+                assert not polygon_contains(cell, ps.coord(v), strict=True)
+            checked += 1
+    # every kind ran on the box and on a cut, on a dozen regions or more
+    assert checked > 1000 and len(ran) == 6 and min(ran.values()) >= 12, (checked, ran)
+
+
+def test_a_face_starting_backward_over_a_vertex_keeps_its_corner_order():
+    # the walk starts each face at its smallest dedge.  Below, the first
+    # dedge of a cell runs backward along a wall over a matching vertex;
+    # the corner lists are the ones the builder gave when every matching
+    # vertex was a node of its wall
+    F = Fraction
+    ps = PointSet.from_coords([(-1, 0), (1, 0)])
+    m = Matching(ps, [Segment(0, 1)])
+    _, sub = extend(m, BoundingBox(-2, -2, 2, 2), both_ways_rays([Segment(0, 1)]))
+    assert [c.vertices for c in sub.cells] == [
+        ((-2, 0), (2, 0), (2, 2), (-2, 2)),
+        ((-2, 0), (-2, -2), (2, -2), (2, 0)),
+    ]
+    assert sub.vertex_cells == {0: (0, 1), 1: (0, 1)}
+    # the ray from 2 lands on the wall of 0-1 between its two vertices
+    ps = PointSet.from_coords([(2, 2), (4, 5), (7, 3), (13, 4)])
+    m = Matching(ps, [Segment(0, 1), Segment(2, 3)])
+    rays = [(Segment(0, 1), 0), (Segment(0, 1), 1), (Segment(2, 3), 2)]
+    _, sub = extend(m, BoundingBox(0, 0, 10, 10), rays)
+    assert [c.vertices for c in sub.cells] == [
+        ((F(2, 3), 0), (F(22, 3), 10), (0, 10), (0, 0)),
+        ((F(2, 3), 0), (10, 0), (10, F(7, 2)), (F(17, 8), F(35, 16))),
+        ((F(17, 8), F(35, 16)), (10, F(7, 2)), (10, 10), (F(22, 3), 10)),
+    ]
+    assert sub.vertex_cells == {0: (0, 1), 1: (0, 2), 2: (2, 1)}
+
+
+def test_extend_on_a_box_off_the_point_sets_frame():
+    # points on the frame 1/3, box bounds over 2, 7, 5 and 4: the extension
+    # runs in the frame lcm(3, 2, 7, 5, 4) = 420 and must stop every ray
+    # where the Fraction replay stops and tile the box
+    F = Fraction
+    rng = Random(5)
+    for _ in range(4):
+        base = random_general_pointset(rng, 12, grid=1000)
+        ps = PointSet.from_coords([(p.x / 3, p.y / 3) for p in base])
+        m = Matching(ps, random_ncpm_edges(ps, rng), check=False)
+        xs, ys = [p.x for p in ps], [p.y for p in ps]
+        box = BoundingBox(min(xs) - F(1, 2), min(ys) - F(2, 7), max(xs) + F(1, 5), max(ys) + F(3, 4))
+        rays = both_ways_rays(m.sorted_edges())
+        geo, sub = extend(m, box, rays)
+        assert ps._scale == 3 and geo.rays._frame == 420
+        _assert_replayed(m, box, geo, rays)
+        assert sum(polygon_area2(c) for c in sub.cells) == polygon_area2(box_polygon(box))
+        assert len(sub.cells) == len(m) + 1
+
+
 # ---------------------------------------------------------------------------
 # the face walk
 
@@ -463,7 +576,7 @@ def test_face_walk_records_convexity_corners_and_pinches():
         )
         for k, e in enumerate(out):
             prev_at_node[e] = out[k - 1]
-    face_of, faces = subdivision._walk_faces(dedge_from, dedge_dir, prev_at_node, len(at))
+    face_of, faces = subdivision._walk_faces(dedge_from, dedge_dir, prev_at_node, len(at), ())
     # faces in the order of their smallest dedge; corners from its tail
     assert faces == [
         (True, False, [0, 1, 2]),
