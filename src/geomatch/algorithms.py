@@ -53,17 +53,16 @@ from .matching_engine import _assemble, constrained_matching
 from .orientation import (
     Multigraph,
     components,
-    count_odd_components,
     even_orientation,
     prune_odd_components,
 )
 from .subdivision import (
-    ConvexSubdivision,
     DualMultigraph,
+    _dual_view,
     _low_end,
     _plain_dual,
+    _ray_termini,
     both_ways_rays,
-    dual_multigraph,
     extend,
 )
 
@@ -143,21 +142,22 @@ class ColoredDual:
 
 
 class _ColoredView:
-    """``ColoredDual(dual_multigraph(sub, m), colors)``, built on the first
-    call of :meth:`built` and kept; equality, hashing and repr are those of
-    the built view."""
+    """``ColoredDual(_dual_view(m, vertices, g), colors)``, built on the
+    first call of :meth:`built` and kept; equality, hashing and repr are
+    those of the built view."""
 
-    __slots__ = ("_sub", "_m", "_colors", "_view")
+    __slots__ = ("_m", "_vertices", "_g", "_colors", "_view")
 
-    def __init__(self, sub: ConvexSubdivision, m: Matching, colors: tuple[str, ...]):
-        self._sub = sub
+    def __init__(self, m: Matching, vertices: list[int], g: Multigraph, colors: tuple[str, ...]):
         self._m = m
+        self._vertices = vertices
+        self._g = g
         self._colors = colors
         self._view: Optional[ColoredDual] = None
 
     def built(self) -> ColoredDual:
         if self._view is None:
-            self._view = ColoredDual(dual_multigraph(self._sub, self._m), self._colors)
+            self._view = ColoredDual(_dual_view(self._m, self._vertices, self._g), self._colors)
         return self._view
 
     def __eq__(self, other) -> bool:
@@ -177,7 +177,7 @@ class FourFifthsReport:
     components of the red subgraph.
 
     ``colored``, the colored dual, is built on its first read from the
-    subdivision the construction kept, and kept.  Reports compare, hash and
+    plain dual the construction kept, and kept.  Reports compare, hash and
     print by it too, so the first comparison also builds it.
     """
 
@@ -493,7 +493,7 @@ def hv_disjoint_matching(m: Matching) -> tuple[Optional[Matching], ColoredDual]:
     vertices, dual = _plain_dual(sub)
     lows = {_low_end(ps, e) for e in m.edges}
     colors = tuple(RED if v in lows else GREEN for v in vertices)
-    colored = ColoredDual(dual_multigraph(sub, m), colors)
+    colored = ColoredDual(_dual_view(m, vertices, dual), colors)
     parts = []
     for color in (RED, GREEN):
         at = [k for k, c in enumerate(colors) if c == color]
@@ -636,10 +636,9 @@ def four_fifths_matching(m: Matching) -> FourFifthsReport:
         raise InvariantViolation("the left-endpoint subgraph is not a spanning tree")
     red_at = [k for k, c in enumerate(colors) if c == RED]
     red = Multigraph(dual.n, [pairs[k] for k in red_at])
-    f_red = count_odd_components(red)
+    # one edge leaves each odd component, so f(R) is the number removed
     pruned, removed = prune_odd_components(red)
-    if len(removed) != f_red:
-        raise InvariantViolation("pruning must remove one edge per odd component")
+    f_red = len(removed)
     gone = set(removed)
     red_at = [k for j, k in enumerate(red_at) if j not in gone]
 
@@ -652,7 +651,8 @@ def four_fifths_matching(m: Matching) -> FourFifthsReport:
         raise InvariantViolation("output size must be n - f(R)/2")
     if achieved < guarantee:
         raise InvariantViolation(f"only {achieved} segments; {guarantee} guaranteed")
-    return FourFifthsReport(out, n, guarantee, achieved, f_red, _ColoredView(sub, m, colors))
+    colored = _ColoredView(m, vertices, dual, colors)
+    return FourFifthsReport(out, n, guarantee, achieved, f_red, colored)
 
 
 # ---------------------------------------------------------------------------
@@ -670,26 +670,24 @@ def crossings_matchings(m: Matching) -> tuple[Matching, Matching]:
     order = m.sorted_edges()
     ends = [_left_right(ps, e) for e in order]
     region = BoundingBox.around(ps)
-    # the blockers stay in the point set's integer frame: points are
-    # (ix, iy, 1), ray termini come from extend as triples
     ix, iy = ps._ix, ps._iy
-    segments = [((ix[a], iy[a], 1), (ix[b], iy[b], 1)) for a, b in order]
 
-    def one_side(extend_from: int, match_points: int) -> Matching:
-        rays = [(e, end[extend_from]) for e, end in zip(order, ends)]
-        geometry, _ = extend(m, region, rays, partial=True)
-        placed = [
-            ((ix[i], iy[i], 1), terminus)
-            for (_, i), terminus in zip(rays, geometry.rays.frame_termini())
-        ]
-        points = sorted(end[match_points] for end in ends)
-        got = constrained_matching(ps, points, segments + placed)
+    def one_side(ray_end: int) -> Matching:
+        rays = [(e, end[ray_end]) for e, end in zip(order, ends)]
+        points = [end[1 - ray_end] for end in ends]
+        # each segment and its ray block as one wall, from the point to
+        # match to the terminus: the wall is their union, a terminus is
+        # never a point of the set, and an edge between points to match
+        # can share only its own end with either, so the verdicts agree
+        termini = _ray_termini(m, region, rays)
+        walls = [((ix[i], iy[i], 1), t) for i, t in zip(points, termini)]
+        got = constrained_matching(ps, sorted(points), walls)
         if got is None:
             raise InvariantViolation("rays never block a whole endpoint class")
         return got
 
-    m_l = one_side(1, 0)  # right rays block, left endpoints match
-    m_r = one_side(0, 1)  # left rays block, right endpoints match
+    m_l = one_side(1)  # right rays block, left endpoints match
+    m_r = one_side(0)  # left rays block, right endpoints match
     return m_l, m_r
 
 
@@ -749,7 +747,7 @@ def two_trees_search(m: Matching, max_orders: int = 24) -> TwoTreesResult:
             t1 = [c for c, part in zip(dual.edges, assign) if part == 1]
             if all(_is_spanning_tree(Multigraph(dual.n, t)) for t in (t0, t1)):
                 return TwoTreesResult(
-                    True, tuple(rays), tuple(assign), dual_multigraph(sub, m), tried, skipped
+                    True, tuple(rays), tuple(assign), _dual_view(m, vertices, dual), tried, skipped
                 )
     return TwoTreesResult(False, None, None, None, tried, skipped)
 

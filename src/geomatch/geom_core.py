@@ -5,14 +5,14 @@ decided by the sign of an integer determinant, so there is no tolerance
 anywhere.  A :class:`PointSet` caches its coordinates scaled to a common
 integer grid, which keeps the hot predicates in (arbitrary-precision)
 integer arithmetic instead of `Fraction` arithmetic.  Blockers (matching
-edges, extension rays) live in that grid as homogeneous integer triples, so
-blocker visibility (:func:`crosses_any_blocker`) is integer arithmetic too,
-and hands each touch to :func:`segments_cross_coords`, which keeps the
-touch rules.
+edges, or a segment and its extension ray as one wall) live in that grid as
+homogeneous integer triples, so blocker visibility
+(:func:`crosses_any_blocker`) is integer arithmetic too, and hands each
+touch to :func:`segments_cross_coords`, which keeps the touch rules.
 :func:`frame_blocker_table` builds the blocker table from endpoint triples,
 as the constructions hand them over (points of the set as ``(ix, iy, 1)``,
-ray termini as ``extend`` computed them), so no blocker coordinate passes
-through a ``Fraction``.
+ray termini as the ray kernel computed them, ``subdivision._ray_termini``),
+so no blocker coordinate passes through a ``Fraction``.
 """
 
 from __future__ import annotations

@@ -214,7 +214,7 @@ def constrained_matching(
 
     Blockers are segments given by endpoint triples in the integer frame of
     ``ps`` (:func:`geom_core.frame_blocker_table`): points of the set as
-    ``(ix, iy, 1)``, ray termini as ``RayExtensions.frame_termini`` gives
+    ``(ix, iy, 1)``, ray termini as ``subdivision._ray_termini`` gives
     them.  Touching one at a shared endpoint is fine, crossing or
     overlapping it is not.  The first free point in ``points`` order is
     matched first, to its partners by increasing length, then id.

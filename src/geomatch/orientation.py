@@ -177,10 +177,6 @@ def orientation_from_partition(g: Multigraph, partition: EdgePartition) -> EvenO
     return EvenOrientation(g, tuple(heads))
 
 
-def count_odd_components(g: Multigraph) -> int:
-    return sum(1 for _, eids in components(g) if len(eids) % 2 == 1)
-
-
 def prune_odd_components(g: Multigraph):
     """Remove one edge from every odd component, making all components even.
 

@@ -21,11 +21,10 @@ the ray's box is skipped before any cross product is formed.
 
 ``extend`` runs in three stages.  The set-up (``_Scene``) puts the points
 and the region in one integer frame: the lcm of the point set's scale and
-the box's own frame.  The ray kernel (``_shoot``) places the rays, the same
-whether or not a subdivision follows; ray k's terminus is node k.  Unless
-``partial``, the builder (``_subdivide``) then numbers the region corners
-and each point where a segment with an endpoint outside the region leaves
-it (every other wall end is a ray terminus).  Each feature maps the
+the box's own frame.  The ray kernel (``_shoot``) places the rays; ray k's
+terminus is node k.  The builder (``_subdivide``) then numbers the region
+corners and each point where a segment with an endpoint outside the region
+leaves it (every other wall end is a ray terminus).  Each feature maps the
 parameters of its nodes to their ids, so its edgelets link its nodes in
 parameter order, and nodes are never found again by their coordinates.  An
 in-region matching vertex is no node: it is a marker in its wall's sorted
@@ -38,12 +37,14 @@ have been merged and was not: a real node before and after every marker on
 its wall, at most three edgelets per node, exactly one non-convex face,
 Euler's formula, no cell passing a node twice, at least three corners per
 cell, the cell count and two different cells at every matching vertex.
+``_ray_termini`` runs the set-up and the kernel alone, for a caller that
+needs only where some rays stop (``algorithms.crossings_matchings``).
 
 The cells keep their corners as node ids, and the placed rays their termini
 as integer triples of the frame; the ``Fraction`` polygons of
 ``ConvexSubdivision.cells`` and the ``RayExtension`` records of
 ``ExtensionGeometry.rays`` are built on first read, so a caller that only
-needs the dual, or the termini as triples, never pays for them.
+needs the dual never pays for them.
 
 The region is always a ``BoundingBox``: the box around the points stands in
 for the unbounded plane, and a box cut by a vertical or horizontal line
@@ -143,9 +144,7 @@ class _LazyTuple(Sequence):
 
 class RayExtensions(_LazyTuple):
     """The placed rays as ``RayExtension`` records, each held as
-    ``(segment, endpoint, X, Y, W, went_to_infinity)``.  :meth:`frame_termini`
-    hands the termini to internal callers without building any ``Fraction``.
-    """
+    ``(segment, endpoint, X, Y, W, went_to_infinity)``."""
 
     __slots__ = ("_ps",)
 
@@ -165,17 +164,6 @@ class RayExtensions(_LazyTuple):
             )
             for seg, endpoint, x, y, w, infinite in self._raw
         )
-
-    def frame_termini(self) -> list[Triple]:
-        """The termini in the point set's integer frame (coordinates times
-        ``ps._scale``): gcd-normalized triples (X, Y, W), W > 0, in ray order."""
-        mult = self._frame // self._ps._scale
-        out = []
-        for _, _, x, y, w, _ in self._raw:
-            w *= mult
-            g = gcd(x, y, w)
-            out.append((x // g, y // g, w // g))
-        return out
 
 
 @dataclass(frozen=True)
@@ -750,21 +738,14 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
     return ConvexSubdivision(CellPolygons(node_pts, cells, scene.frame), vertex_cells)
 
 
-def extend(
-    m: Matching,
-    region: BoundingBox,
-    rays: Sequence[tuple[Segment, int]],
-    partial: bool = False,
-):
+def extend(m: Matching, region: BoundingBox, rays: Sequence[tuple[Segment, int]]):
     """Place the rays inside the region box, in list order.
 
     Each ray is a ``(segment, endpoint)`` pair that extends a segment of m
-    beyond one of its endpoints inside the region; no ray may repeat.
-    Returns (ExtensionGeometry, ConvexSubdivision), with the placed rays in
-    the order given.  Unless ``partial``, the rays must extend every
-    segment meeting the region beyond each of its endpoints inside it;
-    with ``partial=True`` only the ray geometry is computed and the
-    subdivision slot is None.
+    beyond one of its endpoints inside the region; no ray may repeat, and
+    the rays must extend every segment meeting the region beyond each of
+    its endpoints inside it.  Returns (ExtensionGeometry,
+    ConvexSubdivision), with the placed rays in the order given.
     """
     scene = _Scene(m, region)
     wall_at, outside = scene.wall_at, scene.outside
@@ -783,17 +764,31 @@ def extend(
         if e in given:
             raise GeomatchError(f"{seg} extended twice beyond {e}")
         given.add(e)
-    if not partial:
-        for f in scene.walls:
-            a, b = f.seg
-            if (not outside[a] and a not in given) or (not outside[b] and b not in given):
-                raise GeomatchError(f"the rays do not fully extend {f.seg}")
+    for f in scene.walls:
+        a, b = f.seg
+        if (not outside[a] and a not in given) or (not outside[b] and b not in given):
+            raise GeomatchError(f"the rays do not fully extend {f.seg}")
 
     placed = _shoot(scene, rays)
-    geometry = ExtensionGeometry(RayExtensions(m.base, placed, scene.frame))
-    if partial:
-        return geometry, None
-    return geometry, _subdivide(scene, placed)
+    return ExtensionGeometry(RayExtensions(m.base, placed, scene.frame)), _subdivide(scene, placed)
+
+
+def _ray_termini(
+    m: Matching, region: BoundingBox, rays: Sequence[tuple[Segment, int]]
+) -> list[Triple]:
+    """Where ``extend`` would stop the rays, with no subdivision built
+    after them: gcd-normalized triples (X, Y, W), W > 0, in the point set's
+    integer frame (coordinates times ``ps._scale``), in ray order.  The
+    caller vouches that each ray leaves an in-region endpoint of its
+    segment, at most once; the rays need not extend every segment."""
+    scene = _Scene(m, region)
+    mult = scene.frame // m.base._scale
+    out = []
+    for _, _, x, y, w, _ in _shoot(scene, rays):
+        w *= mult
+        g = gcd(x, y, w)
+        out.append((x // g, y // g, w // g))
+    return out
 
 
 def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:
@@ -803,9 +798,16 @@ def dual_multigraph(sub: ConvexSubdivision, m: Matching) -> DualMultigraph:
     The view of the dual at the API edge: it adds each vertex's segment and
     :class:`EndpointRole` (:func:`_low_end` or not) to the plain dual that
     :func:`_plain_dual` reads.  No construction calls it; they read the
-    plain dual, and build this view only to return it.
+    plain dual, and build this view of it (:func:`_dual_view`) only to
+    return it.
     """
     vertices, g = _plain_dual(sub)
+    return _dual_view(m, vertices, g)
+
+
+def _dual_view(m: Matching, vertices: Sequence[int], g: Multigraph) -> DualMultigraph:
+    """The :func:`dual_multigraph` view of a plain dual ``(vertices, g)``
+    that :func:`_plain_dual` read from a subdivision of ``m``."""
     seg_of = {i: s for s in m.edges for i in s}
     stray = [v for v in vertices if v not in seg_of]
     if stray:

@@ -290,6 +290,11 @@ def random_tree(rng: Random, n_edges: int):
     return Multigraph(n_edges + 1, edges)
 
 
+def count_odd_components(g: Multigraph) -> int:
+    """The number of connected components of ``g`` with an odd number of edges."""
+    return sum(1 for _, eids in components(g) if len(eids) % 2 == 1)
+
+
 class NotATree(GeomatchError):
     pass
 
@@ -830,13 +835,13 @@ def blocker_table(ps: PointSet, coord_pairs):
     return frame_blocker_table(frame_blockers(ps, coord_pairs))
 
 
-def replay_extensions(m, region_poly, geometry):
+def replay_extensions(m, region_poly, rays):
     """Recompute every ray stop with plain Fraction line algebra.
 
-    Independent of the engine's integer fast paths: processes the recorded
-    rays in order, intersecting each ray with all base segments, previously
-    placed extensions, and the region boundary, and returns the list of
-    (terminus, hit_boundary) it derives.
+    Independent of the engine's integer fast paths: processes the
+    ``(segment, endpoint)`` rays in order, intersecting each ray with all
+    base segments, previously placed extensions, and the region boundary,
+    and returns the list of (terminus, hit_boundary) it derives.
     """
     ps = m.base
     base = []
@@ -848,9 +853,9 @@ def replay_extensions(m, region_poly, geometry):
             base.append((s, ps.coord(s.a), ps.coord(s.b)))
     placed = []
     out = []
-    for ray in geometry.rays:
-        ox, oy = ray.origin
-        other = ps.coord(other_end(ray.segment, ray.from_point))
+    for seg, endpoint in rays:
+        ox, oy = origin = ps.coord(endpoint)
+        other = ps.coord(other_end(seg, endpoint))
         dx, dy = ox - other[0], oy - other[1]
         # collinear candidates (its own base segment) drop out via denom == 0
         candidates = [(p, q, False) for _s, p, q in base]
@@ -872,7 +877,7 @@ def replay_extensions(m, region_poly, geometry):
                 best_boundary = is_bnd
         assert best is not None, "replay ray escaped the region"
         terminus = (ox + best * dx, oy + best * dy)
-        placed.append((ray.origin, terminus))
+        placed.append((origin, terminus))
         out.append((terminus, best_boundary))
     return out
 

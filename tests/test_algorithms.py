@@ -1,8 +1,10 @@
 import functools
 import hashlib
+import itertools
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomatch import fileio, subdivision
+from geomatch import algorithms, fileio, subdivision
 from geomatch.algorithms import (
     BLUE,
     GREEN,
@@ -36,6 +38,7 @@ from geomatch.algorithms import (
 )
 from geomatch.errors import (
     CollinearTriple,
+    DegenerateIncidence,
     DistinctXRequired,
     GeomatchError,
     InvariantViolation,
@@ -55,7 +58,9 @@ from geomatch.geom_core import (
     PointSet,
     Segment,
     compatible,
+    crosses_any_blocker,
     disjoint,
+    frame_blocker_table,
     sign,
 )
 from geomatch.orientation import Multigraph, components
@@ -65,15 +70,17 @@ from geomatch.oracle import (
     transformation_distance,
     visibility_graph,
 )
-from geomatch.subdivision import extend
+from geomatch.subdivision import _ray_termini
 
 from helpers import (
     brute_orient,
     brute_segments_cross,
     brute_union_noncrossing,
+    count_odd_components,
     naive_four_fifths_matching,
     naive_hv_disjoint_matching,
     naive_two_trees_search,
+    other_end,
     random_general_pointset,
     random_matching_pair,
     random_ncpm_edges,
@@ -723,6 +730,15 @@ def _scaled(m: Matching, scale) -> Matching:
     )
 
 
+def test_four_fifths_prunes_one_edge_per_odd_red_component():
+    # the construction takes f(R) as the number of red edges it prunes; that
+    # must be the number of odd components of the red subgraph
+    for n, seed in PRUNED_INSTANCES:
+        rep = four_fifths_matching(gen_random_matching(n, seed))
+        assert rep.odd_components > 0
+        assert rep.odd_components == count_odd_components(rep.colored.subgraph(RED))
+
+
 def test_four_fifths_equals_the_public_pipeline():
     # the construction reads the dual as plain cell pairs and orients each
     # color on its own; the reference takes the object dual through
@@ -850,16 +866,93 @@ def test_crossings_halves_avoid_segments_and_fraction_rays():
                 assert sorted(half.matched_ids) == sorted(matched.values())
                 assert 2 * len(half) == n
                 rays = [(e, rays_from[e]) for e in order]
-                geometry, _ = extend(m, BoundingBox.around(ps), rays, partial=True)
-                assert len(geometry.rays) == n
-                assert any(r.terminus[0].denominator > 1 for r in geometry.rays)
+                termini = [
+                    (Fraction(x, w * ps._scale), Fraction(y, w * ps._scale))
+                    for x, y, w in _ray_termini(m, BoundingBox.around(ps), rays)
+                ]
+                assert len(termini) == n
+                assert any(x.denominator > 1 for x, _ in termini)
                 walls = [(ps.coord(e.a), ps.coord(e.b)) for e in order]
-                walls += [(r.origin, r.terminus) for r in geometry.rays]
+                walls += [(ps.coord(i), t) for (_, i), t in zip(rays, termini)]
                 for f in half.edges:
                     for r, s in walls:
                         assert not brute_segments_cross(ps.coord(f.a), ps.coord(f.b), r, s)
             checked += 1
     assert checked >= 12
+
+
+def _wall_cases():
+    """(m, side, rays): general, axis-parallel and small-grid matchings (the
+    grids have collinear points and vertical segments) at scales 1, 1/3 and
+    5/11, with a ray from every segment's coordinate-wise larger end (side
+    0) and from every smaller end (side 1): the right and the left rays,
+    in the order crossings_matchings places them, when no segment is
+    vertical."""
+    rng = random.Random(43)
+    matchings = []
+    for seed in range(6):
+        matchings.append(gen_random_matching(4 + 2 * seed, seed))
+        matchings.append(gen_random_matching(3 + seed, seed, Flavor.AXIS_PARALLEL))
+    for _ in range(30):
+        n = rng.choice([4, 6, 8])
+        cells = sorted({(rng.randrange(6), rng.randrange(5)) for _ in range(3 * n)})
+        ps = PointSet.from_coords(rng.sample(cells, min(n, len(cells)) // 2 * 2))
+        catalog = enumerate_ncpm(ps)
+        matchings.append(catalog[rng.randrange(len(catalog))])
+    for m in matchings:
+        for scale in (1, Fraction(1, 3), Fraction(5, 11)):
+            m = _scaled(m, scale)
+            for side, end in enumerate((max, min)):
+                yield m, side, [(s, end(s.ids, key=m.base.coord)) for s in m.sorted_edges()]
+
+
+def test_walls_block_exactly_as_segments_plus_rays(monkeypatch):
+    # crossings_matchings blocks each segment and its ray as one wall, from
+    # the segment's other end to the ray's terminus; an edge between other
+    # ends must cross the walls exactly when it crosses the segments or the
+    # rays, each its own blocker
+    handed = []
+    search = algorithms.constrained_matching
+    monkeypatch.setattr(
+        algorithms,
+        "constrained_matching",
+        lambda ps, points, blockers: handed.append(list(blockers)) or search(ps, points, blockers),
+    )
+    seen = Counter()
+    for m, side, rays in _wall_cases():
+        ps = m.base
+        try:
+            termini = _ray_termini(m, BoundingBox.around(ps), rays)
+        except DegenerateIncidence:
+            seen["degenerate"] += 1
+            continue
+        at = {i: (ps._ix[i], ps._iy[i], 1) for i in ps.ids}
+        placed = [(at[i], t) for (_, i), t in zip(rays, termini)]
+        walls = [(at[other_end(s, i)], t) for (s, i), t in zip(rays, termini)]
+        if len(m) % 2 == 0 and all(ps.coord(s.a)[0] != ps.coord(s.b)[0] for s in m.edges):
+            # the walls crossings_matchings hands to the search, unless the
+            # other side's rays are degenerate
+            handed.clear()
+            try:
+                crossings_matchings(m)
+            except DegenerateIncidence:
+                pass
+            if side < len(handed):
+                assert handed[side] == walls
+                seen["crossings"] += 1
+        pieces = frame_blocker_table([(at[s.a], at[s.b]) for s, _ in rays] + placed)
+        only_rays = frame_blocker_table(placed)
+        table = frame_blocker_table(walls)
+        others = sorted(other_end(s, i) for s, i in rays)
+        for p, q in itertools.combinations(others, 2):
+            P, Q = ps.scaled(p), ps.scaled(q)
+            blocked = crosses_any_blocker(P, Q, pieces)
+            assert crosses_any_blocker(P, Q, table) == blocked
+            seen[blocked] += 1
+            # a wall from the ray's own end would be the ray alone and let
+            # through the edges that only a segment blocks
+            seen["segment only"] += blocked and not crosses_any_blocker(P, Q, only_rays)
+    assert all(seen[k] for k in (True, False, "segment only", "degenerate", "crossings"))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from geomatch.matching_engine import (
 )
 from geomatch.oracle import enumerate_ncpm, has_disjoint_compatible_pm
 from geomatch.orientation import EvenOrientation, even_orientation
-from geomatch.subdivision import both_ways_rays, dual_multigraph, extend
+from geomatch.subdivision import _ray_termini, both_ways_rays, dual_multigraph, extend
 
 from helpers import (
     dual_graph,
@@ -330,8 +330,8 @@ def test_constrained_none_for_parallel_chords():
 
 
 def _random_blockers(ps: PointSet, rng: random.Random, m: Matching) -> list:
-    """Endpoint triples of some edges of ``m``, some ray termini that
-    ``extend`` computes for ``m`` and some segments with fractional ends."""
+    """Endpoint triples of some edges of ``m``, some rays of ``m`` to their
+    termini from ``_ray_termini`` and some segments with fractional ends."""
     ix, iy = ps._ix, ps._iy
     blockers = [
         ((ix[s.a], iy[s.a], 1), (ix[s.b], iy[s.b], 1))
@@ -340,14 +340,10 @@ def _random_blockers(ps: PointSet, rng: random.Random, m: Matching) -> list:
     ]
     rays = [(e, rng.choice(e.ids)) for e in m.sorted_edges() if rng.random() < 0.7]
     try:
-        geometry, _ = extend(m, BoundingBox.around(ps), rays, partial=True)
+        termini = _ray_termini(m, BoundingBox.around(ps), rays)
     except DegenerateIncidence:
-        geometry = None
-    if geometry is not None:
-        blockers += [
-            ((ix[i], iy[i], 1), terminus)
-            for (_, i), terminus in zip(rays, geometry.rays.frame_termini())
-        ]
+        termini = []
+    blockers += [((ix[i], iy[i], 1), terminus) for (_, i), terminus in zip(rays, termini)]
     span = max(max(ix) - min(ix), max(iy) - min(iy), 1)
 
     def anywhere():

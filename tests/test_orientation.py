@@ -9,7 +9,6 @@ from geomatch.errors import GeomatchError, OddComponentInPart
 from geomatch.orientation import (
     Multigraph,
     components,
-    count_odd_components,
     even_orientation,
     orientation_from_partition,
     prune_odd_components,
@@ -19,6 +18,7 @@ from helpers import (
     NotATree,
     OddTree,
     brute_even_orientations,
+    count_odd_components,
     indegrees,
     is_even,
     random_multigraph,

@@ -33,6 +33,7 @@ from helpers import (
     brute_orient,
     brute_segments_cross,
     dual_graph,
+    frame_triple,
     polygon_area2,
     polygon_contains,
     polygon_edges,
@@ -152,8 +153,6 @@ def test_ray_validation_errors():
             extend(m, region, both01 + [(s23, 2), (foreign, foreign.a)])
     with pytest.raises(GeomatchError, match="twice"):
         extend(m, region, both01 + [(s23, 2), (s01, 0)])
-    with pytest.raises(GeomatchError, match="twice"):  # also when partial
-        extend(m, region, [(s23, 2), (s23, 2)], partial=True)
     geo, sub = extend(m, region, both01 + [(s23, 2)])
     assert len(geo.rays) == 3 and len(sub.cells) == 3
 
@@ -169,7 +168,7 @@ def test_extend_places_rays_in_list_order():
         geo, sub = extend(m, box, rays)
         assert [(r.segment, r.from_point) for r in geo.rays] == rays
         assert len(sub.cells) == len(m) + 1
-        replay = replay_extensions(m, box_polygon(box), geo)
+        replay = replay_extensions(m, box_polygon(box), rays)
         for ray, (terminus, _) in zip(geo.rays, replay):
             assert ray.terminus == terminus
 
@@ -204,12 +203,10 @@ def test_partial_extension_left_rays_only():
     rays = [
         (s, s.a if ps.coord(s.a) < ps.coord(s.b) else s.b) for s in m.sorted_edges()
     ]
-    geo, sub = extend(m, BoundingBox.around(ps), rays, partial=True)
-    assert sub is None
-    assert len(geo.rays) == 4
-    replay = replay_extensions(m, box_polygon(BoundingBox.around(ps)), geo)
-    for ray, (terminus, _) in zip(geo.rays, replay):
-        assert ray.terminus == terminus
+    termini = subdivision._ray_termini(m, BoundingBox.around(ps), rays)
+    replay = replay_extensions(m, box_polygon(BoundingBox.around(ps)), rays)
+    assert termini == [frame_triple(*terminus, ps._scale) for terminus, _ in replay]
+    assert len(termini) == 4
 
 
 def test_random_runs_match_independent_replay():
@@ -221,8 +218,9 @@ def test_random_runs_match_independent_replay():
         box = BoundingBox.around(ps)
         order = m.sorted_edges()
         rng.shuffle(order)
-        geo, sub = extend(m, box, both_ways_rays(order))
-        replay = replay_extensions(m, box_polygon(box), geo)
+        rays = both_ways_rays(order)
+        geo, sub = extend(m, box, rays)
+        replay = replay_extensions(m, box_polygon(box), rays)
         assert len(sub.cells) == n + 1
         for ray, (terminus, hit_boundary) in zip(geo.rays, replay):
             assert ray.terminus == terminus
@@ -269,9 +267,9 @@ def test_extend_takes_only_a_box():
     rays = [(Segment(0, 1), 0), (Segment(0, 1), 1), (Segment(2, 3), 2)]
     box = BoundingBox(0, 0, 10, 10)
     for region in (box_polygon(box), ConvexPolygon([(0, 0), (10, 0), (5, 10)])):
-        for partial in (False, True):
+        for place in (extend, subdivision._ray_termini):
             with pytest.raises(GeomatchError) as ei:
-                extend(m, region, rays, partial=partial)
+                place(m, region, rays)
             assert str(ei.value) == "region must be a BoundingBox"
 
 
@@ -290,7 +288,7 @@ def test_no_segments_in_region_gives_one_cell():
 def _assert_replayed(m, region, geo, rays):
     """Rays come back in order and stop where the Fraction replay stops."""
     assert [(r.segment, r.from_point) for r in geo.rays] == list(rays)
-    replay = replay_extensions(m, box_polygon(region), geo)
+    replay = replay_extensions(m, box_polygon(region), rays)
     for ray, (terminus, hit_boundary) in zip(geo.rays, replay):
         assert ray.terminus == terminus
         assert ray.went_to_infinity == hit_boundary
@@ -355,11 +353,10 @@ def test_collinear_wall_rule_ignores_where_the_feature_lies():
     m = Matching(ps, [s01, s23])
     box = BoundingBox.around(ps)
     with pytest.raises(DegenerateIncidence, match="collinear"):
-        extend(m, box, [(s01, 0)], partial=True)
+        subdivision._ray_termini(m, box, [(s01, 0)])
     with pytest.raises(DegenerateIncidence, match="collinear"):
-        extend(m, box, [(s23, 3)], partial=True)
-    geo, sub = extend(m, box, [], partial=True)
-    assert geo.rays == () and sub is None
+        subdivision._ray_termini(m, box, [(s23, 3)])
+    assert subdivision._ray_termini(m, box, []) == []
 
 
 def test_two_collinear_walls_name_the_ray():
@@ -375,10 +372,9 @@ def test_two_collinear_walls_name_the_ray():
         box = BoundingBox.around(ps)
         for ray in ((s01, 1), (s23, 3), (s01, 0)):
             with pytest.raises(DegenerateIncidence) as ei:
-                extend(m, box, [(s45, 4), ray], partial=True)
+                subdivision._ray_termini(m, box, [(s45, 4), ray])
             assert str(ei.value) == f"ray from {ray[1]} is collinear with another feature"
-        geo, _ = extend(m, box, [(s45, 4), (s45, 5)], partial=True)
-        assert len(geo.rays) == 2
+        assert len(subdivision._ray_termini(m, box, [(s45, 4), (s45, 5)])) == 2
 
 
 def test_parameters_closer_than_float_resolution():
@@ -590,6 +586,14 @@ def test_face_walk_records_convexity_corners_and_pinches():
 # ray termini in the integer frame, and records built on first read
 
 
+def _kernel_geometry(m, region, rays):
+    """The rays as the kernel places them, as records: set-up and kernel
+    only, with no ray validation and no subdivision."""
+    scene = subdivision._Scene(m, region)
+    placed = subdivision._shoot(scene, rays)
+    return subdivision.ExtensionGeometry(subdivision.RayExtensions(m.base, placed, scene.frame))
+
+
 def _frame_cases():
     """(m, region, rays): around-boxes, and those boxes cut at an x that
     has a denominator the point set does not have, on integer point sets
@@ -613,16 +617,16 @@ def _frame_cases():
             yield m, region, rays
 
 
-def test_frame_termini_build_the_coordinate_blocker_table():
+def test_ray_termini_build_the_coordinate_blocker_table():
     clipped = 0
     for m, region, rays in _frame_cases():
         ps = m.base
-        geo, _ = extend(m, region, rays, partial=True)
-        if geo.rays._frame != ps._scale:
+        if subdivision._Scene(m, region).frame != ps._scale:
             clipped += 1
         origins = [(*ps.scaled(i), 1) for _, i in rays]
-        table = frame_blocker_table(zip(origins, geo.rays.frame_termini()))
-        assert table == blocker_table(ps, [(r.origin, r.terminus) for r in geo.rays])
+        table = frame_blocker_table(zip(origins, subdivision._ray_termini(m, region, rays)))
+        records = _kernel_geometry(m, region, rays).rays
+        assert table == blocker_table(ps, [(r.origin, r.terminus) for r in records])
     assert clipped == 4
 
 
@@ -634,14 +638,13 @@ def test_ray_records_are_built_on_first_read(monkeypatch):
     )
     for m, region, rays in _frame_cases():
         built.clear()
-        geo, _ = extend(m, region, rays, partial=True)
+        geo = _kernel_geometry(m, region, rays)
         assert len(geo.rays) == len(rays)
-        geo.rays.frame_termini()
-        assert built == []  # neither the count nor the triples build records
+        assert built == []  # the count builds no records
         records = list(geo.rays)
         assert len(built) == len(rays)
         assert [(r.segment, r.from_point) for r in records] == rays
-        replay = replay_extensions(m, box_polygon(region), geo)
+        replay = replay_extensions(m, box_polygon(region), rays)
         for ray, (terminus, hit_boundary) in zip(records, replay):
             assert ray.origin == m.base.coord(ray.from_point)
             assert ray.terminus == terminus
@@ -706,10 +709,13 @@ def test_user_box_classifies_points_by_strict_containment():
             BoundingBox(xs[0] - 3, ys[0] - 3, xs[-2], ys[-2]),
         ):
             inside = [i for i in ps.ids if box_strictly_contains(box, ps.coord(i))]
-            for partial, ray_list in ((False, rays), (True, [r for r in rays if r[1] in inside])):
+            for place, ray_list in (
+                (extend, rays),
+                (subdivision._ray_termini, [r for r in rays if r[1] in inside]),
+            ):
                 expected = _expected_setup_errors(m, box, ray_list)
                 try:
-                    geo, sub = extend(m, box, ray_list, partial=partial)
+                    got = place(m, box, ray_list)
                 except GeomatchError as exc:
                     got = (type(exc), str(exc))
                     # with no set-up error, only a tie in the rays or the
@@ -718,9 +724,13 @@ def test_user_box_classifies_points_by_strict_containment():
                     checked.add(got[0])
                     continue
                 assert not expected
-                _assert_replayed(m, box, geo, ray_list)
-                if sub is not None:
+                if place is extend:
+                    geo, sub = got
+                    _assert_replayed(m, box, geo, ray_list)
                     assert sum(polygon_area2(c) for c in sub.cells) == polygon_area2(box_polygon(box))
+                else:
+                    replay = replay_extensions(m, box_polygon(box), ray_list)
+                    assert got == [frame_triple(*t, ps._scale) for t, _ in replay]
                 checked.add("ok")
     assert checked == {"ok", GeomatchError, DegenerateIncidence, SegmentOutsideRegionRule}
 
@@ -756,7 +766,7 @@ def test_corner_rule_holds_for_a_wall_that_never_reaches_the_corner():
     m = Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5)])
     box = BoundingBox(0, 0, 20, 20)
     rays = both_ways_rays(m.sorted_edges())
-    geo, _ = extend(m, box, rays, partial=True)
+    geo = _kernel_geometry(m, box, rays)
     diagonal = {r.terminus for r in geo.rays if r.segment == Segment(0, 1)}
     assert diagonal == {(Fraction(5, 2), Fraction(5, 2)), (11, 11)}
     with pytest.raises(DegenerateIncidence) as ei:
@@ -776,7 +786,7 @@ def test_corner_rule_checks_each_corner(flip_x, flip_y):
     m = Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5)])
     box = BoundingBox(0, 0, 20, 20)
     rays = both_ways_rays(m.sorted_edges())
-    geo, _ = extend(m, box, rays, partial=True)
+    geo = _kernel_geometry(m, box, rays)
     assert not any(r.went_to_infinity for r in geo.rays if r.segment == Segment(0, 1))
     with pytest.raises(DegenerateIncidence) as ei:
         extend(m, box, rays)
@@ -826,9 +836,13 @@ _BUILDER_ERRORS = {
 }
 
 
-def _geometry_or_error(m, region, rays, partial):
+def _termini_or_error(place, m, region, rays):
+    """The termini as frame triples (a list), or the error as a tuple."""
     try:
-        return extend(m, region, rays, partial=partial)[0]
+        if place is extend:
+            scale = m.base._scale
+            return [frame_triple(*r.terminus, scale) for r in extend(m, region, rays)[0].rays]
+        return place(m, region, rays)
     except GeomatchError as exc:
         return type(exc), str(exc)
 
@@ -836,18 +850,17 @@ def _geometry_or_error(m, region, rays, partial):
 def test_ray_kernel_is_the_same_with_and_without_the_builder():
     seen = set()
     for m, region, rays in _mode_cases():
-        full = _geometry_or_error(m, region, rays, False)
-        part = _geometry_or_error(m, region, rays, True)
+        full = _termini_or_error(extend, m, region, rays)
+        part = _termini_or_error(subdivision._ray_termini, m, region, rays)
         if isinstance(part, tuple):
-            # set-up, ray validation or the kernel: raised either way
+            # set-up or the kernel: raised either way
             assert part == full
             seen.add("kernel error")
         elif isinstance(full, tuple):
             assert full[0] is DegenerateIncidence and full[1] in _BUILDER_ERRORS
             seen.add("builder error")
         else:
-            assert part.rays == full.rays
-            assert part.rays.frame_termini() == full.rays.frame_termini()
+            assert part == full
             seen.add("ok")
     assert seen == {"ok", "kernel error", "builder error"}
 
