@@ -705,10 +705,13 @@ def two_trees_search(m: Matching, max_orders: int = 24) -> TwoTreesResult:
 
     Orders are tried deterministically: for each permutation of the
     segments, first everything both-ways, then (for non-vertical inputs)
-    all right extensions before all left ones.
+    all right extensions before all left ones.  ``max_orders`` must be at
+    least 1: a search that tries nothing would report an open structure.
     """
     if not m.is_perfect:
         raise GeomatchError("input must be a perfect matching")
+    if max_orders < 1:
+        raise GeomatchError(f"max_orders must be at least 1 (got {max_orders})")
     ps = m.base
     base_edges = m.sorted_edges()
     no_verticals = all(ps._ix[e.a] != ps._ix[e.b] for e in base_edges)

@@ -215,12 +215,23 @@ def _run_crossings(args) -> int:
         f"right-endpoint matching: {len(m_r)} segments"
     )
     if args.verify:
-        cross = m.base.segments_cross_ids
+        ps = m.base
+        first = ps._first_blocker(m.edges)
+        for f in m_l.sorted_edges() + m_r.sorted_edges():
+            e = first(*f)
+            if e is not None:
+                raise InvariantViolation(f"{f} crosses input segment {e}")
+        for half in (m_l, m_r):
+            pair = ps.first_crossing_within(half.edges)
+            if pair is not None:
+                raise InvariantViolation(f"edges {pair[0]} and {pair[1]} of one half cross")
+        left, right = m_l.matched_ids, m_r.matched_ids
+        if left & right or len(left | right) != len(ps):
+            raise InvariantViolation("the halves do not cover every point exactly once")
         for e in m.sorted_edges():
-            for f in list(m_l.edges) + list(m_r.edges):
-                if cross(*e, *f):
-                    raise InvariantViolation(f"{f} crosses input segment {e}")
-        print("verify: neither half crosses the input")
+            if (e.a in left) == (e.b in left):
+                raise InvariantViolation(f"input segment {e} does not have one end in each half")
+        print("verify: the halves avoid the input and themselves and split every segment")
     if args.out:
         base = Path(args.out)
         left = base.with_name(base.stem + ".left" + (base.suffix or ".txt"))

@@ -4,7 +4,10 @@ All coordinates are rational (`fractions.Fraction`); every predicate is
 decided by the sign of an integer determinant, so there is no tolerance
 anywhere.  A :class:`PointSet` caches its coordinates scaled to a common
 integer grid, which keeps the hot predicates in (arbitrary-precision)
-integer arithmetic instead of `Fraction` arithmetic.  Blockers (matching
+integer arithmetic instead of `Fraction` arithmetic.  On point ids one
+pair predicate (``PointSet.segments_cross_ids``), one segment-against-a-set
+scan (``_first_blocker``) and one set sweep (``first_crossing_within``)
+decide every crossing.  Blockers (matching
 edges, or a segment and its extension ray as one wall) live in that grid as
 homogeneous integer triples, so blocker visibility
 (:func:`crosses_any_blocker`) is integer arithmetic too, and hands each
@@ -371,8 +374,8 @@ class PointSet:
         return px * qy == py * qx and px * qx + py * qy > 0
 
     def _edge_boxes(self, edges: Iterable[Segment]):
-        """``(xlo, xhi, ylo, yhi, a, b, s)`` per segment ``s = (a, b)``:
-        its integer bounding box, its ids and the segment."""
+        """``(xlo, xhi, ylo, yhi, a, b, s)`` per segment ``s = (a, b)``,
+        stably sorted by ``xlo``: its integer box, its ids and the segment."""
         ix, iy = self._ix, self._iy
         out = []
         for s in edges:
@@ -384,6 +387,7 @@ class PointSet:
             if ya > yb:
                 ya, yb = yb, ya
             out.append((xa, xb, ya, yb, a, b, s))
+        out.sort(key=lambda box: box[0])
         return out
 
     def first_crossing_within(self, edges: Iterable[Segment]):
@@ -392,7 +396,7 @@ class PointSet:
         Boxes are swept in order of their left side, so each edge is only
         compared with the edges whose boxes start inside its x-extent.
         """
-        boxes = sorted(self._edge_boxes(list(edges)), key=_box_left)
+        boxes = self._edge_boxes(edges)
         for i in range(len(boxes)):
             xa1, xb1, ya1, yb1, a, b, s1 = boxes[i]
             for j in range(i + 1, len(boxes)):
@@ -405,28 +409,30 @@ class PointSet:
                     return s1, s2
         return None
 
-    def first_crossing_between(self, edges1: Iterable[Segment], edges2: Iterable[Segment]):
-        """Return a crossing pair (e1, e2) with e1 in edges1, e2 in edges2, or None.
+    def _first_blocker(self, edges: Iterable[Segment]):
+        """``first(u, v)``: the first of ``edges`` (boxed once, by left
+        side) that segment uv crosses, other than uv itself (``u < v``, as
+        in a ``Segment``), or None.  The one segment-against-a-set scan on
+        point ids: it stops at the first box that starts right of uv, and a
+        box that misses uv's shares no point with it, so it is not tested."""
+        ix, iy = self._ix, self._iy
+        cross = self.segments_cross_ids
+        boxes = self._edge_boxes(edges)
 
-        Identical segments are skipped (an edge shared by both sides occurs
-        once in the union and cannot cross itself).  The boxes of ``edges2``
-        are scanned in order of their left side, up to the right side of e1.
-        """
-        boxes1 = self._edge_boxes(list(edges1))
-        boxes2 = sorted(self._edge_boxes(list(edges2)), key=_box_left)
-        for xa1, xb1, ya1, yb1, a, b, s1 in boxes1:
-            for xa2, xb2, ya2, yb2, c, d, s2 in boxes2:
-                if xb1 < xa2:
+        def first(u: int, v: int) -> Optional[Segment]:
+            xu, xv, yu, yv = ix[u], ix[v], iy[u], iy[v]
+            x0, x1 = (xu, xv) if xu < xv else (xv, xu)
+            y0, y1 = (yu, yv) if yu < yv else (yv, yu)
+            for xlo, xhi, ylo, yhi, c, d, s in boxes:
+                if x1 < xlo:
                     break
-                if xb2 < xa1 or yb1 < ya2 or yb2 < ya1 or (a == c and b == d):
+                if xhi < x0 or yhi < y0 or y1 < ylo:
                     continue
-                if self.segments_cross_ids(a, b, c, d):
-                    return s1, s2
-        return None
+                if (c != u or d != v) and cross(u, v, c, d):
+                    return s
+            return None
 
-
-def _box_left(box: tuple) -> int:
-    return box[0]
+        return first
 
 
 def segments_cross(ps: PointSet, s: Segment, t: Segment) -> bool:
@@ -504,10 +510,10 @@ def compatible(m1: Matching, m2: Matching) -> bool:
     """Whether the union of the two edge sets is pairwise non-crossing.
 
     Both arguments already satisfy the non-crossing invariant internally, so
-    only cross pairs are examined.
+    only cross pairs are examined, and an edge of both is skipped.
     """
-    ps = _require_same_base(m1, m2)
-    return ps.first_crossing_between(m1.edges, m2.edges) is None
+    first = _require_same_base(m1, m2)._first_blocker(m2.edges)
+    return not any(first(a, b) for a, b in m1.edges)
 
 
 def disjoint(m1: Matching, m2: Matching) -> bool:

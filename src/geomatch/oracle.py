@@ -11,17 +11,17 @@ always matches the lowest free point (the lowest set bit of an integer
 bitmask of free points); the oracle has it try the partners in increasing
 id, so each matching is reached exactly once and the catalog, or the first
 witness, comes out in a fixed order.  Within one call the search memoises
-whether a pair may be used at all (not an edge of ``m`` and crossing none of
-them) and whether a candidate pair crosses an already chosen one, so no
-crossing test is repeated across backtracks.  One closure per call,
-``_blocked_test``, holds the edges of ``m`` boxed in integers and tests a
-pair only against an edge whose box meets its own; the search's usable-pair
-test and ``visibility_graph`` both use it.  About a third of the crossing
-tests that remain share an endpoint (a candidate against the ``m`` edges at
-its own ends, or against a chosen pair it touches) and almost never cross;
-``PointSet.segments_cross_ids`` answers those with one integer cross product
-and, only for collinear ends, one dot product.  Segments are only built for
-the matchings returned.
+whether a pair may be used at all (not an edge of ``m`` and crossing none
+of them) and whether a candidate pair crosses an already chosen one, so no
+crossing test is repeated across backtracks.  The search's usable-pair test
+and ``visibility_graph`` ask ``PointSet._first_blocker``, the one
+segment-against-a-set scan, built once per call: it boxes the edges of
+``m`` in integers and tests a pair only where their boxes meet.  About a
+third of the crossing tests that remain share an endpoint (a candidate
+against the ``m`` edges at its own ends, or against a chosen pair it
+touches) and almost never cross; ``PointSet.segments_cross_ids`` answers
+those with one integer cross product and, only for collinear ends, one dot
+product.  Segments are only built for the matchings returned.
 The plain backtracking versions, with a crossing test at every step, are
 kept in ``tests/helpers.py`` as the reference these are tested against.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import InvariantViolation, MismatchedVertexSet, OddCount, TooLarge, Unreachable
 from .geom_core import Matching, PointSet, Segment, compatible, disjoint
@@ -50,42 +50,19 @@ def _mates(ps: PointSet, m_edges: Iterable[Segment]) -> list[int]:
     return mate
 
 
-def _blocked_test(ps: PointSet, m_edges: Iterable[Segment]) -> Callable[[int, int], bool]:
-    """``blocked(u, v)``: whether segment uv crosses an edge of ``m_edges``
-    other than uv itself.  The edges are boxed once in integers
-    (``PointSet._edge_boxes``); an edge whose box misses uv's shares no
-    point with it, so only the others reach ``segments_cross_ids``."""
-    ix, iy = ps._ix, ps._iy
-    cross = ps.segments_cross_ids
-    edges = ps._edge_boxes(m_edges)
-
-    def blocked(u: int, v: int) -> bool:
-        xu, xv, yu, yv = ix[u], ix[v], iy[u], iy[v]
-        x0, x1 = (xu, xv) if xu < xv else (xv, xu)
-        y0, y1 = (yu, yv) if yu < yv else (yv, yu)
-        for xlo, xhi, ylo, yhi, c, d, _ in edges:
-            if xhi < x0 or x1 < xlo or yhi < y0 or y1 < ylo:
-                continue
-            if (c != u or d != v) and cross(u, v, c, d):
-                return True
-        return False
-
-    return blocked
-
-
 def _search(ps: PointSet, m_edges: list[Segment], first_only: bool) -> list[list[Segment]]:
     """Non-crossing perfect matchings of ``ps`` that share no edge with, and
     cross no edge of, ``m_edges``, in search order; only the first if
     ``first_only``.  ``len(ps)`` must be even."""
     n = len(ps)
     mate = _mates(ps, m_edges)
-    blocked = _blocked_test(ps, m_edges)
+    first = ps._first_blocker(m_edges)
     # partners by increasing id: the tails of one shared list, never sorted
     by_id = [(b, 1 << b) for b in range(n)]
     rows = [by_id[a + 1 :] for a in range(n)]
 
     def usable(a: int, b: int) -> bool:
-        return mate[a] != b and not blocked(a, b)
+        return mate[a] != b and first(a, b) is None
 
     return _match_search(range(n), rows, usable, ps.segments_cross_ids, first_only)
 
@@ -175,12 +152,12 @@ def visibility_graph(m: Matching, minus_m: bool = False) -> VisibilityGraph:
     ps = m.base
     n = len(ps)
     mate = _mates(ps, m.edges)
-    blocked = _blocked_test(ps, m.edges)
+    first = ps._first_blocker(m.edges)
     pairs = set()
     for u in range(n):
         for v in range(u + 1, n):
             if minus_m and mate[u] == v:
                 continue
-            if not blocked(u, v):
+            if first(u, v) is None:
                 pairs.add((u, v))
     return VisibilityGraph(n, frozenset(pairs))

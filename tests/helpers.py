@@ -207,6 +207,13 @@ def naive_collinear_triple(ps: PointSet):
     return None
 
 
+def grid_pointset(rng, n, side):
+    """n distinct points of a side x side integer grid (collinear triples
+    and axis-parallel pairs are the rule, not the exception)."""
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    return PointSet.from_coords(rng.sample(cells, n))
+
+
 def random_ncpm_edges(ps: PointSet, rng: Random, ids=None):
     """A random non-crossing perfect matching over ``ids`` (angular recursion).
 

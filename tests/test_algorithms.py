@@ -1026,6 +1026,15 @@ def test_two_trees_search_equals_the_public_pipeline():
     assert seen >= {"found", "not found", "skipped"}
 
 
+def test_two_trees_search_rejects_an_empty_budget():
+    # a search that tries no order cannot call the structure open
+    m = gen_random_matching(2, 0)
+    for budget in (0, -3):
+        with pytest.raises(GeomatchError, match=re.escape(f"at least 1 (got {budget})")):
+            two_trees_search(m, max_orders=budget)
+    assert two_trees_search(m, max_orders=1).orders_tried == 1
+
+
 def test_two_trees_random_three_segments():
     for seed in range(4):
         result = two_trees_search(gen_random_matching(3, seed))

@@ -271,6 +271,55 @@ def test_cli_crossings_verify_of_a_crossing_half_is_an_internal_error(
     assert f"{Segment(2, 4)} crosses input segment {Segment(0, 1)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "halves, message",
+    [
+        # the two diagonals of the square of left endpoints cross
+        (lambda m_l, m_r: ([Segment(0, 6), Segment(2, 4)], m_r.edges), "of one half cross"),
+        # the halves are disjoint, but points 0 and 2 are in neither
+        (lambda m_l, m_r: ([Segment(4, 6)], m_r.edges), "cover every point exactly once"),
+        # every point is covered and each segment has one end in the left
+        # half, but points 0 and 2 are in both
+        (
+            lambda m_l, m_r: (m_l.edges, m_r.edges | {Segment(0, 2)}),
+            "cover every point exactly once",
+        ),
+        # the input itself, split in two: nothing crosses and every point
+        # is covered once, but both ends of each segment lie in one half
+        (
+            lambda m_l, m_r: ([Segment(0, 1), Segment(2, 3)], [Segment(4, 5), Segment(6, 7)]),
+            f"input segment {Segment(0, 1)} does not have one end in each half",
+        ),
+    ],
+)
+def test_cli_crossings_verify_checks_the_halves(tmp_path, capsys, monkeypatch, halves, message):
+    import geomatch.algorithms as algorithms
+
+    ps = PointSet.from_coords(
+        [(0, 0), (1, -3), (0, 10), (1, 13), (10, 0), (11, -3), (10, 10), (11, 13)]
+    )
+    m = Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5), Segment(6, 7)])
+    real = algorithms.crossings_matchings
+
+    def fake(m):
+        h_l, h_r = halves(*real(m))
+        return Matching(m.base, h_l, check=False), Matching(m.base, h_r, check=False)
+
+    path = write_instance(tmp_path, "c.txt", m)
+    assert main(["run", "crossings", path, "--verify"]) == 0
+    monkeypatch.setattr(algorithms, "crossings_matchings", fake)
+    assert main(["run", "crossings", path]) == 0
+    assert main(["run", "crossings", path, "--verify"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_cli_two_trees_search_rejects_an_empty_budget(tmp_path, capsys):
+    inst = write_instance(tmp_path, "r4.txt", gen_random_matching(4, 1))
+    for budget in ("0", "-3"):
+        assert main(["run", "two-trees-search", inst, "--max-orders", budget]) == 1
+        assert "max_orders must be at least 1 (got " + budget in capsys.readouterr().err
+
+
 def test_cli_hv_and_four_fifths(tmp_path, capsys):
     hv_in = write_instance(
         tmp_path, "hv.txt", gen_random_matching(4, 3, "axis-parallel")

@@ -46,7 +46,9 @@ from helpers import (
     brute_segments_cross,
     brute_union_noncrossing,
     gift_wrap_order,
+    grid_pointset,
     naive_collinear_triple,
+    naive_enumerate_ncpm,
     pairwise_shear_K,
     polygon_area2,
     polygon_contains,
@@ -162,18 +164,48 @@ def test_segments_cross_ids_exhaustive_on_small_grid():
                 assert ps.segments_cross_ids(a, b, c, d) == want, (unit, a, b, c, d)
 
 
-def test_first_crossing_between_skips_shared_edges_only():
+def test_first_blocker_skips_shared_edges_only():
     ps = PointSet.from_coords([(0, 0), (2, 2), (0, 2), (2, 0), (5, 0), (6, 3), (3, 3)])
-    shared = [Segment(4, 5)]
+
+    def pair(edges1, edges2):
+        return Matching(ps, edges1), Matching(ps, edges2)
+
     # equal segments built apart are skipped; a crossing pair is not, nor
     # an overlap of two segments with one common endpoint
-    assert ps.first_crossing_between(shared, [Segment(5, 4)]) is None
-    got = ps.first_crossing_between(shared + [Segment(0, 1)], [Segment(4, 5), Segment(2, 3)])
-    assert got == (Segment(0, 1), Segment(2, 3))
-    assert ps.first_crossing_between([Segment(0, 1)], [Segment(0, 6)]) == (
-        Segment(0, 1),
-        Segment(0, 6),
-    )
+    assert ps._first_blocker([Segment(5, 4)])(4, 5) is None
+    assert compatible(*pair([Segment(4, 5)], [Segment(5, 4)]))
+    first = ps._first_blocker([Segment(4, 5), Segment(2, 3)])
+    assert first(4, 5) is None
+    assert first(0, 1) == Segment(2, 3)
+    assert not compatible(*pair([Segment(4, 5), Segment(0, 1)], [Segment(4, 5), Segment(2, 3)]))
+    assert ps._first_blocker([Segment(0, 6)])(0, 1) == Segment(0, 6)
+    assert not compatible(*pair([Segment(0, 1)], [Segment(0, 6)]))
+
+
+def test_first_blocker_agrees_with_the_coordinate_predicate():
+    # on grid sets, where collinear overlaps and T-contacts are common,
+    # against segments_cross_coords on the Fraction coordinates; the edge
+    # returned is the first crossing one by the left side of its box
+    rng = Random(61)
+    for _ in range(20):
+        ps = grid_pointset(rng, rng.choice([4, 6, 8]), 4)
+        edges = rng.choice(naive_enumerate_ncpm(ps)).edges
+        for m_edges in (edges, sorted(edges)[1:]):
+            first = ps._first_blocker(m_edges)
+            by_left = sorted(m_edges, key=lambda s: min(ps.coord(s.a)[0], ps.coord(s.b)[0]))
+            for u in ps.ids:
+                for v in range(u + 1, len(ps)):
+                    p, q = ps.coord(u), ps.coord(v)
+                    crossed = [
+                        s
+                        for s in by_left
+                        if s != Segment(u, v)
+                        and segments_cross_coords(p, q, ps.coord(s.a), ps.coord(s.b))
+                    ]
+                    got = first(u, v)
+                    assert got == (crossed[0] if crossed else None), (u, v)
+                    if got is not None:
+                        assert got in m_edges and got != Segment(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +553,27 @@ def test_compatible_matches_brute_union_check():
             coords, [s.ids for s in m1.edges], [s.ids for s in m2.edges]
         )
         assert compatible(m1, m2) == want
+
+
+def test_compatible_matches_brute_union_check_on_grid_catalogs():
+    # pairs of catalog matchings (and of a catalog matching less one edge)
+    # on small grids, where collinear overlaps, T-contacts and shared edges
+    # are common
+    rng = Random(37)
+    verdicts = set()
+    for _ in range(30):
+        ps = grid_pointset(rng, rng.choice([4, 6, 8]), 4)
+        coords = [p.coord for p in ps]
+        catalog = naive_enumerate_ncpm(ps)
+        for _ in range(6):
+            m1 = rng.choice(catalog)
+            m2 = Matching(ps, sorted(rng.choice(catalog).edges)[rng.randrange(2) :])
+            want = brute_union_noncrossing(
+                coords, [s.ids for s in m1.edges], [s.ids for s in m2.edges]
+            )
+            assert compatible(m1, m2) == compatible(m2, m1) == want
+            verdicts.add((want, bool(m1.edges & m2.edges)))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from geomatch.geom_core import (
     Segment,
     compatible,
     disjoint,
-    segments_cross_coords,
 )
 from geomatch.oracle import (
     enumerate_ncpm,
@@ -24,6 +23,7 @@ from geomatch.oracle import (
 
 from helpers import (
     brute_pm_exists,
+    grid_pointset,
     naive_enumerate_ncpm,
     naive_has_disjoint_compatible_pm,
     naive_visibility_graph,
@@ -54,13 +54,6 @@ def circle_chords():
         ]
     )
     return Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5)])
-
-
-def grid_pointset(rng, n, side):
-    """n distinct points of a side x side integer grid (collinear triples
-    and axis-parallel pairs are the rule, not the exception)."""
-    cells = [(x, y) for x in range(side) for y in range(side)]
-    return PointSet.from_coords(rng.sample(cells, n))
 
 
 def assert_same_catalog(ps):
@@ -293,29 +286,6 @@ def test_visibility_graph_matches_naive_expression():
         for m in (Matching(ps, edges), Matching(ps, sorted(edges)[1:])):
             for minus_m in (False, True):
                 assert visibility_graph(m, minus_m) == naive_visibility_graph(m, minus_m)
-
-
-def test_blocked_test_agrees_with_the_coordinate_predicate():
-    # on grid sets, where collinear overlaps and T-contacts are common,
-    # against segments_cross_coords on the Fraction coordinates
-    from geomatch.oracle import _blocked_test
-
-    rng = Random(61)
-    for _ in range(20):
-        ps = grid_pointset(rng, rng.choice([4, 6, 8]), 4)
-        edges = rng.choice(naive_enumerate_ncpm(ps)).edges
-        for m_edges in (edges, sorted(edges)[1:]):
-            blocked = _blocked_test(ps, m_edges)
-            for u in ps.ids:
-                for v in range(u + 1, len(ps)):
-                    want = any(
-                        s != Segment(u, v)
-                        and segments_cross_coords(
-                            ps.coord(u), ps.coord(v), ps.coord(s.a), ps.coord(s.b)
-                        )
-                        for s in m_edges
-                    )
-                    assert blocked(u, v) == want, (u, v)
 
 
 def test_visibility_minus_m_has_perfect_matching():
