@@ -757,7 +757,9 @@ class BoundingBox:
         A vertical or horizontal line cuts a box into a box: the result is a
         ``BoundingBox``, or None when it has empty interior.  The zero normal
         a = b = 0 keeps the whole box or nothing.  An oblique line raises
-        ``GeomatchError``: shear it onto a vertical one first.
+        ``GeomatchError``: shear it onto a vertical one first.  A public
+        front: no construction calls it, ``algorithms._cut`` calls
+        :meth:`_clip`.
         """
         if type(a) is not int:
             a = as_scalar(a)

@@ -11,13 +11,15 @@ recorded as the dual multigraph: one vertex per cell, one edge per
 in-region matching vertex.
 
 All arithmetic is exact.  Rays are compared by cross-multiplied integers in
-a scaled frame, so no rounding ever decides a blocking order; a tie (two
-blockers at the identical point, a ray through an existing vertex, or a ray
-along the line of another segment) is a degeneracy and raises
-DegenerateIncidence rather than being perturbed away.  Every blocker
-keeps an integer bounding box of its current extent, and each ray a box of
-the part of it that can still hold the first hit; a blocker whose box misses
-the ray's box is skipped before any cross product is formed.
+a scaled frame, so no rounding ever decides a blocking order.  A degeneracy
+raises DegenerateIncidence where it occurs, rather than being perturbed
+away: a blocker through a ray's origin, two blockers at a ray's first hit, a
+ray that stops on an existing vertex (a region corner included) or passes an
+end of another segment on its line, and a segment that leaves the region
+exactly through a corner.  Every blocker keeps an integer bounding box of
+its current extent, and each ray a box of the part of it that can still
+hold the first hit; a blocker whose box misses the ray's box is skipped
+before any cross product is formed.
 
 ``extend`` runs in three stages.  The set-up (``_Scene``) puts the points
 and the region in one integer frame: the lcm of the point set's scale and
@@ -56,7 +58,6 @@ oblique line first shears the points so that the line becomes vertical (see
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Container, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -357,28 +358,18 @@ class _Feature:
     """A straight blocker: a wall (segment ``seg`` plus extensions) or a
     region edge (``seg`` None).
 
-    Points on the carrier line are A + t*(B - A); for a wall, ``line`` is
-    that line as (a, b, c) with a*x + b*y + c = 0, gcd-normalized and
-    (a, b) > 0 lexicographically, so that equal lines give equal triples (a
-    region edge never needs it: a wall has an endpoint strictly inside the
-    region, so its line is never an edge's line).  ``lo..hi``
-    is the part that currently exists, and ``x0..x1`` by ``y0..y1`` an
-    integer box around it.  ``nodes`` maps the parameter of every node on
-    the feature to its node id.
+    Points on the carrier line are A + t*(B - A); for a wall, A and B are
+    its segment's ends.  ``lo..hi`` is the part that currently exists, and
+    ``x0..x1`` by ``y0..y1`` an integer box around it.  ``nodes`` maps the
+    parameter of every node on the feature to its node id.
     """
 
-    __slots__ = ("ax", "ay", "dx", "dy", "line", "lo", "hi", "x0", "y0", "x1", "y1", "seg", "nodes")
+    __slots__ = ("ax", "ay", "dx", "dy", "lo", "hi", "x0", "y0", "x1", "y1", "seg", "nodes")
 
     def __init__(self, a, b, seg=None):
         ax, ay = self.ax, self.ay = a
         bx, by = b
-        dx, dy = self.dx, self.dy = bx - ax, by - ay
-        if seg is not None:
-            c = dx * ay - dy * ax
-            g = gcd(dy, dx, c)
-            if dy < 0 or (dy == 0 and dx > 0):
-                g = -g
-            self.line = (dy // g, -dx // g, c // g)
+        self.dx, self.dy = bx - ax, by - ay
         self.lo = _ZERO
         self.hi = _ONE
         self.x0, self.x1 = (ax, bx) if ax < bx else (bx, ax)
@@ -458,14 +449,6 @@ def _shoot(scene: _Scene, rays: Sequence[tuple[Segment, int]]) -> list[tuple]:
     per ray, the terminus a homogeneous integer triple in frame units."""
     pts, wall_at, features = scene.pts, scene.wall_at, scene.features
 
-    # a ray along the line of another wall is degenerate wherever that wall
-    # lies, even behind the ray; no wall's line is a region edge's line.
-    # Lines are counted only when two walls share one.
-    lines = [g.line for g in scene.walls]
-    shared = ()
-    if len(set(lines)) < len(lines):
-        shared = {line for line, k in Counter(lines).items() if k > 1}
-
     # the region box bounds every ray's search; its corners run
     # counter-clockwise, lower-left and upper-right at 0 and 2
     (rx0, ry0), _, (rx1, ry1), _ = scene.reg
@@ -473,10 +456,6 @@ def _shoot(scene: _Scene, rays: Sequence[tuple[Segment, int]]) -> list[tuple]:
     placed: list[tuple] = []
     for seg, endpoint in rays:
         f = wall_at[endpoint]
-        if f.line in shared:
-            raise DegenerateIncidence(
-                f"ray from {endpoint} is collinear with another feature"
-            )
         at_b = endpoint == seg.b
         ox, oy = pts[endpoint]
         dx, dy = f.dx, f.dy
@@ -489,6 +468,7 @@ def _shoot(scene: _Scene, rays: Sequence[tuple[Segment, int]]) -> list[tuple]:
         by0, by1 = (oy, ry1) if dy > 0 else (ry0, oy) if dy < 0 else (oy, oy)
         best = None  # (tn, td, feature, un)
         tie = False
+        along = []  # walls on the ray's line
         # the hottest loop of extend, so the cross products are inlined: the
         # ray meets g at ray parameter tn/td >= 0 and g parameter un/td, which
         # must lie in g's current extent lo..hi.  The box test is strict, so
@@ -500,7 +480,9 @@ def _shoot(scene: _Scene, rays: Sequence[tuple[Segment, int]]) -> list[tuple]:
             ex, ey = g.dx, g.dy
             fx, fy = ox - g.ax, oy - g.ay
             denom = dx * ey - dy * ex
-            if denom == 0:  # parallel; a common line was rejected above
+            if denom == 0:  # parallel; no region edge is on a ray's line
+                if ex * fy == ey * fx:
+                    along.append(g)
                 continue
             tn = ex * fy - ey * fx
             if denom < 0:
@@ -534,11 +516,24 @@ def _shoot(scene: _Scene, rays: Sequence[tuple[Segment, int]]) -> list[tuple]:
                 tie = True
         if best is None:
             raise InvariantViolation("ray escaped the bounded region")
+        tn, td, g, un = best
+        # a ray along another wall is degenerate if it passes one of that
+        # wall's segment ends (x, y) by its hit, at ray parameter
+        # t / (dx^2 + dy^2) <= tn/td; such an end is in the ray's box, so the
+        # wall passed the box test.  A ray that meets only the wall's
+        # extension stops on its terminus, a node of the feature hit.
+        reach = tn * (dx * dx + dy * dy)
+        for w in along:
+            for x, y in ((w.ax, w.ay), (w.ax + w.dx, w.ay + w.dy)):
+                t = (x - ox) * dx + (y - oy) * dy
+                if 0 < t and t * td <= reach:
+                    raise DegenerateIncidence(
+                        f"ray from {endpoint} is collinear with another feature"
+                    )
         if tie:
             raise DegenerateIncidence(
                 f"ray from {endpoint} meets two blockers at the same point"
             )
-        tn, td, g, un = best
         u = _norm(un, td)
         # a region corner is its edge's 0 or 1, and a segment end its wall's;
         # every other node on g is an earlier terminus
@@ -583,18 +578,12 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
     # terminus unless that end lies outside the region: then the wall leaves
     # the region through the interior of an edge that has the outside end on
     # its outer side, at a new node (a ray landing there would have met the
-    # wall and the edge at once)
-    (x0, y0), _, (x1, y1), _ = reg
+    # wall and the edge at once), or through a corner, which raises as a ray
+    # that stops on a corner does
     for f in walls:
-        a, b, c = f.line
-        if (
-            a * x0 + b * y0 + c == 0
-            or a * x1 + b * y0 + c == 0
-            or a * x1 + b * y1 + c == 0
-            or a * x0 + b * y1 + c == 0
-        ):
-            raise DegenerateIncidence("a segment line passes through a region corner")
         mask = outside[f.seg.a] | outside[f.seg.b]  # one end at most
+        if not mask:
+            continue
         for k, g in enumerate(boundary):
             if not mask >> k & 1:
                 continue
@@ -608,6 +597,8 @@ def _subdivide(scene: _Scene, placed: list[tuple]) -> ConvexSubdivision:
                 f.nodes[t] = g.nodes[_norm(un, d)] = len(node_pts)
                 node_pts.append(f.point(t))
                 break
+        else:
+            raise DegenerateIncidence("a segment line passes through a region corner")
 
     # build the node/edgelet graph of the finished structure: every node on
     # a feature lies within its final extent, so linking each feature's

@@ -70,9 +70,11 @@ from geomatch.oracle import (
     transformation_distance,
     visibility_graph,
 )
-from geomatch.subdivision import _ray_termini
+from geomatch.subdivision import EndpointRole, _ray_termini
 
 from helpers import (
+    box_polygon,
+    box_strictly_contains,
     brute_orient,
     brute_segments_cross,
     brute_union_noncrossing,
@@ -81,12 +83,15 @@ from helpers import (
     naive_hv_disjoint_matching,
     naive_two_trees_search,
     other_end,
+    polygon_area2,
+    polygon_contains,
     random_general_pointset,
     random_matching_pair,
     random_ncpm_edges,
     reference_canonical_chain,
     reference_even_cut,
     reference_side,
+    replay_extensions,
 )
 
 
@@ -718,6 +723,35 @@ def test_four_fifths_random_even_sizes():
     assert checked == 30
 
 
+def test_the_class_placed_last_spans_the_cells_as_a_tree():
+    # the paper's lemma behind four_fifths_matching: with every right ray
+    # placed before every left ray, the left ends' dual edges form a
+    # spanning tree of the cells; mirrored, with the left rays first, the
+    # right ends' do
+    checked = 0
+    for n in range(2, 41, 2):
+        for seed in range(10):
+            m0 = gen_random_matching(n, seed)
+            if any(m0.base.coord(s.a)[0] == m0.base.coord(s.b)[0] for s in m0.edges):
+                continue
+            for scale in (1, Fraction(1, 3)):
+                m = _scaled(m0, scale)
+                x = lambda i: m.base.coord(i)[0]  # noqa: E731
+                order = m.sorted_edges()
+                lefts = [(s, min(s.ids, key=x)) for s in order]
+                rights = [(s, max(s.ids, key=x)) for s in order]
+                box = BoundingBox.around(m.base)
+                for rays, last in (
+                    (rights + lefts, EndpointRole.LEFT_END),
+                    (lefts + rights, EndpointRole.RIGHT_END),
+                ):
+                    dual = subdivision.dual_multigraph(subdivision.extend(m, box, rays)[1], m)
+                    tree = [e.cells for e in dual.edges if e.role is last]
+                    assert_spanning_tree(Multigraph(dual.n, tree), n + 1)
+                checked += 1
+    assert checked >= 350
+
+
 # gen_random_matching instances whose red subgraph has odd components, from
 # a search over seeds 0-1499 at n = 4-14 and 0-399 at n = 16-40; each has
 # f(R) = 2, so the output gives up one segment
@@ -779,6 +813,130 @@ def test_outputs_do_not_depend_on_scale_at_size():
                 outs.append(out)
             assert outs[1] == outs[0] and outs[2] == outs[0], (n, seed)
             assert len(outs[0][0]) > 2
+
+
+def _grid_outcomes(m: Matching, other: Matching, scale, box: BoundingBox):
+    """four_fifths_matching, transform to ``other``, crossings_matchings and
+    extend on ``box`` and on that box cut halfway between the two middle
+    x-coordinates, each as a scale-free answer (id pairs, and coordinates
+    divided by ``scale``) or as the error's type and message.  Every answer
+    is checked by the brute predicates first."""
+    ps = m.base
+    coords = coords_of(m)
+    ids = lambda mm: sorted(s.ids for s in mm.edges)  # noqa: E731
+
+    def four_fifths():
+        rep = four_fifths_matching(m)
+        out = ids(rep.matching)
+        assert not set(out) & set(ids(m))
+        assert brute_union_noncrossing(coords, ids(m), out)
+        assert 5 * len(out) >= 4 * len(m) - 1
+        return out
+
+    def transform_steps():
+        steps = [ids(x) for x in transform(m, other).matchings]
+        assert steps[0] == ids(m) and steps[-1] == ids(other)
+        assert len(steps) - 1 <= 2 * math.ceil(math.log2(len(m)))
+        for a, b in zip(steps, steps[1:]):
+            assert sorted(i for e in b for i in e) == list(ps.ids)
+            assert brute_union_noncrossing(coords, a, b)
+        return steps
+
+    def crossings():
+        halves = [ids(h) for h in crossings_matchings(m)]
+        for half, pick in zip(halves, (min, max)):
+            # the left half matches the left ends, the right half the right
+            ends = sorted(pick(s.ids, key=ps.coord) for s in m.edges)
+            assert sorted(i for e in half for i in e) == ends
+            assert brute_union_noncrossing(coords, ids(m), half)
+        return halves
+
+    def extension(region):
+        rays = [
+            (s, i) for s in m.sorted_edges() for i in s.ids
+            if box_strictly_contains(region, ps.coord(i))
+        ]
+        geo, sub = subdivision.extend(m, region, rays)
+        replay = replay_extensions(m, box_polygon(region), rays)
+        assert [(r.terminus, r.went_to_infinity) for r in geo.rays] == replay
+        cells = list(sub.cells)
+        assert len(cells) == len({s for s, _ in rays}) + 1
+        assert sum(polygon_area2(c) for c in cells) == polygon_area2(box_polygon(region))
+        for v, pair in sub.vertex_cells.items():
+            for c in pair:
+                assert polygon_contains(cells[c], ps.coord(v))
+                assert not polygon_contains(cells[c], ps.coord(v), strict=True)
+        return [
+            [((x / scale, y / scale), hit) for (x, y), hit in replay],
+            [[(x / scale, y / scale) for x, y in c.vertices] for c in cells],
+            sorted(sub.vertex_cells.items()),
+        ]
+
+    xs = sorted({x for x, _ in coords})
+    k = len(xs) // 2
+    cut = box.clip_halfplane(1, 0, (xs[k - 1] + xs[k]) / 2, keep=-1)
+    calls = {
+        "four_fifths_matching": four_fifths,
+        "transform": transform_steps,
+        "crossings_matchings": crossings,
+        "extend:box": lambda: extension(box),
+        "extend:cut": lambda: extension(cut),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except GeomatchError as exc:
+            out[name] = (type(exc), str(exc))
+    return out
+
+
+# (trial, call) of test_small_grids_give_one_outcome_at_every_scale whose
+# outcome changes with the scale.  The constructions extend in
+# BoundingBox.around, whose margin is 1 + the coordinate spread at every
+# scale, so the box around the scaled points is not the scaled box, and
+# whether a ray tie falls on its edge depends on the scale
+SCALE_DEPENDENT_GRIDS = {
+    (4, "four_fifths_matching"),
+    (4, "crossings_matchings"),
+    (14, "transform"),
+    (30, "transform"),
+    (49, "transform"),
+    (99, "transform"),
+}
+
+
+def test_small_grids_give_one_outcome_at_every_scale():
+    # catalog matchings of points on a 6 x 4 grid (collinear points,
+    # vertical segments, lines through region corners): at scales 1, 1/3
+    # and 5/11 each call gives the same answer or the same error, but for
+    # the ties pinned above; every answer passes the brute checks, and no
+    # InvariantViolation escapes
+    rng = random.Random("small grids")
+    seen = Counter()
+    differ = set()
+    for trial in range(100):
+        n = rng.choice([4, 6, 8])
+        cells = sorted({(rng.randrange(6), rng.randrange(4)) for _ in range(3 * n)})
+        ps = PointSet.from_coords(rng.sample(cells, min(n, len(cells)) // 2 * 2))
+        catalog = enumerate_ncpm(ps)
+        m0, other0 = (catalog[rng.randrange(len(catalog))] for _ in range(2))
+        # extend runs in the scaled box around the points at scale 1
+        box = BoundingBox.around(ps)
+        outs = []
+        for scale in (1, Fraction(1, 3), Fraction(5, 11)):
+            m = _scaled(m0, scale)
+            region = BoundingBox(*(v * scale for v in (box.xmin, box.ymin, box.xmax, box.ymax)))
+            outs.append(_grid_outcomes(m, Matching(m.base, other0.edges), scale, region))
+        for name, got in outs[0].items():
+            seen[name, isinstance(got, tuple)] += 1
+            if outs[1][name] != got or outs[2][name] != got:
+                differ.add((trial, name))
+                errors = [o[name][0] for o in outs if isinstance(o[name], tuple)]
+                assert DegenerateIncidence in errors
+    assert differ == SCALE_DEPENDENT_GRIDS
+    # every call answered on some grids and raised on others
+    assert len(seen) == 10 and min(seen.values()) >= 3, seen
 
 
 def test_four_fifths_colored_is_built_on_first_read(monkeypatch):

@@ -345,24 +345,40 @@ def test_box_pruned_ray_search_in_fraction_clipped_region():
         _assert_replayed(m, region, geo, rays)
 
 
-def test_collinear_wall_rule_ignores_where_the_feature_lies():
-    # a ray along the line of another wall is degenerate even when that wall
-    # lies behind the ray; a wall that receives no ray is not checked
+def test_collinear_wall_rule_checks_where_the_wall_lies():
+    # a ray along the line of another wall is degenerate only when it passes
+    # one of that wall's segment ends; a wall behind the ray, or beyond its
+    # hit, is not in the way
     ps = PointSet.from_coords([(0, 0), (1, 0), (3, 0), (4, 0)])
     s01, s23 = Segment(0, 1), Segment(2, 3)
     m = Matching(ps, [s01, s23])
     box = BoundingBox.around(ps)
-    with pytest.raises(DegenerateIncidence, match="collinear"):
-        subdivision._ray_termini(m, box, [(s01, 0)])
-    with pytest.raises(DegenerateIncidence, match="collinear"):
-        subdivision._ray_termini(m, box, [(s23, 3)])
-    assert subdivision._ray_termini(m, box, []) == []
+    away = [(s01, 0), (s23, 3)]
+    assert subdivision._ray_termini(m, box, away) == [
+        frame_triple(*t, 1) for t, _ in replay_extensions(m, box_polygon(box), away)
+    ]
+    for ray in ((s01, 1), (s23, 2)):
+        with pytest.raises(DegenerateIncidence) as ei:
+            subdivision._ray_termini(m, box, [ray])
+        assert str(ei.value) == f"ray from {ray[1]} is collinear with another feature"
+    # a vertical wall at x = 3 stops the ray from 1 short of wall 2-3, and
+    # the ray from 2 too; placed after it, the ray from 1 meets only the
+    # extension of 2-3, and stops on its terminus
+    ps = PointSet.from_coords([(0, 0), (1, 0), (5, 0), (6, 0), (3, -1), (3, 1)])
+    s01, s23, s45 = Segment(0, 1), Segment(2, 3), Segment(4, 5)
+    m = Matching(ps, [s01, s23, s45])
+    box = BoundingBox.around(ps)
+    assert subdivision._ray_termini(m, box, [(s01, 1)]) == [(3, 0, 1)]
+    assert subdivision._ray_termini(m, box, [(s23, 2)]) == [(3, 0, 1)]
+    with pytest.raises(DegenerateIncidence) as ei:
+        subdivision._ray_termini(m, box, [(s23, 2), (s01, 1)])
+    assert str(ei.value) == "ray from 1 stops exactly on an existing vertex"
 
 
 def test_two_collinear_walls_name_the_ray():
-    # the walls' lines are compared gcd-normalized, so walls of different
-    # lengths and directions on one oblique line are collinear; box edges
-    # carry no line, and the error names the ray's endpoint
+    # walls of different lengths and directions on one oblique line: each
+    # ray toward the other wall names its endpoint, and each ray away from
+    # it stops where the Fraction replay stops
     for scale in (1, Fraction(1, 3)):
         ps = PointSet.from_coords(
             [(x * scale, y * scale) for x, y in ((1, 2), (0, 0), (3, 6), (5, 10), (7, 1), (9, 2))]
@@ -370,11 +386,15 @@ def test_two_collinear_walls_name_the_ray():
         s01, s23, s45 = Segment(0, 1), Segment(2, 3), Segment(4, 5)
         m = Matching(ps, [s01, s23, s45])
         box = BoundingBox.around(ps)
-        for ray in ((s01, 1), (s23, 3), (s01, 0)):
+        for ray in ((s01, 0), (s23, 2)):
             with pytest.raises(DegenerateIncidence) as ei:
                 subdivision._ray_termini(m, box, [(s45, 4), ray])
             assert str(ei.value) == f"ray from {ray[1]} is collinear with another feature"
-        assert len(subdivision._ray_termini(m, box, [(s45, 4), (s45, 5)])) == 2
+        rays = [(s45, 4), (s45, 5), (s01, 1), (s23, 3)]
+        replay = replay_extensions(m, box_polygon(box), rays)
+        assert subdivision._ray_termini(m, box, rays) == [
+            frame_triple(*t, ps._scale) for t, _ in replay
+        ]
 
 
 def test_parameters_closer_than_float_resolution():
@@ -758,39 +778,52 @@ def test_user_box_error_messages():
     assert str(ei.value) == "Segment(a=0, b=1) crosses the region but has no endpoint inside"
 
 
-def test_corner_rule_holds_for_a_wall_that_never_reaches_the_corner():
+def test_corner_rule_spares_a_wall_that_never_reaches_the_corner():
     # the line of segment 0-1 is the box's diagonal, but both rays of 0-1
-    # stop on the other two segments long before either corner; the wall's
-    # line through a corner is still degenerate
+    # stop on the other two segments long before either corner
     ps = PointSet.from_coords([(4, 4), (6, 6), (8, 14), (14, 8), (1, 4), (4, 1)])
     m = Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5)])
     box = BoundingBox(0, 0, 20, 20)
     rays = both_ways_rays(m.sorted_edges())
-    geo = _kernel_geometry(m, box, rays)
+    geo, sub = extend(m, box, rays)
     diagonal = {r.terminus for r in geo.rays if r.segment == Segment(0, 1)}
     assert diagonal == {(Fraction(5, 2), Fraction(5, 2)), (11, 11)}
-    with pytest.raises(DegenerateIncidence) as ei:
-        extend(m, box, rays)
-    assert str(ei.value) == "a segment line passes through a region corner"
+    _assert_replayed(m, box, geo, rays)
+    assert len(sub.cells) == 4
+    assert sum(polygon_area2(c) for c in sub.cells) == polygon_area2(box_polygon(box))
+
+
+def _cut_corner_case(flip_x, flip_y, cut):
+    """Segment 0-1 inside the box (0, 0, 10, 10) and segment 2-3 leaving
+    it through the right edge at y = 7/2, the box cut to y <= ``cut``;
+    mirrored about x = 5 and y = 5 by the flips."""
+    coords = [(2, 2), (4, 5), (7, 3), (13, 4)]
+    ps = PointSet.from_coords(
+        [(10 - x if flip_x else x, 10 - y if flip_y else y) for x, y in coords]
+    )
+    m = Matching(ps, [Segment(0, 1), Segment(2, 3)])
+    box = BoundingBox(0, 0, 10, 10)
+    region = box.clip_halfplane(0, 1, 10 - cut if flip_y else cut, 1 if flip_y else -1)
+    rays = [(Segment(0, 1), 0), (Segment(2, 3), 2)]
+    return m, region, rays
 
 
 @pytest.mark.parametrize("flip_x, flip_y", [(0, 0), (1, 0), (0, 1), (1, 1)])
 def test_corner_rule_checks_each_corner(flip_x, flip_y):
-    # the line of segment 0-1 passes through the box corner that (0, 0)
-    # flips to and through no other corner; its rays stop on the other two
-    # segments, so only the builder's corner test can reject it
-    coords = [(4, 3), (8, 6), (8, 14), (14, 8), (1, 4), (4, 1)]
-    ps = PointSet.from_coords(
-        [(20 - x if flip_x else x, 20 - y if flip_y else y) for x, y in coords]
-    )
-    m = Matching(ps, [Segment(0, 1), Segment(2, 3), Segment(4, 5)])
-    box = BoundingBox(0, 0, 20, 20)
-    rays = both_ways_rays(m.sorted_edges())
-    geo = _kernel_geometry(m, box, rays)
-    assert not any(r.went_to_infinity for r in geo.rays if r.segment == Segment(0, 1))
+    # segment 2-3 leaves the cut box exactly through the corner that
+    # (10, 7/2) flips to; its ray and the ray of 0-1 stop elsewhere, so only
+    # the builder sees the corner.  A cut that keeps a little more of the
+    # box lets 2-3 leave through the inside of its side edge
+    m, region, rays = _cut_corner_case(flip_x, flip_y, Fraction(7, 2))
+    assert len(subdivision._ray_termini(m, region, rays)) == 2
     with pytest.raises(DegenerateIncidence) as ei:
-        extend(m, box, rays)
+        extend(m, region, rays)
     assert str(ei.value) == "a segment line passes through a region corner"
+    m, region, rays = _cut_corner_case(flip_x, flip_y, 4)
+    geo, sub = extend(m, region, rays)
+    _assert_replayed(m, region, geo, rays)
+    assert len(sub.cells) == 3
+    assert sum(polygon_area2(c) for c in sub.cells) == polygon_area2(box_polygon(region))
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +835,8 @@ def _mode_cases():
     random general, axis-parallel and small-grid matchings (the grids have
     collinear points, vertical segments and ray ties), each also scaled by
     1/3, on the box around the points and on that box cut at an x that has
-    a denominator the point set does not have."""
+    a denominator the point set does not have; last, a wall that leaves a
+    cut box exactly through a corner of its cut edge."""
     matchings = []
     for seed in range(6):
         matchings.append(gen_random_matching(4 + seed, seed))
@@ -826,6 +860,7 @@ def _mode_cases():
                     (s, i) for s in m.sorted_edges() for i in s.ids
                     if box_strictly_contains(region, ps.coord(i))
                 ]
+    yield _cut_corner_case(0, 0, Fraction(7, 2))
 
 
 # what only the subdivision builder, after the last ray, can raise
