@@ -248,6 +248,12 @@ def halfplane_matching(m: Matching, line: Line, keep: int) -> Matching:
     vertical line a*x' = c by the x-shear x' = x + (b/a)*y of the points;
     the shear is affine, so it changes no side, crossing or compatibility,
     and the box is the one around the sheared points.
+
+    Only a side of six points or more is extended.  Two points are paired.
+    Four points a < b < c < d take the first of ab|cd, ac|bd and ad|bc
+    whose two segments cross neither each other nor an edge of m; if none
+    does, which needs points off general position, the step raises
+    ``DegenerateIncidence``.
     """
     if keep not in (1, -1):
         raise GeomatchError("halfplane selector must be +1 or -1")
@@ -255,7 +261,10 @@ def halfplane_matching(m: Matching, line: Line, keep: int) -> Matching:
 
 
 def even_cut_matching(m: Matching, line: Line) -> Matching:
-    """Match both sides of the line; the union never crosses the line."""
+    """Match both sides of the line; the union never crosses the line.
+    Each side is matched as by ``halfplane_matching``: a side of four points
+    by the first compatible of its three pairings (or
+    ``DegenerateIncidence``), a side of six or more by an extension."""
     # each side is non-crossing on its own and the open halfplanes are
     # disjoint, so the union needs no crossing re-check
     return _cut_matching(m, line, (1, -1))
@@ -296,9 +305,14 @@ def _cut(
     around the points; each kept side's region is ``within`` clipped by the
     integer line itself (``BoundingBox._clip``, the clip behind
     ``clip_halfplane``), so no ``Fraction`` is built.  The line must be
-    vertical or horizontal, or have the zero normal."""
+    vertical or horizontal, or have the zero normal.
+
+    Only a side of six points or more is extended.  A side of four points
+    takes the first of its three perfect matchings that is compatible with
+    ``edges`` (``_match_four``), and raises ``DegenerateIncidence`` if none
+    is, which needs points off general position."""
     sides = _frame_line_sides(ps, edges, ia, ib, ic)
-    m = None
+    m = first = None
     out = []
     for keep in keeps:
         inside = [i for i, s in sides.items() if s == keep]
@@ -310,6 +324,11 @@ def _cut(
             # only overlap it if the other point touched that edge, which a
             # matching rules out.
             out.append([Segment(*inside)] if inside else [])
+            continue
+        if len(inside) == 4:
+            if first is None:
+                first = ps._first_blocker(edges)
+            out.append(_match_four(ps, inside, first))
             continue
         if m is None:
             m = Matching(ps, edges, check=False)
@@ -327,6 +346,22 @@ def _cut(
             raise InvariantViolation("dual of a halfplane extension must orient evenly")
         out.append(_assemble(ps, m.edges, vertices, orientation.heads, dual.n, False))
     return out
+
+
+def _match_four(ps: PointSet, inside: list[int], first) -> list[Segment]:
+    """The first of the pairings ab|cd, ac|bd, ad|bc of the points
+    a < b < c < d whose two segments cross neither each other nor an edge
+    (``first``, the ``_first_blocker`` of the edges).  By the halfplane
+    lemma one of them is compatible, the one an extension would assemble,
+    so ``DegenerateIncidence`` needs points off general position."""
+    a, b, c, d = inside
+    cross = ps.segments_cross_ids
+    for (p, q), (r, s) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+        if not cross(p, q, r, s) and first(p, q) is None and first(r, s) is None:
+            return [Segment(p, q), Segment(r, s)]
+    raise DegenerateIncidence(
+        f"no perfect matching of points {a}, {b}, {c}, {d} is compatible with the edges"
+    )
 
 
 def _canonical_steps(

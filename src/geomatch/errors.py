@@ -56,7 +56,8 @@ class SegmentOutsideRegionRule(GeomatchError):
 
 
 class DegenerateIncidence(GeomatchError):
-    """A ray stop coincides with an existing subdivision vertex.
+    """A ray stop coincides with an existing subdivision vertex, or no
+    pairing of a four-point side of a halfplane step is compatible.
 
     Cannot happen for point sets in general position; raised instead of
     perturbing when exact arithmetic detects such a tie anyway.

@@ -589,11 +589,33 @@ def dual_graph(dual: DualMultigraph) -> Multigraph:
 # ---------------------------------------------------------------------------
 # halfplane steps from the public pipeline
 #
-# The library's halfplane steps read the dual straight from the subdivision
-# and pair a side of at most two points directly.  These references take
-# every side through the public calls instead: ``extend``,
-# ``dual_multigraph``, ``even_orientation`` of its graph and
-# ``assemble_from_orientation`` without the disjointness demand.
+# The library's halfplane steps read the dual straight from the subdivision,
+# pair a side of two points directly and take a side of four points by a
+# fixed order of its pairings.  These references take every other side
+# through the public calls instead: ``extend``, ``dual_multigraph``,
+# ``even_orientation`` of its graph and ``assemble_from_orientation``
+# without the disjointness demand.  A side of four points gets the same
+# order of pairings, tested by the brute crossing predicate.
+
+
+def reference_four(ps: PointSet, side, edges) -> frozenset:
+    """The first of the pairings ab|cd, ac|bd, ad|bc of the points
+    a < b < c < d whose segments cross neither each other nor an edge
+    of ``edges`` other than themselves, by ``brute_segments_cross`` on the
+    coordinates of ``ps``; DegenerateIncidence if none does."""
+    a, b, c, d = side
+
+    def crosses(p, q, r, s):
+        return brute_segments_cross(ps.coord(p), ps.coord(q), ps.coord(r), ps.coord(s))
+
+    for pairing in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+        if crosses(*pairing[0], *pairing[1]):
+            continue
+        if not any(
+            crosses(p, q, *e) for p, q in pairing for e in edges if set(e) != {p, q}
+        ):
+            return frozenset(Segment(p, q) for p, q in pairing)
+    raise DegenerateIncidence(f"no perfect matching of points {a}, {b}, {c}, {d}")
 
 
 def reference_side(m: Matching, line, keep: int, box=None) -> frozenset:
@@ -613,6 +635,8 @@ def reference_side(m: Matching, line, keep: int, box=None) -> frozenset:
     side = {i for s in m.edges for i in s if value[i] * keep > 0}
     if not side:
         return frozenset()
+    if len(side) == 4:
+        return reference_four(ps, sorted(side), m.edges)
     if box is None:
         box = BoundingBox.around(ps)
     xmin, ymin, xmax, ymax = box.xmin, box.ymin, box.xmax, box.ymax

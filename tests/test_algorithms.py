@@ -211,6 +211,31 @@ def test_halfplane_two_point_side_gets_compatible_pair():
                     assert compatible(m, out)
 
 
+def test_four_point_sides_take_the_first_compatible_pairing(monkeypatch):
+    # a side of points a < b < c < d is matched by ab|cd, ac|bd or ad|bc,
+    # the first whose segments cross neither each other nor an edge, and is
+    # never extended; on the square below ab|cd are its diagonals, so ac|bd
+    # wins over ad|bc, the given matching itself
+    rays = []
+    real = algorithms.extend
+    monkeypatch.setattr(
+        algorithms, "extend", lambda m, region, rs: rays.append(len(rs)) or real(m, region, rs)
+    )
+    ps = PointSet.from_coords([(0, 0), (4, 4), (4, 0), (0, 4)])
+    m = Matching(ps, [Segment(0, 3), Segment(1, 2)])
+    for line, keep in (((1, 0, 9), -1), ((0, 1, -1), 1), ((1, 1, 20), -1)):
+        assert set(halfplane_matching(m, line, keep).edges) == {Segment(0, 2), Segment(1, 3)}
+    assert rays == []
+    # transform on up to four segments extends nothing; beyond, every
+    # extended side has six points or more, one ray each
+    for n in (2, 3, 4, 8, 16):
+        m1, m2 = random_matching_pair(random.Random(n), n)
+        transform(m1, m2)
+        assert all(k >= 6 for k in rays) and bool(rays) == (n > 4), (n, rays)
+    with pytest.raises(DegenerateIncidence, match="points 0, 1, 2, 3 "):
+        algorithms._match_four(ps, [0, 1, 2, 3], lambda u, v: Segment(u, v))
+
+
 def even_cut_sides(m: Matching, line, out: Matching):
     a, b, c = line
     for e in out.edges:
@@ -390,7 +415,8 @@ def test_halfplane_steps_equal_the_public_pipeline():
     # the steps read the dual straight from the subdivision and assemble it
     # as plain lists; the references take every side, two-point ones too,
     # through extend, dual_multigraph, even_orientation and
-    # assemble_from_orientation
+    # assemble_from_orientation, but for four-point sides, whose pairings
+    # they test in the same order with the brute crossing predicate
     rng = random.Random(83)
     counts = {"sides": 0, "big sides": 0, "chains": 0}
     for m in _scaled_instances():
@@ -527,6 +553,34 @@ def test_transform_shears_tied_x_coordinates(cells, seed):
     for a, b in zip(steps, steps[1:]):
         assert_pairwise_noncrossing(ps, a.edges | b.edges)
     assert transformation_distance(m1, m2) <= seq.length
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(grid_cell, min_size=4, max_size=10, unique=True),
+    st.integers(0, 2**32),
+    st.integers(0, 2**32),
+)
+def test_transform_on_small_grids_answers_or_raises_a_typed_error(cells, i, j):
+    # collinear points allowed: a walk passes the brute checks, or the call
+    # refuses with a GeomatchError that is no InvariantViolation; up to four
+    # segments every halfplane step pairs its sides directly, so it answers
+    ps = PointSet.from_coords(cells[: len(cells) // 2 * 2])
+    catalog = enumerate_ncpm(ps)
+    m1, m2 = catalog[i % len(catalog)], catalog[j % len(catalog)]
+    try:
+        seq = transform(m1, m2)
+    except GeomatchError as exc:
+        assert not isinstance(exc, InvariantViolation) and len(m1) > 4, exc
+        return
+    coords = coords_of(m1)
+    steps = [sorted(s.ids for s in x.edges) for x in seq.matchings]
+    assert steps[0] == sorted(s.ids for s in m1.edges)
+    assert steps[-1] == sorted(s.ids for s in m2.edges)
+    assert len(steps) - 1 <= 2 * math.ceil(math.log2(len(m1)))
+    for a, b in zip(steps, steps[1:]):
+        assert sorted(i for e in b for i in e) == list(ps.ids)
+        assert brute_union_noncrossing(coords, a, b)
 
 
 def test_transform_rejects_mismatched_point_sets():
@@ -895,14 +949,12 @@ def _grid_outcomes(m: Matching, other: Matching, scale, box: BoundingBox):
 # outcome changes with the scale.  The constructions extend in
 # BoundingBox.around, whose margin is 1 + the coordinate spread at every
 # scale, so the box around the scaled points is not the scaled box, and
-# whether a ray tie falls on its edge depends on the scale
+# whether a ray tie falls on its edge depends on the scale.  transform is
+# not among them: on at most four segments its halfplane steps pair sides
+# of two or four points directly and never extend
 SCALE_DEPENDENT_GRIDS = {
     (4, "four_fifths_matching"),
     (4, "crossings_matchings"),
-    (14, "transform"),
-    (30, "transform"),
-    (49, "transform"),
-    (99, "transform"),
 }
 
 
@@ -910,8 +962,8 @@ def test_small_grids_give_one_outcome_at_every_scale():
     # catalog matchings of points on a 6 x 4 grid (collinear points,
     # vertical segments, lines through region corners): at scales 1, 1/3
     # and 5/11 each call gives the same answer or the same error, but for
-    # the ties pinned above; every answer passes the brute checks, and no
-    # InvariantViolation escapes
+    # the ties pinned above; every answer passes the brute checks, no
+    # InvariantViolation escapes, and transform answers every grid
     rng = random.Random("small grids")
     seen = Counter()
     differ = set()
@@ -935,8 +987,10 @@ def test_small_grids_give_one_outcome_at_every_scale():
                 errors = [o[name][0] for o in outs if isinstance(o[name], tuple)]
                 assert DegenerateIncidence in errors
     assert differ == SCALE_DEPENDENT_GRIDS
-    # every call answered on some grids and raised on others
-    assert len(seen) == 10 and min(seen.values()) >= 3, seen
+    # transform answered all 100 grids at every scale (its outcome is one at
+    # all three); every other call answered on some grids and raised on others
+    assert seen.pop(("transform", False)) == 100, seen
+    assert len(seen) == 8 and min(seen.values()) >= 3, seen
 
 
 def test_four_fifths_colored_is_built_on_first_read(monkeypatch):
